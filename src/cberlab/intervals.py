@@ -2,13 +2,30 @@
 
 The measure algebra is simulated by finite unions of half-open rational
 intervals; maps between them are piecewise translations, which are
-automatically measure-preserving.  All endpoints are fractions and all
+automatically measure-preserving.  All endpoints are rationals and all
 measures are exact.
+
+Inside, every set and map carries a positive int denominator ``den`` and
+stores its endpoints (and a map's offsets) as ints on the grid (1/den)Z:
+[a/den, b/den) is kept as (a, b).  Merges, comparisons, measures and the
+range, overlap and disjointness checks all run on these ints.  ``Fraction``
+appears only at the public boundary -- ``intervals``, ``pieces``,
+``measure`` and ``apply`` build exactly the Fractions the rational form
+has -- and in the raw values the constructors accept.
+
+A binary operation first rescales both operands to the lcm of their
+denominators.  No grid is fixed per tower: each object's denominator is the
+lcm of those of its inputs, and in a tower over a box hierarchy every set
+and map of stage n lands on the grid of that stage's tile size, each size a
+multiple of the one before.  Two operands of one stage therefore share their
+denominator and the rescale does nothing; across stages it multiplies the
+coarser operand's ints by one factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -19,77 +36,177 @@ class IntervalError(ValueError):
     """Raised on malformed interval data."""
 
 
-def _normalize(raw: Iterable[tuple]) -> tuple[Iv, ...]:
-    ivs = sorted(
-        (Fraction(a), Fraction(b)) for a, b in raw if Fraction(a) != Fraction(b)
-    )
-    for a, b in ivs:
-        if not (0 <= a < b <= 1):
-            raise IntervalError(f"interval [{a},{b}) outside [0,1)")
-    merged: list[list[Fraction]] = []
-    for a, b in ivs:
-        if merged and a < merged[-1][1]:
-            raise IntervalError(f"overlapping intervals at {a}")
-        if merged and a == merged[-1][1]:
-            merged[-1][1] = b
+def _normalize(den: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted, merged intervals on the grid 1/den; raises IntervalError when an
+    interval leaves [0,1) or two intervals overlap.  Empty intervals drop."""
+    out: list[tuple[int, int]] = []
+    end = -1
+    for a, b in sorted(pairs):
+        if a == b:
+            continue
+        if not 0 <= a < b <= den:
+            raise IntervalError(
+                f"interval [{Fraction(a, den)},{Fraction(b, den)}) outside [0,1)"
+            )
+        if a < end:
+            raise IntervalError(f"overlapping intervals at {Fraction(a, den)}")
+        if a == end:
+            out[-1] = (out[-1][0], b)
         else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+            out.append((a, b))
+        end = b
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    intervals: tuple[Iv, ...]
+def _grid(values: Iterable[Fraction]) -> int:
+    """Least common denominator of some Fractions (1 for none)."""
+    return math.lcm(1, *{v.denominator for v in values})
+
+
+def _on(den: int, x: Fraction) -> int:
+    """x as an int on the grid 1/den; den must be a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _scale(items: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
+    return items if k == 1 else tuple(tuple(v * k for v in it) for it in items)
+
+
+def _overlaps(x: tuple, y: tuple):
+    """(lo, hi, u, v) for every item u of x and v of y whose spans [u0, u1)
+    and [v0, v1) meet in [lo, hi).  Both are sorted with disjoint spans, so
+    this is a linear merge."""
+    i = j = 0
+    while i < len(x) and j < len(y):
+        u, v = x[i], y[j]
+        lo, hi = max(u[0], v[0]), min(u[1], v[1])
+        if lo < hi:
+            yield lo, hi, u, v
+        if u[1] < v[1]:
+            i += 1
+        else:
+            j += 1
+
+
+def _common(x, y) -> tuple[int, tuple, tuple]:
+    """Both operands' int items rescaled to the lcm of their denominators."""
+    if x._den == y._den:
+        return x._den, x._items, y._items
+    den = math.lcm(x._den, y._den)
+    return den, _scale(x._items, den // x._den), _scale(y._items, den // y._den)
+
+
+class _OnGrid:
+    """Immutable int items on the grid 1/_den, compared as the rational
+    objects they stand for: equal when equal after rescaling to a common
+    denominator."""
+
+    __slots__ = ("_den", "_items")
+
+    @classmethod
+    def _new(cls, den: int, items: tuple):
+        self = object.__new__(cls)
+        self._fill(den, items)
+        return self
+
+    def _fill(self, den: int, items: tuple) -> None:
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_items", items)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _index_of(self, x: Fraction) -> int:
+        """Index of the item whose span [a, b) holds x, or -1."""
+        q = x.numerator * self._den // x.denominator  # a <= x < b iff a <= q < b
+        i = bisect.bisect_right(self._items, (q, math.inf)) - 1
+        return i if i >= 0 and q < self._items[i][1] else -1
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        _, x, y = _common(self, other)
+        return x == y
+
+    def __hash__(self) -> int:
+        g = math.gcd(self._den, *(v for it in self._items for v in it))
+        reduced = tuple(tuple(v // g for v in it) for it in self._items)
+        return hash((type(self).__name__, self._den // g, reduced))
+
+
+class IntervalSet(_OnGrid):
+    """A finite union of half-open intervals in [0,1); items are sorted,
+    disjoint and non-adjacent (a, b) int pairs."""
+
+    __slots__ = ()
 
     def __init__(self, raw: Iterable[tuple] = ()):
-        object.__setattr__(self, "intervals", _normalize(raw))
+        pairs = [(Fraction(a), Fraction(b)) for a, b in raw]
+        den = _grid(v for p in pairs for v in p)
+        self._fill(den, _normalize(den, ((_on(den, a), _on(den, b)) for a, b in pairs)))
+
+    @classmethod
+    def _from_ints(cls, den: int, pairs: Iterable[tuple[int, int]]) -> "IntervalSet":
+        return cls._new(den, _normalize(den, pairs))
+
+    @property
+    def intervals(self) -> tuple[Iv, ...]:
+        den = self._den
+        return tuple((Fraction(a, den), Fraction(b, den)) for a, b in self._items)
+
+    def _length(self) -> int:
+        return sum(b - a for a, b in self._items)
 
     @property
     def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
+        return Fraction(self._length(), self._den)
+
+    def has_measure(self, m) -> bool:
+        """measure == m, compared on ints without building a Fraction."""
+        m = Fraction(m)
+        return self._length() * m.denominator == m.numerator * self._den
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(intervals={self.intervals!r})"
 
     def __contains__(self, x) -> bool:
-        import bisect
-
-        x = Fraction(x)
-        i = bisect.bisect_right(self.intervals, (x,)) - 1
-        if i >= 0 and self.intervals[i][0] <= x < self.intervals[i][1]:
-            return True
-        return i + 1 < len(self.intervals) and self.intervals[i + 1][0] <= x < self.intervals[i + 1][1]
+        return self._index_of(Fraction(x)) >= 0
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return bool(self._items)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        pts = sorted(
-            {p for a, b in self.intervals + other.intervals for p in (a, b)}
-        )
-        keep = [
-            (a, b)
-            for a, b in zip(pts, pts[1:])
-            if (a + b) / 2 in self or (a + b) / 2 in other
-        ]
-        return IntervalSet(keep)
+        den, x, y = _common(self, other)
+        out: list[tuple[int, int]] = []
+        for a, b in sorted(x + y):  # two sorted runs: a linear merge
+            if out and a <= out[-1][1]:
+                if b > out[-1][1]:
+                    out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
+        return IntervalSet._from_ints(den, out)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalSet(out)
+        den, x, y = _common(self, other)
+        return IntervalSet._from_ints(den, ((lo, hi) for lo, hi, _, _ in _overlaps(x, y)))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        pts = sorted(
-            {p for a, b in self.intervals + other.intervals for p in (a, b)}
-        )
-        keep = [
-            (a, b)
-            for a, b in zip(pts, pts[1:])
-            if (a + b) / 2 in self and (a + b) / 2 not in other
-        ]
-        return IntervalSet(keep)
+        den, x, y = _common(self, other)
+        out = []
+        j = 0
+        for a, b in x:
+            while j < len(y) and y[j][1] <= a:
+                j += 1
+            k = j
+            while a < b and k < len(y) and y[k][0] < b:  # y[k] ends after a
+                c, d = y[k]
+                if a < c:
+                    out.append((a, c))
+                a = d
+                k += 1
+            if a < b:
+                out.append((a, b))
+        return IntervalSet._from_ints(den, out)
 
     def contains_set(self, other: "IntervalSet") -> bool:
         return not other.difference(self)
@@ -98,122 +215,161 @@ class IntervalSet:
 FULL = IntervalSet([(0, 1)])
 
 
-def subset_of_measure(s: IntervalSet, m: Fraction) -> IntervalSet:
-    """Leftmost subset of s with measure exactly m."""
+def disjoint_union(sets: Iterable[IntervalSet]) -> IntervalSet:
+    """Union of pairwise disjoint sets; raises IntervalError on overlap."""
+    sets = list(sets)
+    den = math.lcm(1, *{s._den for s in sets})
+    return IntervalSet._from_ints(
+        den, (iv for s in sets for iv in _scale(s._items, den // s._den))
+    )
+
+
+def consecutive_subsets(s: IntervalSet, m, count: int) -> list[IntervalSet]:
+    """count disjoint subsets of s of measure exactly m each, taken left to
+    right by one cursor: the first is the leftmost subset of measure m, each
+    next one the leftmost of what remains."""
     m = Fraction(m)
-    if m < 0 or m > s.measure:
-        raise IntervalError(f"no subset of measure {m} in a set of measure {s.measure}")
-    out: list[Iv] = []
-    left = m
-    for a, b in s.intervals:
-        if left == 0:
-            break
-        take = min(b - a, left)
-        out.append((a, a + take))
-        left -= take
-    return IntervalSet(out)
+    den = math.lcm(s._den, m.denominator)
+    ivs = _scale(s._items, den // s._den)
+    size = _on(den, m)
+    if m < 0 or count * size > sum(b - a for a, b in ivs):
+        raise IntervalError(
+            f"{count} disjoint subsets of measure {m} do not fit in a set of measure {s.measure}"
+        )
+    out = []
+    rest = iter(ivs)
+    a = b = 0  # the uncut part [a, b) of the current interval
+    for _ in range(count):
+        left, part = size, []
+        while left:
+            if a == b:
+                a, b = next(rest)
+            take = min(b - a, left)
+            part.append((a, a + take))
+            a, left = a + take, left - take
+        out.append(IntervalSet._from_ints(den, part))
+    return out
 
 
-@dataclass(frozen=True)
-class IntervalMap:
+def subset_of_measure(s: IntervalSet, m) -> IntervalSet:
+    """Leftmost subset of s with measure exactly m."""
+    return consecutive_subsets(s, m, 1)[0]
+
+
+def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
+    """Sorted non-empty pieces; raises IntervalError unless the sources and
+    the targets are each disjoint and inside [0,1)."""
+    pieces = tuple(sorted(p for p in raw if p[0] != p[1]))
+    _normalize(den, ((a, b) for a, b, _ in pieces))
+    _normalize(den, ((a + o, b + o) for a, b, o in pieces))
+    return pieces
+
+
+def _overlapping(ps: tuple, lo: int, hi: int):
+    """Pieces whose source meets [lo, hi), via bisect on the sorted list."""
+    i = max(0, bisect.bisect_left(ps, (lo,)) - 1)
+    while i < len(ps) and ps[i][0] < hi:
+        if ps[i][1] > lo:
+            yield ps[i]
+        i += 1
+
+
+class IntervalMap(_OnGrid):
     """A piecewise translation: pieces (src_lo, src_hi, offset), disjoint
     sources, disjoint targets.  Measure preservation is automatic."""
 
-    pieces: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ()
 
     def __init__(self, raw: Iterable[tuple]):
-        pieces = tuple(
-            sorted(
-                (Fraction(a), Fraction(b), Fraction(o))
-                for a, b, o in raw
-                if Fraction(a) != Fraction(b)
-            )
+        triples = [(Fraction(a), Fraction(b), Fraction(o)) for a, b, o in raw]
+        den = _grid(v for t in triples for v in t)
+        self._fill(den, _check_pieces(den, (tuple(_on(den, v) for v in t) for t in triples)))
+
+    @classmethod
+    def _from_ints(cls, den: int, raw: Iterable[tuple[int, int, int]]) -> "IntervalMap":
+        return cls._new(den, _check_pieces(den, raw))
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        den = self._den
+        return tuple(
+            (Fraction(a, den), Fraction(b, den), Fraction(o, den)) for a, b, o in self._items
         )
-        _normalize((a, b) for a, b, _ in pieces)  # validates disjoint sources
-        _normalize((a + o, b + o) for a, b, o in pieces)  # ... and targets
-        object.__setattr__(self, "pieces", pieces)
+
+    def __repr__(self) -> str:
+        return f"IntervalMap(pieces={self.pieces!r})"
 
     def domain(self) -> IntervalSet:
-        return IntervalSet((a, b) for a, b, _ in self.pieces)
+        return IntervalSet._from_ints(self._den, ((a, b) for a, b, _ in self._items))
 
     def image(self) -> IntervalSet:
-        return IntervalSet((a + o, b + o) for a, b, o in self.pieces)
+        return IntervalSet._from_ints(self._den, ((a + o, b + o) for a, b, o in self._items))
 
     def apply(self, x) -> Fraction:
         x = Fraction(x)
-        for a, b, o in self.pieces:
-            if a <= x < b:
-                return x + o
-        raise IntervalError(f"{x} outside the domain")
+        i = self._index_of(x)
+        if i < 0:
+            raise IntervalError(f"{x} outside the domain")
+        return x + Fraction(self._items[i][2], self._den)
 
-    def _overlapping(self, lo: Fraction, hi: Fraction):
-        """Pieces whose source meets [lo, hi), via bisect on the sorted list."""
-        import bisect
-
-        i = max(0, bisect.bisect_left(self.pieces, (lo,)) - 1)
-        while i < len(self.pieces) and self.pieces[i][0] < hi:
-            if self.pieces[i][1] > lo:
-                yield self.pieces[i]
-            i += 1
+    def _meet(self, s: IntervalSet) -> tuple[int, list]:
+        """(lo, hi, offset) for every overlap of s with a piece's source."""
+        den, ps, ivs = _common(self, s)
+        return den, [(lo, hi, p[2]) for lo, hi, p, _ in _overlaps(ps, ivs)]
 
     def apply_set(self, s: IntervalSet) -> IntervalSet:
-        if not self.domain().contains_set(s):
+        den, met = self._meet(s)
+        # the sources are disjoint, so s lies in the domain iff it is all met
+        if sum(hi - lo for lo, hi, _ in met) * s._den != s._length() * den:
             raise IntervalError("set is not inside the domain")
-        out = []
-        for c, d in s.intervals:
-            for a, b, o in self._overlapping(c, d):
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo + o, hi + o))
-        return IntervalSet(out)
+        return IntervalSet._from_ints(den, ((lo + o, hi + o) for lo, hi, o in met))
 
     def inverse(self) -> "IntervalMap":
-        return IntervalMap((a + o, b + o, -o) for a, b, o in self.pieces)
+        return IntervalMap._from_ints(self._den, ((a + o, b + o, -o) for a, b, o in self._items))
 
     def restrict(self, s: IntervalSet) -> "IntervalMap":
-        out = []
-        for c, d in s.intervals:
-            for a, b, o in self._overlapping(c, d):
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi, o))
-        return IntervalMap(out)
+        return IntervalMap._from_ints(*self._meet(s))
 
     def compose(self, inner: "IntervalMap") -> "IntervalMap":
         """self after inner, on the points where the composite is defined."""
+        den, outer, inner_ps = _common(self, inner)
         out = []
-        for a, b, o in inner.pieces:
-            for c, d, p in self._overlapping(a + o, b + o):
+        for a, b, o in inner_ps:
+            for c, d, p in _overlapping(outer, a + o, b + o):
                 lo, hi = max(a + o, c), min(b + o, d)
                 if lo < hi:
                     out.append((lo - o, hi - o, o + p))
-        return IntervalMap(out)
+        return IntervalMap._from_ints(den, out)
 
     def agreement_with(self, other: "IntervalMap") -> IntervalSet:
         """Subset of the common domain where the two maps coincide."""
-        out = []
-        for a, b, o in self.pieces:
-            for c, d, p in other._overlapping(a, b):
-                if o != p:
-                    continue
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalSet(out)
+        den, x, y = _common(self, other)
+        return IntervalSet._from_ints(
+            den, ((lo, hi) for lo, hi, p, q in _overlaps(x, y) if p[2] == q[2])
+        )
 
 
 def identity_map(s: IntervalSet) -> IntervalMap:
-    return IntervalMap((a, b, 0) for a, b in s.intervals)
+    return IntervalMap._from_ints(s._den, ((a, b, 0) for a, b in s._items))
+
+
+def join_maps(maps: Iterable[IntervalMap]) -> IntervalMap:
+    """The map that agrees with each of maps; raises IntervalError unless
+    their sources, and their targets, are pairwise disjoint."""
+    maps = list(maps)
+    den = math.lcm(1, *{m._den for m in maps})
+    return IntervalMap._from_ints(
+        den, (p for m in maps for p in _scale(m._items, den // m._den))
+    )
 
 
 def partial_bijection_between(a: IntervalSet, b: IntervalSet) -> IntervalMap | None:
     """The unique order- and measure-preserving piecewise translation a -> b,
     or None when the measures differ (no measure-preserving map can exist)."""
-    if a.measure != b.measure:
+    den, src, dst = _common(a, b)
+    if sum(y - x for x, y in src) != sum(y - x for x, y in dst):
         return None
     pieces = []
-    src = list(a.intervals)
-    dst = list(b.intervals)
     i = j = 0
     sa = da = None
     while i < len(src) and j < len(dst):
@@ -226,4 +382,4 @@ def partial_bijection_between(a: IntervalSet, b: IntervalSet) -> IntervalMap | N
             i, sa = i + 1, None
         if da == dst[j][1]:
             j, da = j + 1, None
-    return IntervalMap(pieces)
+    return IntervalMap._from_ints(den, pieces)

@@ -130,7 +130,7 @@ def t_set(group: MarkedGroup, a: frozenset, b: frozenset) -> frozenset:
     if isinstance(group, ZdGroup):
         bits = _ZdBits(group, a, b)
         ma, mb = bits.mask(a), bits.mask(b)
-        return frozenset(c for c in a if bits.shifted(mb, c) & ~ma == 0)
+        return frozenset(c for c in a if (s := bits.shifted(mb, c)) & ma == s)
     return frozenset(c for c in a if all(group.op(v, c) in a for v in b))
 
 

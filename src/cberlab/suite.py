@@ -52,12 +52,12 @@ class CriterionResult:
 
 
 def _timed(number: int, name: str, fn) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, detail = fn()
     except Exception as exc:  # honest failure, not a crash
-        return CriterionResult(number, name, False, f"{type(exc).__name__}: {exc}", time.time() - t0)
-    return CriterionResult(number, name, passed, detail, time.time() - t0)
+        return CriterionResult(number, name, False, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)
+    return CriterionResult(number, name, passed, detail, time.perf_counter() - t0)
 
 
 def criterion_1() -> CriterionResult:

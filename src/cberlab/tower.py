@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from .intervals import (
     FULL,
-    IntervalError,
     IntervalMap,
     IntervalSet,
+    consecutive_subsets,
+    disjoint_union,
+    join_maps,
     partial_bijection_between,
-    subset_of_measure,
 )
 from .quasitile import TileError, TilingHierarchy, ZdGroup
 
@@ -70,33 +71,29 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
             continue
         prev = tower.stages[-1]
         prev_elems = _box_elements(group, tower.stages[-1].side)
-        base = subset_of_measure(prev.base, Fraction(1, size))
-        # Allocate the center slots inside the previous base, identity first.
+        slot_measure = Fraction(1, size)
+        # Allocate the center slots inside the previous base, left to right
+        # by one cursor: the identity's slot (the new base) first, then the
+        # other centers in order.
+        others = [c for c in lvl.centers if c != group.identity]
+        base, *rest = consecutive_subsets(prev.base, slot_measure, 1 + len(others))
+        slot = {group.identity: base, **dict(zip(others, rest))}
         targets: dict[tuple, IntervalSet] = {}
-        free = prev.base.difference(base)
-        slot: dict[tuple, IntervalSet] = {group.identity: base}
-        for c in lvl.centers:
-            if c == group.identity:
-                continue
-            s = subset_of_measure(free, Fraction(1, size))
-            slot[c] = s
-            free = free.difference(s)
         for h in prev_elems:
             # phi^{n-1}_h restricted to the previous base is the canonical
             # order-preserving translation onto T_h.
             m = partial_bijection_between(prev.base, prev.targets[h])
-            assert m is not None  # slot measures are all 1/|tile|
+            if m is None:
+                raise AssertionError(f"T_{h} and the base differ in measure at stage {n - 1}")
             for c in lvl.centers:
                 targets[group.op(h, c)] = m.apply_set(slot[c])
         if len(targets) != size:
             raise AssertionError("tile coverage mismatch in tower stage")
         for g, t in targets.items():
-            if t.measure != Fraction(1, size):
+            if not t.has_measure(slot_measure):
                 raise AssertionError(f"slot measure off for {g}")
-        union = IntervalSet(
-            iv for t in targets.values() for iv in t.intervals
-        )  # raises on overlap
-        if union.measure != 1:
+        # raises IntervalError on overlap
+        if not disjoint_union(targets.values()).has_measure(1):
             raise AssertionError("stage targets do not partition [0,1)")
         tower.stages.append(TowerStage(lvl.side, lvl.eps, base, targets))
     return tower
@@ -109,15 +106,16 @@ def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
         return tower._map_cache[(n, g)]
     st = tower.stages[n]
     group = tower.group
-    pieces: list[tuple] = []
+    maps: list[IntervalMap] = []
     for h, th in st.targets.items():
         gh = group.op(g, h)
         if gh not in st.targets:
             continue
         m = partial_bijection_between(th, st.targets[gh])
-        assert m is not None  # targets share the measure 1/|tile|
-        pieces.extend(m.pieces)
-    out = IntervalMap(pieces)
+        if m is None:
+            raise AssertionError(f"T_{h} and T_{gh} differ in measure at stage {n}")
+        maps.append(m)
+    out = join_maps(maps)  # raises IntervalError unless the pieces are disjoint
     tower._map_cache[(n, g)] = out
     return out
 

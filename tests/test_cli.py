@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,3 +86,13 @@ def test_extend_and_hf_and_smooth(capsys):
                  ["choice-link", "--seed", "1", "--depth", "120"]):
         code, out = run(capsys, *argv)
         assert code == 0, (argv, out)
+
+
+def test_lift_sim_report_frozen(capsys):
+    """The canonical report of a 3-stage tower, byte for byte: the interval
+    algebra's exact values and Fraction types at the report boundary."""
+    code, out = run(capsys, "lift-sim", "--stages", "3", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c65348d98eeedfbcede8f7626877c7f5da23ff01a58d9b788fbed78f726071c4"
+    )

@@ -1,0 +1,227 @@
+"""Property tests: the interval algebra against a brute-force cell model.
+
+A set drawn on the grid 1/d is a union of cells [i/d, (i+1)/d); a map drawn
+on 1/d translates each cell of its domain onto another cell.  Operands are
+drawn on different grids, and the model works on cells of the common grid
+1/L, L the lcm of every denominator in the example, where sets are sets of
+cell indices and maps are dicts between them.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cberlab.intervals import (
+    IntervalError,
+    IntervalMap,
+    IntervalSet,
+    consecutive_subsets,
+    disjoint_union,
+    identity_map,
+    join_maps,
+    partial_bijection_between,
+    subset_of_measure,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+dens = st.integers(1, 12)
+
+
+@st.composite
+def grid_sets(draw):
+    """(den, IntervalSet): some cells of the grid 1/den, as runs that are
+    sometimes cut into adjacent intervals, in a shuffled order."""
+    d = draw(dens)
+    cells = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    raw, i = [], 0
+    while i < d:
+        if not cells[i]:
+            i += 1
+            continue
+        j = i
+        while j < d and cells[j] and (j == i or draw(st.booleans())):
+            j += 1
+        raw.append((F(i, d), F(j, d)))
+        i = j
+    return d, IntervalSet(draw(st.permutations(raw)))
+
+
+@st.composite
+def grid_maps(draw):
+    """(den, IntervalMap): a partial injection of the cells of 1/den, with
+    runs of consecutive cells moved together as one piece."""
+    d = draw(dens)
+    perm = draw(st.permutations(range(d)))
+    keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    raw, i = [], 0
+    while i < d:
+        if not keep[i]:
+            i += 1
+            continue
+        j = i + 1
+        while j < d and keep[j] and perm[j] == perm[j - 1] + 1 and draw(st.booleans()):
+            j += 1
+        raw.append((F(i, d), F(j, d), F(perm[i] - i, d)))
+        i = j
+    return d, IntervalMap(draw(st.permutations(raw)))
+
+
+def cells(s: IntervalSet, L: int) -> frozenset:
+    return frozenset(k for a, b in s.intervals for k in range(int(a * L), int(b * L)))
+
+
+def model(m: IntervalMap, L: int) -> dict:
+    return {k: k + int(o * L) for a, b, o in m.pieces for k in range(int(a * L), int(b * L))}
+
+
+def canonical(s: IntervalSet) -> bool:
+    ivs = s.intervals
+    return all(type(v) is F for iv in ivs for v in iv) and all(
+        0 <= a < b <= 1 for a, b in ivs
+    ) and all(b < c for (_, b), (c, _) in zip(ivs, ivs[1:]))
+
+
+@SETTINGS
+@given(grid_sets(), grid_sets())
+def test_set_algebra_matches_cells(x, y):
+    (d1, a), (d2, b) = x, y
+    L = math.lcm(d1, d2)
+    ca, cb = cells(a, L), cells(b, L)
+    for got, want in ((a.union(b), ca | cb), (a.intersect(b), ca & cb), (a.difference(b), ca - cb)):
+        assert canonical(got)
+        assert cells(got, L) == want
+        assert got.measure == F(len(want), L)
+    assert a.contains_set(b) == (cb <= ca)
+    assert a.measure == F(len(ca), L) and a.has_measure(F(len(ca), L))
+    assert not a.has_measure(F(len(ca) + 1, L))
+    assert (a == b) == (ca == cb)
+
+
+@SETTINGS
+@given(grid_sets(), st.integers(2, 6))
+def test_equality_and_hash_ignore_the_grid(x, k):
+    d, a = x
+    # the same point set, computed on the finer grid 1/(d*k)
+    empty_fine = IntervalSet([(F(1, d * k), F(1, d * k))])
+    for b in (a.union(empty_fine), a.difference(empty_fine), IntervalSet(a.intervals)):
+        assert b == a and hash(b) == hash(a) and b.intervals == a.intervals
+    cell = IntervalSet([(0, F(1, d * k))])
+    assert (a.union(cell) == a) == a.contains_set(cell)
+
+
+@SETTINGS
+@given(grid_sets(), st.integers(1, 12), st.data())
+def test_points_membership(x, d2, data):
+    d, a = x
+    L = math.lcm(d, d2)
+    ca = cells(a, L)
+    k = data.draw(st.integers(0, 2 * L - 1))
+    assert (F(k, 2 * L) in a) == (k // 2 in ca)
+
+
+@SETTINGS
+@given(grid_sets(), st.integers(1, 12), st.data())
+def test_subset_of_measure_and_cursor(x, d2, data):
+    d, s = x
+    L = math.lcm(d, d2)
+    cs = sorted(cells(s, L))
+    m = F(data.draw(st.integers(0, d2)), d2)
+    k = int(m * L)  # cells per subset
+    count = data.draw(st.integers(1, 4))
+    if count * k > len(cs):
+        with pytest.raises(IntervalError):
+            consecutive_subsets(s, m, count)
+    else:
+        parts = consecutive_subsets(s, m, count)
+        for i, p in enumerate(parts):
+            assert canonical(p)
+            assert cells(p, L) == frozenset(cs[i * k:(i + 1) * k])
+        assert subset_of_measure(s, m) == parts[0]
+    if k > len(cs):
+        with pytest.raises(IntervalError):
+            subset_of_measure(s, m)
+    with pytest.raises(IntervalError):
+        subset_of_measure(s, F(-1, d2))
+
+
+@SETTINGS
+@given(grid_sets(), grid_sets())
+def test_partial_bijection_matches_cells(x, y):
+    (d1, a), (d2, b) = x, y
+    L = math.lcm(d1, d2)
+    ca, cb = sorted(cells(a, L)), sorted(cells(b, L))
+    m = partial_bijection_between(a, b)
+    if len(ca) != len(cb):
+        assert m is None
+    else:
+        assert model(m, L) == dict(zip(ca, cb))
+        assert m.domain() == a and m.image() == b
+
+
+@SETTINGS
+@given(grid_maps(), grid_maps(), grid_sets())
+def test_map_algebra_matches_cells(x, y, z):
+    (d1, f), (d2, g), (d3, s) = x, y, z
+    L = math.lcm(d1, d2, d3)
+    mf, mg, cs = model(f, L), model(g, L), cells(s, L)
+    assert model(f.compose(g), L) == {k: mf[v] for k, v in mg.items() if v in mf}
+    assert model(f.restrict(s), L) == {k: v for k, v in mf.items() if k in cs}
+    assert model(f.inverse(), L) == {v: k for k, v in mf.items()}
+    assert cells(f.agreement_with(g), L) == {k for k, v in mf.items() if mg.get(k) == v}
+    assert cells(f.domain(), L) == set(mf) and cells(f.image(), L) == set(mf.values())
+    assert model(identity_map(s), L) == {k: k for k in cs}
+    if cs <= set(mf):
+        assert cells(f.apply_set(s), L) == {mf[k] for k in cs}
+    else:
+        with pytest.raises(IntervalError):
+            f.apply_set(s)
+    assert (f == g) == (f.pieces == g.pieces)
+    for k in range(2 * L):
+        x = F(k, 2 * L)
+        if k // 2 in mf:
+            assert f.apply(x) == F(2 * mf[k // 2] + k % 2, 2 * L)
+        else:
+            with pytest.raises(IntervalError):
+                f.apply(x)
+
+
+@SETTINGS
+@given(grid_maps())
+def test_join_and_disjoint_union(x):
+    _, f = x
+    parts = [IntervalMap([p]) for p in f.pieces]  # each on its own grid
+    assert join_maps(parts) == f and join_maps([]).pieces == ()
+    sets = [IntervalSet([(a, b)]) for a, b, _ in f.pieces]
+    assert disjoint_union(sets) == f.domain()
+    if f.pieces:
+        with pytest.raises(IntervalError):
+            join_maps(parts + parts[:1])
+        with pytest.raises(IntervalError):
+            disjoint_union(sets + sets[:1])
+
+
+@SETTINGS
+@given(dens, st.data())
+def test_malformed_input_raises(d, data):
+    a = data.draw(st.integers(0, d - 1))
+    b = data.draw(st.integers(a + 1, d))
+    c = data.draw(st.integers(a, b - 1))  # [c, e) meets [a, b)
+    e = data.draw(st.integers(c + 1, d))
+    for raw in (
+        [(F(a, d), F(b, d)), (F(c, d), F(e, d))],
+        [(F(a, d), F(d + 1, d))],
+        [(F(-1, d), F(b, d))],
+        [(F(b, d), F(a, d))],
+    ):
+        with pytest.raises(IntervalError):
+            IntervalSet(raw)
+    half = F(1, 2 * d)
+    for raw in (
+        [(F(a, d), F(b, d), 0), (F(c, d), F(e, d), 1)],  # sources overlap
+        [(0, half, 0), (half, 2 * half, -half)],  # targets overlap
+        [(F(a, d), F(b, d), F(d - b + 1, d))],  # target past 1
+    ):
+        with pytest.raises(IntervalError):
+            IntervalMap(raw)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -98,3 +101,24 @@ def test_summability():
     assert rep["prefix_sum"] == F(15, 32)
     assert rep["tail_bound"] == F(1, 32)
     assert not summability_report([F(1, 4), F(1, 5)])["summable"]
+
+
+def test_measure_checks_raise_under_optimize():
+    """materialize_map's measure check is an explicit raise, so python -O
+    keeps it: a target of the wrong measure is reported, not dereferenced."""
+    code = (
+        "from fractions import Fraction as F\n"
+        "from cberlab.intervals import IntervalSet\n"
+        "from cberlab.quasitile import ZdGroup, build_hierarchy\n"
+        "from cberlab.tower import build_tower, materialize_map\n"
+        "tw = build_tower(build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32)], 2), 2)\n"
+        "tw.stages[1].targets[(1,)] = IntervalSet([(0, F(1, 64))])\n"
+        "materialize_map(tw, 1, (1,))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: T_")
