@@ -25,7 +25,6 @@ from .links import (
     hf_link,
     lift_from_link,
     link_finite_index,
-    link_smooth,
     verify_link,
 )
 from .quasitile import TileError, ZdGroup, build_hierarchy, check_tiling, quasi_tile
@@ -93,15 +92,6 @@ def cmd_link(args) -> int:
     rep = Report({"task": "link"}, "pass" if ok else "fail", seed=args.seed)
     rep.metrics["L"] = [list(c) for c in link.l.classes]
     rep.add_constraint("link-incidence", "constructed", "all-ones", ok)
-    return _emit(rep, args)
-
-
-def cmd_smooth_link(args) -> int:
-    inst, _ = _read_instance(args)
-    link = link_smooth(inst.e, inst.f, inst.witness)
-    rep = Report({"task": "smooth-link"}, "pass", seed=args.seed)
-    rep.metrics["L"] = [list(c) for c in link.l.classes]
-    rep.add_constraint("link-incidence", "rank link", "all-ones", True)
     return _emit(rep, args)
 
 
@@ -285,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (
         ("verify-link", cmd_verify_link),
         ("link", cmd_link),
-        ("smooth-link", cmd_smooth_link),
+        ("smooth-link", cmd_link),
         ("lift", cmd_lift),
         ("equidecompose", cmd_equidecompose),
     ):

@@ -171,7 +171,10 @@ class AutClassification:
 
 
 def is_automorphism(e: FinEqrel, t: Perm) -> bool:
-    return all(e.related(t[x], t[y]) == e.related(x, y) for x, y in itertools.combinations(range(e.n), 2))
+    """x E y iff t(x) E t(y): each E-class maps into one class, and distinct
+    classes into distinct classes."""
+    images = [{e.class_index(t[x]) for x in c} for c in e.classes]
+    return all(len(i) == 1 for i in images) and len(set().union(*images)) == len(images)
 
 
 def classify_automorphism(e: FinEqrel, t: Sequence[int]) -> AutClassification:
@@ -202,16 +205,6 @@ def extend_by_group(e: FinEqrel, gens: Sequence[Sequence[int]]) -> tuple[FinEqre
     f = join(e, orbit_eqrel_of_perms(e.n, perms))
     witnessed = all(is_automorphism(e, p) for p in perms)
     return f, witnessed
-
-
-def perm_power_orbit(t: Perm, x: int) -> list[int]:
-    """x, t(x), t²(x), ... until the cycle closes."""
-    out = [x]
-    y = t[x]
-    while y != x:
-        out.append(y)
-        y = t[y]
-    return out
 
 
 def normal_restrict(e: FinEqrel, t: Sequence[int], f_prime: FinEqrel) -> Perm:

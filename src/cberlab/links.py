@@ -9,15 +9,13 @@ class-bijective group actions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .eqrel import EqrelError, FinEqrel, from_pairs, join, restrict_relabel
+from .eqrel import FinEqrel, from_pairs, join, restrict_relabel
 from .groups import (
     FinGroup,
     GroupAction,
-    GroupError,
     Perm,
     compose,
     identity_perm,
@@ -25,7 +23,6 @@ from .groups import (
     is_automorphism,
     orbit_eqrel_of_perms,
     perm_of,
-    shortlex_closure,
 )
 
 
@@ -72,79 +69,6 @@ class Link:
             raise LinkError(f"incidence condition fails: {bad}")
 
 
-@dataclass(frozen=True)
-class Fsr:
-    """A finite partial subequivalence relation: disjoint finite classes,
-    each within one class of the ambient relation."""
-
-    ambient: FinEqrel
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for c in self.classes:
-            if not c:
-                raise LinkError("empty fsr class")
-            if len({self.ambient.class_index(x) for x in c}) != 1:
-                raise LinkError(f"fsr class {c} is not within one ambient class")
-            for x in c:
-                if x in seen:
-                    raise LinkError(f"point {x} in two fsr classes")
-                seen.add(x)
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(x for c in self.classes for x in c)
-
-
-def _candidate_key(s: frozenset[int]) -> tuple:
-    return (min(s), len(s), tuple(sorted(s)))
-
-
-def max_fsr(
-    ambient: FinEqrel,
-    phi: Callable[[frozenset[int]], bool],
-    candidates: Iterable[frozenset[int]] | None = None,
-) -> Fsr:
-    """Greedy maximal fsr whose classes satisfy phi.
-
-    Candidates default to all nonempty subsets of ambient classes; a caller
-    may pass the phi-satisfying universe directly.  Greedy order is
-    (min element, size, lex); maximality is verified exhaustively: no
-    candidate satisfying phi is disjoint from the returned domain.
-    """
-    if candidates is None:
-        pool = [
-            frozenset(sub)
-            for c in ambient.classes
-            for r in range(1, len(c) + 1)
-            for sub in itertools.combinations(c, r)
-        ]
-    else:
-        pool = list(candidates)
-    pool.sort(key=_candidate_key)
-    chosen: list[frozenset[int]] = []
-    dom: set[int] = set()
-    for cand in pool:
-        if cand.isdisjoint(dom) and phi(cand):
-            chosen.append(cand)
-            dom.update(cand)
-    for cand in pool:
-        if cand.isdisjoint(dom) and phi(cand):  # pragma: no cover - guards greedy bugs
-            raise AssertionError(f"greedy fsr is not maximal: {sorted(cand)} addable")
-    return Fsr(ambient, tuple(tuple(sorted(c)) for c in chosen))
-
-
-def _e_transversals_per_f_class(e: FinEqrel, f: FinEqrel) -> list[frozenset[int]]:
-    """All transversals of E restricted to a single F-class, for every F-class."""
-    out: list[frozenset[int]] = []
-    for c in f.classes:
-        eclasses = sorted({e.class_of(x) for x in c}, key=lambda t: t[0])
-        for pick in itertools.product(*eclasses):
-            out.append(frozenset(pick))
-    return out
-
-
 def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -> list[Perm]:
     perms = [perm_of(g, e.n) for g in gens]
     for i, p in enumerate(perms):
@@ -158,50 +82,27 @@ def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -
 def link_finite_index(
     e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]
 ) -> Link:
-    """Construct an (E, F)-link from a normality witness.
+    """Construct the rank link of E ⊆ F from a normality witness.
 
-    Takes a maximal fsr R of F whose classes are E-transversals of single
-    F-classes, forms the E-hull Y of dom(R), and routes every point outside Y
-    into Y along the least witness-group element (shortlex order).
+    x L y iff x F y and x, y have the same rank in their E-classes.  This is
+    what the paper's construction (a maximal fsr of F whose classes are
+    E-transversals of single F-classes, with every point outside the E-hull
+    of its domain routed into the hull by the witness group) yields in this
+    finite model.  Each witness generator is an automorphism of E, so it maps
+    E-classes onto E-classes of the same size; F is E joined with the
+    generator orbits, so all E-classes inside one F-class have the same size.
+    The (min, size, lex) greedy over those transversals then takes the
+    rank-0 transversal of each F-class, then rank 1, and so on; its domain is
+    every point, so its hull is the whole space and nothing is routed.
     """
     if not e.refines(f):
         raise LinkError("E is not a subrelation of F")
-    perms = _validate_witness(e, f, gens)
-    cands = _e_transversals_per_f_class(e, f)
-
-    def phi(s: frozenset[int]) -> bool:
-        fc = {f.class_index(x) for x in s}
-        if len(fc) != 1:
-            return False
-        c = f.classes[fc.pop()]
-        picked = {e.class_index(x) for x in s}
-        needed = {e.class_index(x) for x in c}
-        return len(picked) == len(s) and picked == needed
-
-    r = max_fsr(f, phi, cands)
-    return _link_from_fsr(e, f, r, perms)
-
-
-def _link_from_fsr(e: FinEqrel, f: FinEqrel, r: Fsr, perms: Sequence[Perm]) -> Link:
-    dom = r.domain
-    y = e.hull(dom)
-    if not y:
-        raise LinkError("fsr domain has empty hull; cannot seed a link")
-    pairs: list[tuple[int, int]] = []
-    for c in r.classes:
-        in_y = [x for x in c if x in y]
-        pairs.extend(zip(in_y, in_y[1:]))
-    outside = [x for x in range(e.n) if x not in y]
-    if outside:
-        elems = shortlex_closure([identity_perm(e.n), *map(tuple, perms)])
-        for x in outside:
-            for g in elems:
-                if g[x] in y:
-                    pairs.append((x, g[x]))
-                    break
-            else:
-                raise LinkError(f"no witness element carries {x} into the hull")
-    return Link(e, f, from_pairs(e.n, pairs))
+    _validate_witness(e, f, gens)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for c in e.classes:
+        for rank, x in enumerate(c):
+            groups.setdefault((f.class_index(x), rank), []).append(x)
+    return Link(e, f, FinEqrel(e.n, tuple(groups.values())))
 
 
 # --- link extension along a chain -----------------------------------------
@@ -300,34 +201,6 @@ def hf_link(
     return link
 
 
-# --- smooth links ----------------------------------------------------------
-
-
-def link_smooth(
-    e: FinEqrel, f: FinEqrel, witness: Sequence[Sequence[int]] | None = None
-) -> Link:
-    """Rank link: x L y iff x F y and x, y have the same rank in their E-class.
-
-    Requires all E-classes within an F-class to have equal size (a normality
-    consequence; reported as a violation otherwise).
-    """
-    if not e.refines(f):
-        raise LinkError("E is not a subrelation of F")
-    if witness is not None:
-        _validate_witness(e, f, witness)
-    for c in f.classes:
-        sizes = {len(e.class_of(x)) for x in c}
-        if len(sizes) != 1:
-            raise LinkError(
-                f"normality violation: F-class {c} has E-class sizes {sorted(sizes)}"
-            )
-    rank = {x: sorted(e.class_of(x)).index(x) for x in range(e.n)}
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x in range(e.n):
-        groups.setdefault((f.class_index(x), rank[x]), []).append(x)
-    return Link(e, f, FinEqrel(e.n, tuple(tuple(c) for c in groups.values())))
-
-
 # --- lifts from links ------------------------------------------------------
 
 
@@ -385,48 +258,6 @@ def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
             if cp[e.class_index(x)] == e.class_index(x) and p[x] != x:  # pragma: no cover
                 raise AssertionError("lift is not class-bijective")
     return action
-
-
-# --- bounded-index outer subgroups -----------------------------------------
-
-
-def finite_outer_subgroup(
-    e: FinEqrel, f: FinEqrel, h_gens: Sequence[Sequence[int]]
-) -> list[Perm]:
-    """Coset representatives of a finite outer subgroup regenerating F.
-
-    Brute-forces the automorphism/inner coset structure (|X| ≤ 8), pushes the
-    witness generators to cosets, closes, and returns the least representative
-    of each coset.  Checks E^{∨reps} = F.
-    """
-    from .groups import aut_inn_out
-
-    perms = _validate_witness(e, f, h_gens)
-    _aut, inn, cosets = aut_inn_out(e)
-    inn_set = frozenset(inn)
-    coset_of: dict[Perm, int] = {}
-    for i, cs in enumerate(cosets):
-        for p in cs:
-            coset_of[p] = i
-    reps = [min(cs) for cs in cosets]
-    start = {coset_of[p] for p in perms}
-    closure = {coset_of[identity_perm(e.n)]}
-    frontier = set(start)
-    closure |= frontier
-    while frontier:
-        new = set()
-        for a in closure:
-            for b in frontier:
-                c = coset_of[compose(reps[a], reps[b])]
-                if c not in closure and c not in new:
-                    new.add(c)
-        closure |= new
-        frontier = new
-    out = sorted(reps[i] for i in closure)
-    regen = join(e, orbit_eqrel_of_perms(e.n, out))
-    if regen != f:
-        raise AssertionError("outer representatives fail to regenerate F")
-    return out
 
 
 # --- equidecomposability ----------------------------------------------------
@@ -540,7 +371,7 @@ def lift_through_finite_normal(
                 raise LinkError("N-action is not class-bijective")
     l_rel = orbit_eqrel_of_perms(e.n, n_perms)
     f = join(e, l_rel)
-    link_l = Link(e, f, l_rel)
+    Link(e, f, l_rel)
 
     k = len(e.classes)
     n_cls = [_class_perm_of(e, p) for p in n_elems]
@@ -596,5 +427,4 @@ def lift_through_finite_normal(
     for p_pt, p_cls in zip(n_elems, n_cls):
         if action.act[elem_index[p_cls]] != p_pt:
             raise AssertionError("lift does not extend the normal-subgroup action")
-    _ = link_l
     return action

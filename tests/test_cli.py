@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cberlab.cli import main
-from cberlab.instances import gen_instance
+from cberlab.instances import build_block_instance, gen_instance
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -27,6 +27,21 @@ def test_gen_roundtrips_through_link(tmp_path, capsys):
     assert code == 0
     assert rep["outcome"] == "pass"
     assert all(entry["verdict"] for entry in rep["ledger"])
+
+
+def test_link_and_lift_on_a_wide_class(tmp_path, capsys):
+    """One F-class of 30 E-classes of size 3: the link and the lift must stay
+    polynomial, where a search over E-transversals would face 3^30."""
+    path = tmp_path / "wide.json"
+    path.write_text(build_block_instance([(3, 30)]).to_json())
+    code, out = run(capsys, "link", "--instance", str(path))
+    assert code == 0
+    assert json.loads(out)["metrics"]["L"] == [list(range(r, 90, 3)) for r in range(3)]
+    code, out = run(capsys, "lift", "--instance", str(path))
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["metrics"]["group_order"] == 30
+    assert all(p[x] % 3 == x % 3 for p in rep["metrics"]["action"] for x in range(90))
 
 
 def test_verify_link_pass_and_fail(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from cberlab.eqrel import build_partition, delta, full
+from cberlab.instances import all_partitions
 from cberlab.groups import (
     FinGroup,
     GroupAction,
@@ -12,6 +15,7 @@ from cberlab.groups import (
     from_cycles,
     identity_perm,
     invert,
+    is_automorphism,
     normal_restrict,
     orbit_eqrel,
     shortlex_closure,
@@ -57,6 +61,20 @@ def test_classify_automorphism_three_verdicts():
     c = classify_automorphism(e, (2, 3, 0, 1))
     assert c.verdict == "outer-nontrivial"
     assert (0, 1) in c.witness and (1, 0) in c.witness
+
+
+def test_is_automorphism_matches_pairwise_definition():
+    # Every partition and every map of the points for n <= 5, not only
+    # permutations: x E y iff t(x) E t(y).
+    for n in range(1, 6):
+        for part in all_partitions(list(range(n))):
+            e = build_partition(n, part)
+            for t in itertools.product(range(n), repeat=n):
+                pairwise = all(
+                    e.related(t[x], t[y]) == e.related(x, y)
+                    for x, y in itertools.combinations(range(n), 2)
+                )
+                assert is_automorphism(e, t) == pairwise, (part, t)
 
 
 def test_extend_by_group():

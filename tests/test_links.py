@@ -16,8 +16,6 @@ from cberlab.links import (
     lift_from_link,
     lift_through_finite_normal,
     link_finite_index,
-    link_smooth,
-    max_fsr,
     verify_link,
 )
 
@@ -41,13 +39,6 @@ def test_link_constructor_rejects_non_link():
     e = build_partition(4, [[0, 1], [2, 3]])
     with pytest.raises(LinkError):
         Link(e, full(4), build_partition(4, [[0, 1], [2, 3]]))
-
-
-def test_max_fsr_greedy_order_and_maximality():
-    f = full(4)
-    fsr = max_fsr(f, lambda s: len(s) == 2)
-    # (min, size, lex) order: {0,1} first, then {2,3}.
-    assert fsr.classes == ((0, 1), (2, 3))
 
 
 def test_link_finite_index_delta_pair():
@@ -89,22 +80,24 @@ def test_hf_link_chain_seeded():
         assert verify_link(ch.e, ch.chain[-1], link.l)[0]
 
 
-def test_link_smooth_rank_link():
+def test_link_finite_index_rank_link():
     e = build_partition(4, [[0, 1], [2, 3]])
-    sm = link_smooth(e, full(4))
-    assert sm.l.classes == ((0, 2), (1, 3))
+    link = link_finite_index(e, full(4), [[2, 3, 0, 1]])
+    assert link.l.classes == ((0, 2), (1, 3))
 
 
-def test_link_smooth_rejects_uneven_classes():
+def test_link_finite_index_rejects_uneven_classes():
+    # No E-automorphism joins classes of different sizes, so no witness does.
     e = build_partition(3, [[0, 1], [2]])
-    with pytest.raises(LinkError):
-        link_smooth(e, full(3))
+    for witness in ([[2, 0, 1]], [[0, 2, 1]], [[1, 0, 2]]):
+        with pytest.raises(LinkError):
+            link_finite_index(e, full(3), witness)
 
 
 def test_lift_from_link_induces_outer_data():
     e = build_partition(4, [[0, 1], [2, 3]])
-    sm = link_smooth(e, full(4))
-    action = lift_from_link(OuterAction(e, ((1, 0),)), sm)
+    link = link_finite_index(e, full(4), [[2, 3, 0, 1]])
+    action = lift_from_link(OuterAction(e, ((1, 0),)), link)
     assert action.group.order == 2
     swap = action.act[1]
     assert e.class_index(swap[0]) == 1 and swap[swap[0]] == 0
