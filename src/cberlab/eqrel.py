@@ -72,12 +72,6 @@ class FinEqrel:
             len({other.class_index(x) for x in c}) == 1 for c in self.classes
         )
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """All related ordered pairs (x, y), x != y."""
-        return [
-            (x, y) for c in self.classes for x in c for y in c if x != y
-        ]
-
     # --- operations ------------------------------------------------------
 
     def saturate(self, a: Iterable[int]) -> frozenset[int]:
@@ -155,7 +149,8 @@ def join(e: FinEqrel, f: FinEqrel) -> FinEqrel:
     """Smallest common coarsening of two relations."""
     if e.n != f.n:
         raise EqrelError("join: mismatched ground sets")
-    return from_pairs(e.n, e.pairs() + f.pairs())
+    # each class is connected by the pairs from its first point to the others
+    return from_pairs(e.n, ((c[0], x) for r in (e, f) for c in r.classes for x in c[1:]))
 
 
 def restrict_relabel(e: FinEqrel, points: Sequence[int]) -> tuple[FinEqrel, dict[int, int]]:

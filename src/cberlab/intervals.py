@@ -161,11 +161,6 @@ class IntervalSet(_OnGrid):
     def measure(self) -> Fraction:
         return Fraction(self._length(), self._den)
 
-    def has_measure(self, m) -> bool:
-        """measure == m, compared on ints without building a Fraction."""
-        m = Fraction(m)
-        return self._length() * m.denominator == m.numerator * self._den
-
     def __repr__(self) -> str:
         return f"IntervalSet(intervals={self.intervals!r})"
 
@@ -213,47 +208,6 @@ class IntervalSet(_OnGrid):
 
 
 FULL = IntervalSet([(0, 1)])
-
-
-def disjoint_union(sets: Iterable[IntervalSet]) -> IntervalSet:
-    """Union of pairwise disjoint sets; raises IntervalError on overlap."""
-    sets = list(sets)
-    den = math.lcm(1, *{s._den for s in sets})
-    return IntervalSet._from_ints(
-        den, (iv for s in sets for iv in _scale(s._items, den // s._den))
-    )
-
-
-def consecutive_subsets(s: IntervalSet, m, count: int) -> list[IntervalSet]:
-    """count disjoint subsets of s of measure exactly m each, taken left to
-    right by one cursor: the first is the leftmost subset of measure m, each
-    next one the leftmost of what remains."""
-    m = Fraction(m)
-    den = math.lcm(s._den, m.denominator)
-    ivs = _scale(s._items, den // s._den)
-    size = _on(den, m)
-    if m < 0 or count * size > sum(b - a for a, b in ivs):
-        raise IntervalError(
-            f"{count} disjoint subsets of measure {m} do not fit in a set of measure {s.measure}"
-        )
-    out = []
-    rest = iter(ivs)
-    a = b = 0  # the uncut part [a, b) of the current interval
-    for _ in range(count):
-        left, part = size, []
-        while left:
-            if a == b:
-                a, b = next(rest)
-            take = min(b - a, left)
-            part.append((a, a + take))
-            a, left = a + take, left - take
-        out.append(IntervalSet._from_ints(den, part))
-    return out
-
-
-def subset_of_measure(s: IntervalSet, m) -> IntervalSet:
-    """Leftmost subset of s with measure exactly m."""
-    return consecutive_subsets(s, m, 1)[0]
 
 
 def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
@@ -351,16 +305,6 @@ class IntervalMap(_OnGrid):
 
 def identity_map(s: IntervalSet) -> IntervalMap:
     return IntervalMap._from_ints(s._den, ((a, b, 0) for a, b in s._items))
-
-
-def join_maps(maps: Iterable[IntervalMap]) -> IntervalMap:
-    """The map that agrees with each of maps; raises IntervalError unless
-    their sources, and their targets, are pairwise disjoint."""
-    maps = list(maps)
-    den = math.lcm(1, *{m._den for m in maps})
-    return IntervalMap._from_ints(
-        den, (p for m in maps for p in _scale(m._items, den // m._den))
-    )
 
 
 def partial_bijection_between(a: IntervalSet, b: IntervalSet) -> IntervalMap | None:

@@ -457,16 +457,20 @@ def build_hierarchy(
         raise TileError("need at least one level")
     if len(eps_seq) < levels:
         raise TileError("need one eps per level")
+    d = group.d
     sides = [1]
     for n in range(1, levels):
         prev = sides[-1]
         lo = prev
-        # invariance: (prev - 1) / side <= eps_{n-1}; generator depth: 1/side <= eps_n
-        while (prev - 1) > eps_seq[n - 1] * lo or 1 > eps_seq[n] * lo:
+        # invariance: the lo-box has (lo - prev + 1)^d points c whose
+        # prev-box translate stays inside, so |A \ T(A, B)| <= eps_{n-1} |A|
+        # reads lo^d - (lo - prev + 1)^d <= eps_{n-1} lo^d; generator depth:
+        # 1/lo <= eps_n
+        while lo**d - (lo - prev + 1) ** d > eps_seq[n - 1] * lo**d or 1 > eps_seq[n] * lo:
             lo += prev
-        if lo**group.d > cap:
+        if lo**d > cap:
             raise TileError(
-                f"level {n} needs side {lo} (|tile| = {lo**group.d} > cap {cap})"
+                f"level {n} needs side {lo} (|tile| = {lo**d} > cap {cap})"
             )
         sides.append(lo)
     out = TilingHierarchy(group, [])
@@ -482,9 +486,11 @@ def build_hierarchy(
             used: set = set()
             for c in centers:
                 bc = translate(group, group.box(prev), c)
-                assert bc <= tile and not (bc & used), "grid tiling broken"
+                if not (bc <= tile and not (bc & used)):
+                    raise AssertionError("grid tiling broken")
                 used |= bc
-            assert len(used) == len(tile), "grid tiling incomplete"
+            if len(used) != len(tile):
+                raise AssertionError("grid tiling incomplete")
             ok, _ = is_invariant(group, tile, group.box(prev), eps_seq[n - 1])
             if not ok:
                 raise TileError(f"level {n} fails ({prev}-box, eps) invariance")

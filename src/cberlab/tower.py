@@ -1,27 +1,40 @@
 """Towers of partial actions on the rational measure algebra.
 
-Each stage of a tower allocates, for every element g of a Følner tile, an
-interval set T_g of measure 1/|tile|, with the sets partitioning [0,1).  The
-partial map phi_g is the canonical order-preserving translation T_h -> T_gh,
-piece by piece; successive stages refine each other on most of the space, and
+Each stage of a tower allocates, for every element g of a Følner tile, a set
+T_g of measure 1/|tile|, with the sets partitioning [0,1).  The partial map
+phi_g is the canonical order-preserving translation T_h -> T_gh, piece by
+piece; successive stages refine each other on most of the space, and
 agreement and action-defect measures are reported against their exact lower
 bounds whenever the deepness premises hold.
+
+The paper builds stage n+1 inside stage n's base X = T_identity: it cuts X
+into one subset per tiling center c (the identity's first, then the others in
+order) and carries the subset for c onto T_{h+c} by phi^n_h.  Over the nested
+box tilings of `build_hierarchy` this general interval construction collapses
+to a slot permutation.  Stage 0 is T_0 = [0,1), one slot.  If every T-set of
+stage n is a single slot [pi_n(g)/size_n, (pi_n(g)+1)/size_n), with
+pi_n(identity) = 0, then the base is the first slot, its k = |centers| cuts
+of measure 1/size_{n+1} are the slots idx(c) = 0..k-1 of the finer grid, and
+phi^n_h translates the base onto T_h by pi_n(h)/size_n.  So, by induction,
+every T-set is one slot with
+
+    pi_{n+1}(h + c) = k * pi_n(h) + idx(c),
+
+idx(c) the position of c in [identity, *other centers].  A stage is therefore
+stored as pi_n, a dict element -> slot index, and checked by one integer
+identity: its keys are the tile and its values are range(size).  Maps,
+agreement and defect are slot counts; `IntervalSet`, `IntervalMap` and
+`Fraction` appear only at the boundary (`TowerStage.targets`, `.base`,
+`materialize_map` and the measures of `StageReport`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .intervals import (
-    FULL,
-    IntervalMap,
-    IntervalSet,
-    consecutive_subsets,
-    disjoint_union,
-    join_maps,
-    partial_bijection_between,
-)
+from .intervals import IntervalMap, IntervalSet
 from .quasitile import TileError, TilingHierarchy, ZdGroup
 
 
@@ -29,95 +42,75 @@ from .quasitile import TileError, TilingHierarchy, ZdGroup
 class TowerStage:
     side: int
     eps: Fraction
-    base: IntervalSet  # X_A: domain shared by all phi_g of this stage
-    targets: dict[tuple, IntervalSet]  # element -> T_g, a partition of [0,1)
+    slots: dict[tuple, int]  # pi_n: element g of the tile -> index of the slot T_g
+
+    @property
+    def size(self) -> int:
+        return len(self.slots)
+
+    def _slot(self, p: int) -> IntervalSet:
+        return IntervalSet._from_ints(self.size, [(p, p + 1)])
+
+    @cached_property
+    def base(self) -> IntervalSet:
+        """X = T_identity, the first slot: the set the next stage is cut from."""
+        return self._slot(0)
+
+    @cached_property
+    def targets(self) -> dict[tuple, IntervalSet]:
+        """element -> T_g, a partition of [0,1)."""
+        return {g: self._slot(p) for g, p in self.slots.items()}
 
 
 @dataclass
 class Tower:
     group: ZdGroup
     stages: list[TowerStage]
-    _map_cache: dict = field(default_factory=dict)
-
-
-def _box_elements(group: ZdGroup, side: int) -> list[tuple]:
-    import itertools
-
-    return sorted(itertools.product(range(side), repeat=group.d))
 
 
 def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
     """Tower over a nested exact tiling hierarchy; stage n uses level n.
 
-    Stage 0 is the trivial stage (tile = {identity}, T = [0,1)).  Stage n+1
-    allocates its base inside stage n's base and transports it around by the
-    stage-n maps: T_{h+c} = phi^n_h(T_c) for each tiling center c and tile
-    element h.  Exactness of the tilings makes the T-sets a partition.
+    Stage 0 is the trivial stage (tile = {identity}, T = [0,1)); stage n+1
+    follows from stage n by the closed form in the module docstring.  Each
+    stage must pass the partition identity, which raises AssertionError
+    whatever the interpreter flags: a hierarchy whose centers do not tile
+    the box exactly fails it.
     """
     if stages < 1 or stages > len(hier.levels):
         raise TileError(f"stages must be in 1..{len(hier.levels)}")
+    if hier.levels[0].side != 1:
+        raise TileError("hierarchy must start with the singleton tile")
     group = hier.group
     tower = Tower(group, [])
+    slots = {group.identity: 0}
+    elems = [group.identity]
     for n in range(stages):
         lvl = hier.levels[n]
-        elems = _box_elements(group, lvl.side)
-        size = len(elems)
-        if n == 0:
-            if lvl.side != 1:
-                raise TileError("hierarchy must start with the singleton tile")
-            tower.stages.append(
-                TowerStage(1, lvl.eps, FULL, {group.identity: FULL})
-            )
-            continue
-        prev = tower.stages[-1]
-        prev_elems = _box_elements(group, tower.stages[-1].side)
-        slot_measure = Fraction(1, size)
-        # Allocate the center slots inside the previous base, left to right
-        # by one cursor: the identity's slot (the new base) first, then the
-        # other centers in order.
-        others = [c for c in lvl.centers if c != group.identity]
-        base, *rest = consecutive_subsets(prev.base, slot_measure, 1 + len(others))
-        slot = {group.identity: base, **dict(zip(others, rest))}
-        targets: dict[tuple, IntervalSet] = {}
-        for h in prev_elems:
-            # phi^{n-1}_h restricted to the previous base is the canonical
-            # order-preserving translation onto T_h.
-            m = partial_bijection_between(prev.base, prev.targets[h])
-            if m is None:
-                raise AssertionError(f"T_{h} and the base differ in measure at stage {n - 1}")
-            for c in lvl.centers:
-                targets[group.op(h, c)] = m.apply_set(slot[c])
-        if len(targets) != size:
-            raise AssertionError("tile coverage mismatch in tower stage")
-        for g, t in targets.items():
-            if not t.has_measure(slot_measure):
-                raise AssertionError(f"slot measure off for {g}")
-        # raises IntervalError on overlap
-        if not disjoint_union(targets.values()).has_measure(1):
-            raise AssertionError("stage targets do not partition [0,1)")
-        tower.stages.append(TowerStage(lvl.side, lvl.eps, base, targets))
+        if n > 0:
+            centers = lvl.centers
+            order = [group.identity] + [c for c in centers if c != group.identity]
+            idx = {c: i for i, c in enumerate(order)}
+            k = len(centers)
+            slots = {
+                group.op(h, c): k * slots[h] + idx[c] for h in elems for c in centers
+            }
+            elems = sorted(group.box(lvl.side))
+        if sorted(slots) != elems or sorted(slots.values()) != list(range(len(elems))):
+            raise AssertionError(f"stage {n} slots do not partition [0,1)")
+        tower.stages.append(TowerStage(lvl.side, lvl.eps, slots))
     return tower
 
 
 def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
     """phi^n_g as a full piecewise translation: on each T_h with g+h in the
-    tile, the canonical order-preserving translation T_h -> T_{g+h}."""
-    if (n, g) in tower._map_cache:
-        return tower._map_cache[(n, g)]
+    tile, the translation of slot pi(h) onto slot pi(g+h)."""
     st = tower.stages[n]
-    group = tower.group
-    maps: list[IntervalMap] = []
-    for h, th in st.targets.items():
-        gh = group.op(g, h)
-        if gh not in st.targets:
-            continue
-        m = partial_bijection_between(th, st.targets[gh])
-        if m is None:
-            raise AssertionError(f"T_{h} and T_{gh} differ in measure at stage {n}")
-        maps.append(m)
-    out = join_maps(maps)  # raises IntervalError unless the pieces are disjoint
-    tower._map_cache[(n, g)] = out
-    return out
+    pi = st.slots
+    op = tower.group.op
+    return IntervalMap._from_ints(
+        st.size, ((p, p + 1, pi[gh] - p) for h, p in pi.items() if (gh := op(g, h)) in pi)
+    )
 
 
 def _box_overlap(group: ZdGroup, side: int, g: tuple) -> int:
@@ -159,9 +152,18 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
     b_size = side**group.d
     overlap = _box_overlap(group, side, g)
     premise = b_size - overlap <= eps * b_size
-    m_lo = materialize_map(tower, n, g)
-    m_hi = materialize_map(tower, n + 1, g)
-    agree = m_lo.agreement_with(m_hi).measure
+    op = group.op
+    pi, pi1 = st.slots, st1.slots
+    k = st1.size // st.size
+    coarse = sorted(pi, key=pi.__getitem__)  # slot index -> element, stage n
+    # Fine slot j lies in coarse slot j // k at position j % k, so phi^n_g
+    # sends it to k * pi(g + coarse[j // k]) + j % k.
+    hits = 0
+    for x, j in pi1.items():
+        gx, gy = op(g, x), op(g, coarse[j // k])
+        if gx in pi1 and gy in pi and pi1[gx] == k * pi[gy] + j % k:
+            hits += 1
+    agree = Fraction(hits, st1.size)
     bound = (1 - eps) * (1 - 3 * eps)
     rep = StageReport((n, n + 1), g, agree, bound, premise, None, Fraction(0), False)
     if premise:
@@ -179,11 +181,11 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
         p_h = b1 - _box_overlap(group, side1, h) <= eps1 * b1
         p_gh = b1 - _box_overlap(group, side1, gh) <= eps1 * b1
         rep.defect_premise = p_h and p_gh
-        mg = materialize_map(tower, n + 1, g)
-        mh = materialize_map(tower, n + 1, h)
-        mgh = materialize_map(tower, n + 1, gh)
-        composite = mg.compose(mh)
-        rep.defect_domain = mgh.agreement_with(composite).measure
+        # phi_g . phi_h and phi_{g+h} both send slot pi(x) to slot
+        # pi(g+h+x) wherever they are defined: where h+x and g+h+x are in
+        # the tile.  So the locus is those slots.
+        hits = sum(1 for x in pi1 if op(h, x) in pi1 and op(gh, x) in pi1)
+        rep.defect_domain = Fraction(hits, st1.size)
         rep.defect_bound = 1 - 2 * eps1
         if rep.defect_premise:
             if rep.defect_domain < rep.defect_bound:

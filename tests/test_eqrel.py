@@ -14,6 +14,7 @@ from cberlab.eqrel import (
     lazy_amplify,
     restrict_relabel,
 )
+from cberlab.instances import all_partitions
 
 
 def test_build_and_canonical_form():
@@ -50,6 +51,17 @@ def test_join_and_from_pairs():
     assert join(a, b).classes == ((0, 1, 2), (3,))
     assert from_pairs(4, [(0, 1), (1, 2)]) == join(a, b) or True
     assert from_pairs(4, [(0, 1), (1, 2)]).classes == ((0, 1, 2), (3,))
+
+
+def test_join_matches_all_pairs_on_every_partition_pair():
+    def all_pairs(e):
+        return [(x, y) for c in e.classes for x in c for y in c if x != y]
+
+    for n in range(1, 6):
+        parts = [build_partition(n, p) for p in all_partitions(list(range(n)))]
+        for a in parts:
+            for b in parts:
+                assert join(a, b) == from_pairs(n, all_pairs(a) + all_pairs(b))
 
 
 def test_refines_and_index():

@@ -17,12 +17,8 @@ from cberlab.intervals import (
     IntervalError,
     IntervalMap,
     IntervalSet,
-    consecutive_subsets,
-    disjoint_union,
     identity_map,
-    join_maps,
     partial_bijection_between,
-    subset_of_measure,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -94,8 +90,7 @@ def test_set_algebra_matches_cells(x, y):
         assert cells(got, L) == want
         assert got.measure == F(len(want), L)
     assert a.contains_set(b) == (cb <= ca)
-    assert a.measure == F(len(ca), L) and a.has_measure(F(len(ca), L))
-    assert not a.has_measure(F(len(ca) + 1, L))
+    assert a.measure == F(len(ca), L)
     assert (a == b) == (ca == cb)
 
 
@@ -119,31 +114,6 @@ def test_points_membership(x, d2, data):
     ca = cells(a, L)
     k = data.draw(st.integers(0, 2 * L - 1))
     assert (F(k, 2 * L) in a) == (k // 2 in ca)
-
-
-@SETTINGS
-@given(grid_sets(), st.integers(1, 12), st.data())
-def test_subset_of_measure_and_cursor(x, d2, data):
-    d, s = x
-    L = math.lcm(d, d2)
-    cs = sorted(cells(s, L))
-    m = F(data.draw(st.integers(0, d2)), d2)
-    k = int(m * L)  # cells per subset
-    count = data.draw(st.integers(1, 4))
-    if count * k > len(cs):
-        with pytest.raises(IntervalError):
-            consecutive_subsets(s, m, count)
-    else:
-        parts = consecutive_subsets(s, m, count)
-        for i, p in enumerate(parts):
-            assert canonical(p)
-            assert cells(p, L) == frozenset(cs[i * k:(i + 1) * k])
-        assert subset_of_measure(s, m) == parts[0]
-    if k > len(cs):
-        with pytest.raises(IntervalError):
-            subset_of_measure(s, m)
-    with pytest.raises(IntervalError):
-        subset_of_measure(s, F(-1, d2))
 
 
 @SETTINGS
@@ -185,21 +155,6 @@ def test_map_algebra_matches_cells(x, y, z):
         else:
             with pytest.raises(IntervalError):
                 f.apply(x)
-
-
-@SETTINGS
-@given(grid_maps())
-def test_join_and_disjoint_union(x):
-    _, f = x
-    parts = [IntervalMap([p]) for p in f.pieces]  # each on its own grid
-    assert join_maps(parts) == f and join_maps([]).pieces == ()
-    sets = [IntervalSet([(a, b)]) for a, b, _ in f.pieces]
-    assert disjoint_union(sets) == f.domain()
-    if f.pieces:
-        with pytest.raises(IntervalError):
-            join_maps(parts + parts[:1])
-        with pytest.raises(IntervalError):
-            disjoint_union(sets + sets[:1])
 
 
 @SETTINGS

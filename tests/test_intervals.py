@@ -9,7 +9,6 @@ from cberlab.intervals import (
     IntervalSet,
     identity_map,
     partial_bijection_between,
-    subset_of_measure,
 )
 
 
@@ -31,18 +30,6 @@ def test_set_algebra():
     assert a.union(b).measure == F(3, 4)
     assert a.difference(b).intervals == ((F(0), F(1, 4)),)
     assert FULL.contains_set(a)
-
-
-def test_subset_of_measure_prefix_convention():
-    assert subset_of_measure(IntervalSet([(0, F(1, 2))]), F(1, 3)).intervals == (
-        (F(0), F(1, 3)),
-    )
-    s = IntervalSet([(0, F(1, 4)), (F(1, 2), F(3, 4))])
-    out = subset_of_measure(s, F(3, 8))
-    assert out.intervals == ((F(0), F(1, 4)), (F(1, 2), F(5, 8)))
-    assert subset_of_measure(s, 0).measure == 0
-    with pytest.raises(IntervalError):
-        subset_of_measure(s, F(2, 3))
 
 
 def test_partial_bijection_examples():

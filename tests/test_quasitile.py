@@ -110,3 +110,24 @@ def test_hierarchy_sides_and_cap():
              Fraction(1, 128), Fraction(1, 256)],
             5,
         )
+
+
+def _least_side(g, prev, eps_inv, eps_depth):
+    """Least multiple of prev whose box is (prev-box, eps_inv)-invariant by
+    is_invariant and eps_depth-deep for the generators, found by search."""
+    side = prev
+    while not (is_invariant(g, g.box(side), g.box(prev), eps_inv)[0] and 1 <= eps_depth * side):
+        side += prev
+    return side
+
+
+def test_hierarchy_sides_in_z2_meet_the_box_invariance():
+    g = ZdGroup(2)
+    eps = [Fraction(1, 4)] * 3
+    h = build_hierarchy(g, eps, 3)
+    sides = [lv.side for lv in h.levels]
+    assert sides == [1, 4, 24]  # a 1-D side rule gives 12, which is not invariant
+    for n in (1, 2):
+        assert sides[n] == _least_side(g, sides[n - 1], eps[n - 1], eps[n])
+    with pytest.raises(TileError):  # side 1984: |tile| 3,936,256 > FOLNER_CAP
+        build_hierarchy(g, [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], 3)

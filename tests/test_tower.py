@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cberlab.intervals import IntervalSet, partial_bijection_between
 from cberlab.quasitile import TileError, ZdGroup, build_hierarchy
 from cberlab.tower import (
     build_tower,
@@ -103,17 +104,16 @@ def test_summability():
     assert not summability_report([F(1, 4), F(1, 5)])["summable"]
 
 
-def test_measure_checks_raise_under_optimize():
-    """materialize_map's measure check is an explicit raise, so python -O
-    keeps it: a target of the wrong measure is reported, not dereferenced."""
+def test_partition_check_raises_under_optimize():
+    """build_tower's partition identity is an explicit raise, so python -O
+    keeps it: a hierarchy with a duplicate center is reported, not built."""
     code = (
         "from fractions import Fraction as F\n"
-        "from cberlab.intervals import IntervalSet\n"
         "from cberlab.quasitile import ZdGroup, build_hierarchy\n"
-        "from cberlab.tower import build_tower, materialize_map\n"
-        "tw = build_tower(build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32)], 2), 2)\n"
-        "tw.stages[1].targets[(1,)] = IntervalSet([(0, F(1, 64))])\n"
-        "materialize_map(tw, 1, (1,))\n"
+        "from cberlab.tower import build_tower\n"
+        "hier = build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32)], 2)\n"
+        "hier.levels[1].centers[1] = hier.levels[1].centers[0]\n"
+        "build_tower(hier, 2)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -121,4 +121,46 @@ def test_measure_checks_raise_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: T_")
+    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 1 slots")
+
+
+RECHECK = [
+    (ZdGroup(1), EPS[:3], [(0,), (1,), (-1,), (2,), (7,), (31,), (40,)]),
+    (ZdGroup(2), [F(1, 4)] * 3, [(0, 0), (1, 0), (0, 1), (-1, 2), (3, 3), (5, -1)]),
+]
+
+
+@pytest.mark.parametrize("group, eps, elems", RECHECK, ids=["Z", "Z2"])
+def test_slot_tower_matches_interval_algebra(group, eps, elems):
+    """The slot construction, maps and reports of stages <= 2, rechecked
+    independently by the general interval algebra of the paper's tower."""
+    hier = build_hierarchy(group, eps, 3)
+    tw = build_tower(hier, 3)
+    for n in (0, 1):
+        st, st1 = tw.stages[n], tw.stages[n + 1]
+        cuts = IntervalSet()
+        for c in hier.levels[n + 1].centers:
+            cuts = cuts.union(st1.targets[c])
+        assert cuts == st.base
+        for h, th in st.targets.items():
+            m = partial_bijection_between(st.base, th)
+            for c in hier.levels[n + 1].centers:
+                assert st1.targets[group.op(h, c)] == m.apply_set(st1.targets[c])
+    for n, st in enumerate(tw.stages):
+        for g in elems:
+            want = [
+                p
+                for h, th in st.targets.items()
+                if group.op(g, h) in st.targets
+                for p in partial_bijection_between(th, st.targets[group.op(g, h)]).pieces
+            ]
+            assert materialize_map(tw, n, g).pieces == tuple(sorted(want))
+    for n in (0, 1):
+        for g in elems:
+            for h in elems[:3]:
+                r = stage_report(tw, n, g, h)
+                m_lo, m_hi = materialize_map(tw, n, g), materialize_map(tw, n + 1, g)
+                assert r.agreement == m_lo.agreement_with(m_hi).measure
+                composite = m_hi.compose(materialize_map(tw, n + 1, h))
+                mgh = materialize_map(tw, n + 1, group.op(g, h))
+                assert r.defect_domain == mgh.agreement_with(composite).measure
