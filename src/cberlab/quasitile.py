@@ -2,8 +2,10 @@
 
 All arithmetic is exact: ratios are fractions, and comparisons against
 fractional powers (1-eps)^(a/q) are decided by cross-raising to integer
-powers.  Shapes and windows are finite subsets of a finitely generated
-group given by an explicit element encoding.
+powers.  Shapes and windows are finite subsets of Z^d or Z/n.  Both share
+one bitset path: `_bits` picks the encoding (a linear shift in Z^d, a rotation
+in Z/n), and t_set, is_invariant and greedy_disjoint_translates run on int
+masks alone.  check_tiling is the independent set-based recheck.
 """
 
 from __future__ import annotations
@@ -82,20 +84,18 @@ class CyclicGroup(MarkedGroup):
         return 0
 
 
-# --- bitset encoding for Z^d ------------------------------------------------
+# --- bitset encodings -------------------------------------------------------
 
 
 class _ZdBits:
     """Subsets of Z^d as integer bitmasks under a linear position encoding,
-    so a translate is a single shift and set algebra is int arithmetic."""
+    so a translate is a single shift and set algebra is int arithmetic.  The
+    encoding box holds A, B and A + B, so every mask and translate is exact."""
 
     def __init__(self, group: ZdGroup, a: frozenset, b: frozenset):
-        amin = [min(p[j] for p in a) for j in range(group.d)]
-        amax = [max(p[j] for p in a) for j in range(group.d)]
-        bmin = [min(q[j] for q in b) for j in range(group.d)]
-        bmax = [max(q[j] for q in b) for j in range(group.d)]
-        los = [min(amin[j], amin[j] + bmin[j]) for j in range(group.d)]
-        his = [max(amax[j], amax[j] + bmax[j]) for j in range(group.d)]
+        ext = [(min(xs), max(xs), min(ys), max(ys)) for xs, ys in zip(zip(*a), zip(*b), strict=True)]
+        los = [min(alo, blo, alo + blo) for alo, _, blo, _ in ext]
+        his = [max(ahi, bhi, ahi + bhi) for _, ahi, _, bhi in ext]
         self.strides = [1] * group.d
         for j in range(group.d - 2, -1, -1):
             self.strides[j] = self.strides[j + 1] * (his[j + 1] - los[j + 1] + 1)
@@ -104,18 +104,43 @@ class _ZdBits:
     def raw(self, v) -> int:
         return sum(x * s for x, s in zip(v, self.strides))
 
-    def pos(self, v) -> int:
-        return self.raw(v) + self.zero
-
     def mask(self, s: Iterable) -> int:
         m = 0
         for v in s:
-            m |= 1 << self.pos(v)
+            m |= 1 << (self.raw(v) + self.zero)
         return m
 
     def shifted(self, base_mask: int, c) -> int:
         r = self.raw(c)
         return base_mask << r if r >= 0 else base_mask >> -r
+
+
+class _CyclicBits:
+    """Subsets of Z/n as n-bit masks over 0..n-1; a translate is a rotation."""
+
+    def __init__(self, group: CyclicGroup):
+        self.n = group.n
+        self.full = (1 << group.n) - 1
+
+    def mask(self, s: Iterable) -> int:
+        m = 0
+        for v in s:
+            if not 0 <= v < self.n:
+                raise TileError(f"{v!r} is not an element 0..{self.n - 1} of Z/{self.n}")
+            m |= 1 << v
+        return m
+
+    def shifted(self, base_mask: int, c: int) -> int:
+        return ((base_mask << c) | (base_mask >> (self.n - c))) & self.full
+
+
+def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
+    """The bitset encoding of the group, covering A, B and A + B."""
+    if isinstance(group, ZdGroup):
+        return _ZdBits(group, a, b)
+    if isinstance(group, CyclicGroup):
+        return _CyclicBits(group)
+    raise TileError(f"no bitset encoding for {type(group).__name__}")
 
 
 # --- invariance -------------------------------------------------------------
@@ -127,11 +152,9 @@ def translate(group: MarkedGroup, b: frozenset, c) -> frozenset:
 
 def t_set(group: MarkedGroup, a: frozenset, b: frozenset) -> frozenset:
     """Centers whose whole B-translate stays inside A."""
-    if isinstance(group, ZdGroup):
-        bits = _ZdBits(group, a, b)
-        ma, mb = bits.mask(a), bits.mask(b)
-        return frozenset(c for c in a if (s := bits.shifted(mb, c)) & ma == s)
-    return frozenset(c for c in a if all(group.op(v, c) in a for v in b))
+    bits = _bits(group, a, b)
+    ma, mb = bits.mask(a), bits.mask(b)
+    return frozenset(c for c in a if (s := bits.shifted(mb, c)) & ma == s)
 
 
 def is_invariant(
@@ -139,22 +162,19 @@ def is_invariant(
 ) -> tuple[bool, int]:
     """(B, eps)-invariance of A: |A \\ T(A,B)| <= eps|A|.
 
-    When invariant, the growth consequence |BA| <= (1 + eps|B|)|A| is asserted
+    When invariant, the growth consequence |BA| <= (1 + eps|B|)|A| is checked
     as a sanity check of the combinatorics.
     """
     t = t_set(group, a, b)
     ok = len(a) - len(t) <= eps * len(a)
     if ok:
-        if isinstance(group, ZdGroup):
-            bits = _ZdBits(group, a, b)
-            mb = bits.mask(b)
-            mba = 0
-            for x in a:
-                mba |= bits.shifted(mb, x)
-            n_ba = mba.bit_count()
-        else:
-            n_ba = len({group.op(v, x) for v in b for x in a})
-        assert n_ba <= (1 + eps * len(b)) * len(a), "growth bound violated"
+        bits = _bits(group, a, b)
+        mb = bits.mask(b)
+        mba = 0
+        for x in a:
+            mba |= bits.shifted(mb, x)
+        if mba.bit_count() > (1 + eps * len(b)) * len(a):
+            raise AssertionError("growth bound violated")
     return ok, len(t)
 
 
@@ -192,49 +212,28 @@ def greedy_disjoint_translates(
     if not b:
         raise TileError("empty tile")
     order = sorted(t_set(group, a, b), key=group.sort_key)
-    fam = DisjointFamily([], [], frozenset())
     need = (1 - eps) * len(b)
-    if isinstance(group, ZdGroup):
-        bits = _ZdBits(group, a, b)
-        mb = bits.mask(b)
-        mu = 0
-        for c in order:
-            mbc = bits.shifted(mb, c)
-            if (mbc & ~mu).bit_count() >= need:
-                fam.centers.append(c)
-                fam.witnesses.append((mbc & ~mu).bit_count())
-                mu |= mbc
-        accepted = set(fam.centers)
-        for c in order:
-            if c not in accepted:
-                assert (bits.shifted(mb, c) & ~mu).bit_count() < need, (
-                    "greedy family is not maximal"
-                )
-        used = {c for c in translate_union(group, b, fam.centers)}
-        assert len(used) == mu.bit_count()
-    else:
-        used = set()
-        for c in order:
-            bc = translate(group, b, c)
-            new = bc - used
-            if len(new) >= need:
-                fam.centers.append(c)
-                fam.witnesses.append(len(new))
-                used |= bc
-        accepted = set(fam.centers)
-        for c in order:
-            if c not in accepted:
-                bc = translate(group, b, c)
-                assert len(bc - used) < need, "greedy family is not maximal"
-    fam.covered = frozenset(used)
-    return fam
+    bits = _bits(group, a, b)
+    mb = bits.mask(b)
+    centers, witnesses, mu = [], [], 0
+    for c in order:
+        mbc = bits.shifted(mb, c)
+        if (new := (mbc & ~mu).bit_count()) >= need:
+            centers.append(c)
+            witnesses.append(new)
+            mu |= mbc
+    accepted = set(centers)
+    for c in order:
+        if c not in accepted and (bits.shifted(mb, c) & ~mu).bit_count() >= need:
+            raise AssertionError("greedy family is not maximal")
+    covered = frozenset(translate_union(group, b, centers))
+    if len(covered) != mu.bit_count():
+        raise AssertionError("covered bits disagree with the translate union")
+    return DisjointFamily(centers, witnesses, covered)
 
 
 def translate_union(group: MarkedGroup, b: frozenset, centers: Iterable) -> set:
-    out: set = set()
-    for c in centers:
-        out |= translate(group, b, c)
-    return out
+    return {group.op(v, c) for c in centers for v in b}
 
 
 def covering_family(
@@ -246,7 +245,8 @@ def covering_family(
     if not ok:
         raise TileError("window is not sufficiently invariant for the covering bound")
     fam = greedy_disjoint_translates(group, a, b, eps)
-    assert len(fam.covered) >= eps * (1 - delta) * len(a), "covering bound violated"
+    if len(fam.covered) < eps * (1 - delta) * len(a):
+        raise AssertionError("covering bound violated")
     return fam
 
 
@@ -282,7 +282,8 @@ class QuasiTiling:
 
     def log(self, key: str, value: Fraction, relation: str, ok: bool) -> None:
         self.ledger.append((key, value, relation, ok))
-        assert ok, f"{key}: {value} fails {relation}"
+        if not ok:
+            raise AssertionError(f"{key}: {value} fails {relation}")
 
 
 def _band(eps: Fraction, i: int):
@@ -358,10 +359,9 @@ def quasi_tile(
         while count > budget:
             count -= 1
         centers, witnesses = centers[:count], witnesses[:count]
-        cov: set = set()
-        for c in centers:
-            cov |= translate(group, b, c)
-        assert len(cov) == sum(witnesses), "witness bookkeeping is off"
+        cov = translate_union(group, b, centers)
+        if len(cov) != sum(witnesses):
+            raise AssertionError("witness bookkeeping is off")
         ratio = Fraction(len(cov), len(residue))
         qt.log(f"stage{i}:band-low", ratio, f">= max(eps(1-eps)^(1/{2**i}), 1-(1-eps)^(1-1/{2**i}))",
                ge_lo(ratio))
@@ -455,8 +455,8 @@ def build_hierarchy(
     """
     if levels < 1:
         raise TileError("need at least one level")
-    if len(eps_seq) < levels:
-        raise TileError("need one eps per level")
+    if len(eps_seq) < levels or min(eps_seq[:levels]) <= 0:
+        raise TileError("need one positive eps per level")
     d = group.d
     sides = [1]
     for n in range(1, levels):

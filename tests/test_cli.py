@@ -81,6 +81,10 @@ def test_bad_fraction_is_input_error():
     assert main(["tile", "--eps", "nonsense"]) == 2
 
 
+def test_nonpositive_hierarchy_eps_is_input_error():
+    assert main(["hierarchy", "--eps", "0,0", "--levels", "2"]) == 2
+
+
 def test_no_floats_in_reports(capsys):
     code, out = run(capsys, "hierarchy", "--levels", "2")
     assert code == 0

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cberlab.quasitile import (
     CyclicGroup,
@@ -131,3 +135,136 @@ def test_hierarchy_sides_in_z2_meet_the_box_invariance():
         assert sides[n] == _least_side(g, sides[n - 1], eps[n - 1], eps[n])
     with pytest.raises(TileError):  # side 1984: |tile| 3,936,256 > FOLNER_CAP
         build_hierarchy(g, [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], 3)
+
+
+def test_hierarchy_rejects_nonpositive_eps():
+    for eps in ([Fraction(0), Fraction(0)], [Fraction(1, 16), Fraction(-1, 32)]):
+        with pytest.raises(TileError):
+            build_hierarchy(ZdGroup(1), eps, 2)
+
+
+# --- windows away from the origin and multi-shape chains ---------------------
+
+
+def test_window_off_the_origin_tiles():
+    """The shape's own coordinates lie below the window's; the encoding box
+    must hold them too."""
+    g = ZdGroup(1)
+    a = frozenset((x,) for x in range(1, 5001))
+    qt = quasi_tile(g, a, [g.segment(10)], Fraction(2, 5))
+    chk = check_tiling(g, a, qt)
+    assert chk.eps_disjoint and chk.coverage_ok
+
+
+def test_two_shape_chain_fails_its_band_check_alike_on_z_and_zn():
+    """The stage-1 residue no longer holds the identity.  On Z and on Z/5000
+    the chain tiles the same way and fails the same stage-1 band check."""
+    z, zn = ZdGroup(1), CyclicGroup(5000)
+    cases = [
+        (z, frozenset((x,) for x in range(5000)), [z.segment(90), z.segment(2)]),
+        (zn, frozenset(range(5000)), [frozenset(range(90)), frozenset(range(2))]),
+    ]
+    messages = []
+    for g, a, chain in cases:
+        with pytest.raises(AssertionError, match=r"^stage1:residue-band-low: 1897/5000 ") as exc:
+            quasi_tile(g, a, chain, Fraction(3, 10))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_cyclic_elements_outside_the_group_are_rejected():
+    g = CyclicGroup(5)
+    for a in (frozenset({0, 5}), frozenset({-1, 0})):
+        with pytest.raises(TileError):
+            t_set(g, a, frozenset({0}))
+
+
+def test_failing_check_raises_under_optimize():
+    """QuasiTiling.log raises explicitly, so python -O keeps the check: at
+    eps = 1/3 the stage band caps coverage at 1/2 < 1 - eps."""
+    code = (
+        "from fractions import Fraction\n"
+        "from cberlab.quasitile import ZdGroup, quasi_tile\n"
+        "g = ZdGroup(1)\n"
+        "quasi_tile(g, frozenset((x,) for x in range(5000)), [g.segment(10)], Fraction(1, 3))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: final:coverage" in proc.stderr
+
+
+# --- the bitset path against plain sets --------------------------------------
+#
+# The reference below is the set algebra written out: T(A, B), the
+# invariance verdict and the canonical-order greedy family.
+
+
+def ref_t_set(g, a, b):
+    return frozenset(c for c in a if all(g.op(v, c) in a for v in b))
+
+
+def ref_greedy(g, a, b, eps):
+    centers, witnesses, used = [], [], set()
+    for c in sorted(ref_t_set(g, a, b), key=g.sort_key):
+        bc = {g.op(v, c) for v in b}
+        if len(bc - used) >= (1 - eps) * len(b):
+            centers.append(c)
+            witnesses.append(len(bc - used))
+            used |= bc
+    return centers, witnesses, frozenset(used)
+
+
+def assert_matches_reference(g, a, b, eps):
+    t = ref_t_set(g, a, b)
+    assert t_set(g, a, b) == t
+    assert is_invariant(g, a, b, eps) == (len(a) - len(t) <= eps * len(a), len(t))
+    fam = greedy_disjoint_translates(g, a, b, eps)
+    assert (fam.centers, fam.witnesses, fam.covered) == ref_greedy(g, a, b, eps)
+
+
+PARITY = settings(max_examples=200, deadline=None)
+epsilons = st.integers(0, 10).map(lambda k: Fraction(k, 10))
+
+
+def points(d, lo, hi, **kw):
+    return st.frozensets(st.tuples(*[st.integers(lo, hi)] * d), min_size=1, **kw)
+
+
+@PARITY
+@given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4), eps=epsilons)
+@example(a=frozenset((x,) for x in (3, 4, 6, 7, 8)), b=frozenset({(0,), (1,)}), eps=Fraction(1, 2))
+@example(a=frozenset((x,) for x in range(100, 110)), b=frozenset({(-2,), (1,)}), eps=Fraction(0))
+def test_bitset_path_matches_sets_on_z(a, b, eps):
+    assert_matches_reference(ZdGroup(1), a, b, eps)
+
+
+@PARITY
+@given(a=points(2, -3, 4, max_size=30), b=points(2, -2, 2, max_size=5), eps=epsilons)
+@example(
+    a=frozenset((x, y) for x in range(5, 9) for y in range(-7, -3)) - {(6, -5)},
+    b=frozenset({(0, 0), (1, 0), (0, 1)}),
+    eps=Fraction(1, 3),
+)
+def test_bitset_path_matches_sets_on_z2(a, b, eps):
+    assert_matches_reference(ZdGroup(2), a, b, eps)
+
+
+@st.composite
+def cyclic_windows(draw):
+    n = draw(st.integers(1, 16))
+    elems = st.integers(0, n - 1)
+    return n, draw(st.frozensets(elems)), draw(st.frozensets(elems, min_size=1, max_size=4))
+
+
+@PARITY
+@given(nab=cyclic_windows(), eps=epsilons)
+@example(nab=(7, frozenset({5, 6, 0, 1}), frozenset({0, 1})), eps=Fraction(0))  # wraps at 6
+@example(nab=(9, frozenset(range(9)) - {4}, frozenset({0, 2, 3})), eps=Fraction(1, 5))
+@example(nab=(1, frozenset({0}), frozenset({0})), eps=Fraction(0))  # only the c = 0 rotation
+def test_bitset_path_matches_sets_on_zn(nab, eps):
+    n, a, b = nab
+    assert_matches_reference(CyclicGroup(n), a, b, eps)
