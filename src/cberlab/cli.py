@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .choice import choice_sequence_link, verify_windowed_link
 from .eqrel import EqrelError, build_partition
-from .groups import GroupError
+from .groups import GroupError, orbit_eqrel
 from .instances import Instance, gen_chain, gen_instance
 from .intervals import IntervalError
 from .links import (
@@ -125,11 +125,13 @@ def cmd_lift(args) -> int:
         for g in inst.witness
     )
     action = lift_from_link(OuterAction(inst.e, cls_gens), link)
-    rep = Report({"task": "lift"}, "pass", seed=args.seed)
+    orbits = orbit_eqrel(action)
+    inside = orbits.refines(inst.f)
+    rep = Report({"task": "lift"}, "pass" if inside else "fail", seed=args.seed)
     rep.metrics["group_order"] = action.group.order
     rep.metrics["action"] = [list(p) for p in action.act]
-    rep.add_constraint("lift: action axioms and class-bijectivity", "verified in construction",
-                       "hold", True)
+    rep.add_constraint("lift: orbit classes inside F-classes", len(orbits.classes),
+                       len(inst.f.classes), inside)
     return _emit(rep, args)
 
 

@@ -9,6 +9,7 @@ class-bijective group actions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,23 +36,25 @@ def verify_link(
 ) -> tuple[bool, tuple | None]:
     """Check the all-ones incidence condition in every F-class.
 
-    Returns (True, None) or (False, (F-class, E-class, L-class, count)).
-    Containment violations raise LinkError.
+    Inside an F-class, every E-class meets every L-class exactly once iff
+    each (E-class, L-class) pair of classes in it holds exactly one point,
+    that is, x ↦ (E-class, L-class) hits each of the #E·#L pairs once.  The
+    pairs are counted in one pass over the class.  Returns (True, None) or
+    (False, (F-class, E-class, L-class, count)) for the least failing pair
+    by class index.  Containment violations raise LinkError.
     """
     if not e.refines(f):
         raise LinkError("E is not a subrelation of F")
     if not l.refines(f):
         raise LinkError("L is not a subrelation of F")
     for c in f.classes:
-        cset = set(c)
-        ecs = {ec for x in c for ec in [e.class_of(x)]}
-        lcs = {tuple(sorted(set(lc) & cset)) for x in c for lc in [l.class_of(x)]}
-        for ec in ecs:
-            eset = set(ec)
-            for lc in lcs:
-                count = len(eset & set(lc))
-                if count != 1:
-                    return False, (c, ec, lc, count)
+        counts = Counter((e.class_index(x), l.class_index(x)) for x in c)
+        l_ids = sorted({li for _, li in counts})
+        # Stops at the first pair not counted once: at most |c| + 1 lookups.
+        for ei in sorted({ei for ei, _ in counts}):
+            for li in l_ids:
+                if (count := counts[ei, li]) != 1:
+                    return False, (c, e.classes[ei], l.classes[li], count)
     return True, None
 
 
@@ -229,8 +232,12 @@ class OuterAction:
 def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
     """Lift an outer (class-level) action to points through a link.
 
-    g·x is the unique element of [x]_L in the class g·[x]_E.  The result is a
-    genuine class-bijective action inducing the given class data.
+    g·x is the unique element of [x]_L in the class g·[x]_E, so the lift is
+    a lookup of the point at (L-class, E-class).  The link makes that point
+    unique, hence g·(h·x) and (gh)·x are both the point of [x]_L in the
+    class gh·[x]_E; GroupAction rechecks the axioms on the Cayley edges.  By
+    construction g·x lies in g·[x]_E, and g·x = x when g fixes [x]_E, so
+    the lift induces the class data and is class-bijective.
     """
     e = outer.e
     if link.e != e:
@@ -238,26 +245,20 @@ def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
     if not outer.coarsening().refines(link.f):
         raise LinkError("link pair does not absorb the class moves")
     gens = outer.gens if outer.gens else (identity_perm(len(e.classes)),)
-    group, elems = FinGroup.generated([tuple(g) for g in gens])
+    group = FinGroup.generated([tuple(g) for g in gens])
+    l_of = [link.l.class_index(x) for x in range(e.n)]
+    e_of = [e.class_index(x) for x in range(e.n)]
+    point = {(l_of[x], e_of[x]): x for x in range(e.n)}
     acts: list[Perm] = []
-    for cp in elems:
+    for cp in group.elems:
         img = []
         for x in range(e.n):
-            target = set(e.classes[cp[e.class_index(x)]]) & set(link.l.class_of(x))
-            if len(target) != 1:
-                raise LinkError(
-                    f"link invalid for lifting: |[{x}]_L ∩ g·[{x}]_E| = {len(target)}"
-                )
-            img.append(target.pop())
-        acts.append(perm_of(img, e.n))
-    action = GroupAction(group, e.n, tuple(acts))
-    for cp, p in zip(elems, acts):
-        for x in range(e.n):
-            if e.class_index(p[x]) != cp[e.class_index(x)]:  # pragma: no cover
-                raise AssertionError("lift does not induce the outer data")
-            if cp[e.class_index(x)] == e.class_index(x) and p[x] != x:  # pragma: no cover
-                raise AssertionError("lift is not class-bijective")
-    return action
+            y = point.get((l_of[x], cp[e_of[x]]))
+            if y is None:
+                raise LinkError(f"link invalid for lifting: [{x}]_L misses g·[{x}]_E")
+            img.append(y)
+        acts.append(tuple(img))
+    return GroupAction(group, e.n, tuple(acts))
 
 
 # --- equidecomposability ----------------------------------------------------
@@ -362,9 +363,7 @@ def lift_through_finite_normal(
         if not is_automorphism(e, p):
             raise LinkError(f"normal-subgroup generator {p} is not an automorphism")
     # Class-bijectivity of the N-action, element by element.
-    _n_group, n_elems = FinGroup.generated(
-        [identity_perm(e.n), *n_perms]
-    )
+    n_elems = FinGroup.generated([identity_perm(e.n), *n_perms]).elems
     for p in n_elems:
         for x in range(e.n):
             if e.related(p[x], x) and p[x] != x:
@@ -376,16 +375,17 @@ def lift_through_finite_normal(
     k = len(e.classes)
     n_cls = [_class_perm_of(e, p) for p in n_elems]
     all_cls_gens = [perm_of(g, k) for g in outer_gens] + n_cls
-    g_group, g_elems = FinGroup.generated([identity_perm(k), *all_cls_gens])
     n_cls_set = set(n_cls)
     if len(n_cls_set) != len(n_elems):
         raise LinkError("N-action class data collapses; not class-bijective")
-    for g in g_elems:
+    # Generators suffice: the g with gNg⁻¹ ⊆ N are closed under products, and
+    # in a finite group the products of the generators are all of G.
+    for g in all_cls_gens:
         for p in n_cls_set:
             if compose(compose(g, p), invert(g)) not in n_cls_set:
                 raise LinkError("N is not normal in the generated group")
 
-    outer = OuterAction(e, tuple(g_elems))
+    outer = OuterAction(e, tuple(all_cls_gens))
     f_prime = outer.coarsening()
 
     # Quotient pair over a transversal of L.
@@ -423,8 +423,7 @@ def lift_through_finite_normal(
 
     action = lift_from_link(outer, link_star)
     # The lift must extend the supplied N-action.
-    elem_index = {p: i for i, p in enumerate(g_elems)}
     for p_pt, p_cls in zip(n_elems, n_cls):
-        if action.act[elem_index[p_cls]] != p_pt:
+        if action.act[action.group.index[p_cls]] != p_pt:
             raise AssertionError("lift does not extend the normal-subgroup action")
     return action

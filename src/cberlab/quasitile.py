@@ -11,6 +11,7 @@ masks alone.  check_tiling is the independent set-based recheck.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -212,7 +213,7 @@ def greedy_disjoint_translates(
     if not b:
         raise TileError("empty tile")
     order = sorted(t_set(group, a, b), key=group.sort_key)
-    need = (1 - eps) * len(b)
+    need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
     bits = _bits(group, a, b)
     mb = bits.mask(b)
     centers, witnesses, mu = [], [], 0

@@ -106,7 +106,7 @@ def _check_action(action: GroupAction, e: FinEqrel) -> bool:
     g = action.group
     for i in range(g.order):
         for j in range(g.order):
-            k = g.mul[i][j]
+            k = g.op(i, j)
             for x in range(action.space_size):
                 if action.act[i][action.act[j][x]] != action.act[k][x]:
                     return False

@@ -30,18 +30,23 @@ def test_gen_roundtrips_through_link(tmp_path, capsys):
 
 
 def test_link_and_lift_on_a_wide_class(tmp_path, capsys):
-    """One F-class of 30 E-classes of size 3: the link and the lift must stay
-    polynomial, where a search over E-transversals would face 3^30."""
+    """One F-class of k E-classes of size 3: the link and the lift must stay
+    polynomial, where a search over E-transversals would face 3^k and a
+    multiplication table |G|^2 = k^2 entries."""
     path = tmp_path / "wide.json"
-    path.write_text(build_block_instance([(3, 30)]).to_json())
-    code, out = run(capsys, "link", "--instance", str(path))
-    assert code == 0
-    assert json.loads(out)["metrics"]["L"] == [list(range(r, 90, 3)) for r in range(3)]
-    code, out = run(capsys, "lift", "--instance", str(path))
-    rep = json.loads(out)
-    assert code == 0
-    assert rep["metrics"]["group_order"] == 30
-    assert all(p[x] % 3 == x % 3 for p in rep["metrics"]["action"] for x in range(90))
+    for k in (30, 200):
+        n = 3 * k
+        path.write_text(build_block_instance([(3, k)]).to_json())
+        code, out = run(capsys, "link", "--instance", str(path))
+        assert code == 0
+        assert json.loads(out)["metrics"]["L"] == [list(range(r, n, 3)) for r in range(3)]
+        code, out = run(capsys, "lift", "--instance", str(path))
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["metrics"]["group_order"] == k
+        # The ledger's real check: 3 orbits (one per rank) inside 1 F-class.
+        assert [(c["lhs"], c["rhs"], c["verdict"]) for c in rep["ledger"]] == [(3, 1, True)]
+        assert all(p[x] % 3 == x % 3 for p in rep["metrics"]["action"] for x in range(n))
 
 
 def test_verify_link_pass_and_fail(tmp_path, capsys):

@@ -36,21 +36,50 @@ def test_shortlex_closure_s3():
 
 
 def test_fingroup_generated_and_action_axioms():
-    g, elems = FinGroup.generated([from_cycles(4, [(0, 1, 2, 3)])])
+    g = FinGroup.generated([from_cycles(4, [(0, 1, 2, 3)])])
     assert g.order == 4
-    act = GroupAction(g, 4, tuple(elems))
+    act = GroupAction(g, 4, g.elems)
     assert act.apply(g.op(1, 1), 0) == act.apply(1, act.apply(1, 0))
 
 
 def test_bad_action_rejected():
-    g = FinGroup.cyclic(2)
+    g = FinGroup.generated([(1, 0)])
     with pytest.raises(GroupError):
         GroupAction(g, 2, ((1, 0), (0, 1)))  # identity element acts nontrivially
 
 
+def _all_pairs_action_ok(g: FinGroup, act) -> bool:
+    return act[g.identity] == identity_perm(len(act[0])) and all(
+        compose(act[a], act[b]) == act[g.op(a, b)]
+        for a in range(g.order)
+        for b in range(g.order)
+    )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[from_cycles(4, [(0, 1, 2, 3)])], [from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])]],
+    ids=["Z4", "Klein"],
+)
+def test_cayley_edge_check_matches_all_pairs(gens):
+    # Every assignment of a permutation of 3 points to each group element.
+    g = FinGroup.generated(gens)
+    perms = list(itertools.permutations(range(3)))
+    verdicts = set()
+    for act in itertools.product(perms, repeat=g.order):
+        try:
+            GroupAction(g, 3, act)
+            ok = True
+        except GroupError:
+            ok = False
+        assert ok == _all_pairs_action_ok(g, act), act
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_orbit_eqrel():
-    g, elems = FinGroup.generated([from_cycles(4, [(0, 1), (2, 3)])])
-    act = GroupAction(g, 4, tuple(elems))
+    g = FinGroup.generated([from_cycles(4, [(0, 1), (2, 3)])])
+    act = GroupAction(g, 4, g.elems)
     assert orbit_eqrel(act).classes == ((0, 1), (2, 3))
 
 

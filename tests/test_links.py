@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cberlab.eqrel import build_partition, delta, full
-from cberlab.instances import enumerate_links, gen_chain, gen_instance
+from cberlab.instances import all_partitions, enumerate_links, gen_chain, gen_instance
 from cberlab.links import (
     Link,
     LinkError,
@@ -27,6 +27,37 @@ def test_verify_link_positive_and_negative():
     assert ok
     ok, bad = verify_link(e, f, build_partition(4, [[0, 1], [2, 3]]))
     assert not ok and bad is not None
+
+
+def _least_failing_pair(e, f, l):
+    """Set-based reference: the first (F-class, E-class, L-class) by class
+    index whose E- and L-class do not meet in exactly one point."""
+    for fc in f.classes:
+        for ec in (c for c in e.classes if set(c) <= set(fc)):
+            for lc in (c for c in l.classes if set(c) <= set(fc)):
+                if (count := len(set(ec) & set(lc))) != 1:
+                    return fc, ec, lc, count
+    return None
+
+
+def test_verify_link_matches_reference_on_every_partition_triple():
+    # Every F on n <= 5 points, every E ⊆ F and every L ⊆ F.
+    checked = failed = 0
+    for n in range(1, 6):
+        parts = [build_partition(n, p) for p in all_partitions(list(range(n)))]
+        for f in parts:
+            subs = [r for r in parts if r.refines(f)]
+            for e in subs:
+                for l in subs:
+                    ok, bad = verify_link(e, f, l)
+                    ref = _least_failing_pair(e, f, l)
+                    assert ok == (ref is None) and bad == ref, (e, f, l, bad)
+                    if bad is not None:
+                        fc, ec, lc, count = bad
+                        assert count == len(set(fc) & set(ec) & set(lc)) != 1
+                        failed += 1
+                    checked += 1
+    assert 0 < failed < checked
 
 
 def test_verify_link_containment_error():
