@@ -26,21 +26,19 @@ def cantor_pair(m: int, t: int) -> int:
 class ChoiceSequence:
     """Stage-1 data: maps f_0..f_{N-1} given by powers of a canonical rotation.
 
-    f_i(x) is the least power of the per-F-class rotation sigma carrying x
-    into the i-th new E-class; f_0 = identity.
+    σ rotates each sorted F-class c by one place, so σ^t(c[a]) = c[(a+t) % |c|].
+    f_i(x) = σ^{exps[i][x]}(x) is the first point of the walk from x that
+    lands in the i-th new E-class; f_0 = identity.  images[i][x] = f_i(x).
     """
 
     e: FinEqrel
     f: FinEqrel
     index: int
-    sigma: tuple[int, ...]
     exps: tuple[tuple[int, ...], ...]  # exps[i][x]
+    images: tuple[tuple[int, ...], ...]  # images[i][x] = f_i(x)
 
     def apply(self, i: int, x: int) -> int:
-        y = x
-        for _ in range(self.exps[i][x]):
-            y = self.sigma[y]
-        return y
+        return self.images[i][x]
 
 
 def choice_sequence(e: FinEqrel, f: FinEqrel) -> ChoiceSequence:
@@ -50,29 +48,22 @@ def choice_sequence(e: FinEqrel, f: FinEqrel) -> ChoiceSequence:
     if len(indices) != 1:
         raise EqrelError(f"index [F:E] is not constant: {sorted(indices)}")
     n_index = indices.pop()
-    sigma = list(range(e.n))
+    exps = [[0] * e.n for _ in range(n_index)]
+    images = [[0] * e.n for _ in range(n_index)]
     for c in f.classes:
-        for a, b in zip(c, c[1:] + c[:1]):
-            sigma[a] = b
-    sig = tuple(sigma)
-    exps: list[list[int]] = []
-    for i in range(n_index):
-        row = []
-        for x in range(e.n):
-            seen = set()
-            y, t = x, 0
-            t_i = None
-            while t_i is None:
+        for a, x in enumerate(c):
+            # One walk around the class records every first-hit time and point.
+            seen: set[int] = set()
+            t = 0
+            while len(seen) < n_index:
+                y = c[(a + t) % len(c)]
                 ci = e.class_index(y)
                 if ci not in seen:
-                    if len(seen) == i:
-                        t_i = t
+                    exps[len(seen)][x] = t
+                    images[len(seen)][x] = y
                     seen.add(ci)
-                y = sig[y]
                 t += 1
-            row.append(t_i)
-        exps.append(row)
-    return ChoiceSequence(e, f, n_index, sig, tuple(map(tuple, exps)))
+    return ChoiceSequence(e, f, n_index, tuple(map(tuple, exps)), tuple(map(tuple, images)))
 
 
 @dataclass
@@ -90,101 +81,60 @@ class WindowedLink:
         return {p for c in self.classes for p in c}
 
 
-def _stage3_image(cs: ChoiceSequence, i: int, x: int, m: int) -> Point:
-    """Injective complete-section map h_i on the residual space X x N.
-
-    Splits the copy index as m = m2*N + k, rotates the sequence index by k,
-    and injectivizes copies through the pairing function.
-    """
-    n = cs.index
-    m2, k = divmod(m, n)
-    j = (i + k) % n
-    y = cs.apply(j, x)
-    return (y, cantor_pair(m2, cs.exps[j][x]) * n + k)
-
-
-def _ideal_image_in_class(
-    cs: ChoiceSequence, i: int, base_class: tuple[int, ...], bound: int
-) -> list[Point]:
-    """All h_i image points with base in base_class and copy index < bound.
-
-    Enumerated from the closed form, independent of any window, so ranks of
-    image points are exact.
-    """
-    n = cs.index
-    targets = set(base_class)
-    out = []
-    for x in range(cs.e.n):
-        for k in range(n):
-            j = (i + k) % n
-            if cs.apply(j, x) not in targets:
-                continue
-            t = cs.exps[j][x]
-            m2 = 0
-            while cantor_pair(m2, t) * n + k < bound:
-                out.append((cs.apply(j, x), cantor_pair(m2, t) * n + k))
-                m2 += 1
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
-
-
 def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     """Windowed link for the amplified pair, built from a choice sequence.
 
-    The bijectivized maps send the j-th residual point of an E-class window to
-    the point whose h_i-image has rank j in the ideal image of that class; a
-    link class is emitted only when all N members land inside the window.
+    h_i is the injective complete-section map on the residual space X x N:
+    the copy index splits as m = m2*N + k, the sequence index rotates by k,
+    and copies are injectivized through the pairing function, so
+    h_i(x, m) = (f_j(x), cantor(m2, t)*N + k) with j = (i+k) % N and
+    t = exps[j][x].  The bijectivized map φ_i sends the point whose h_i-image
+    has rank r (by copy, then base) among the images in its E-class to the
+    r-th point of that class's window.  A link class is emitted only when all
+    N members land inside the window.
     """
     cs = choice_sequence(e, f)
     n = cs.index
     if depth < n:
         raise WindowExhausted(f"window depth {depth} below index {n}")
     depth_q = depth // n
+    # For m < depth_q, cantor(m2, t)*N + k < cantor(depth_q//N + 1, max t + 1)*N
+    # <= bound, since cantor grows in both arguments and k < N: every image of
+    # a window point is enumerated, so its rank is exact.
+    bound = max(
+        cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1) * n, depth_q
+    )
+    windows = [[(x, m) for m in range(depth_q) for x in c] for c in e.classes]
 
-    class_window: dict[int, list[Point]] = {}
-    for ci, c in enumerate(e.classes):
-        class_window[ci] = sorted(
-            ((x, m) for x in c for m in range(depth_q)), key=lambda p: (p[1], p[0])
-        )
-    rank_cache: dict[tuple[int, int], dict[Point, int]] = {}
-
-    def phi(i: int, x: int, m: int) -> Point | None:
-        p = _stage3_image(cs, i, x, m)
-        ci = cs.e.class_index(p[0])
-        key = (i, ci)
-        if key not in rank_cache:
-            bound = max(
-                (cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1)) * n,
-                depth_q,
-            )
-            rank_cache[key] = {
-                q: r for r, q in enumerate(_ideal_image_in_class(cs, i, e.classes[ci], bound))
-            }
-        ranks = rank_cache[key]
-        if p not in ranks:  # pragma: no cover - bound is generous
-            raise WindowExhausted("image rank bound exceeded; increase depth")
-        j = ranks[p]
-        win = class_window[ci]
-        if j >= len(win):
-            return None
-        return win[j]
+    phi: list[dict[Point, Point]] = []
+    for i in range(n):
+        by_class: list[list[tuple[int, int, int, int]]] = [[] for _ in e.classes]
+        for x in range(e.n):
+            for k in range(n):
+                j = (i + k) % n
+                y, t = cs.images[j][x], cs.exps[j][x]
+                group = by_class[e.class_index(y)]
+                m2 = 0
+                while (copy := cantor_pair(m2, t) * n + k) < bound:
+                    group.append((copy, y, x, m2 * n + k))
+                    m2 += 1
+        table: dict[Point, Point] = {}
+        for group, win in zip(by_class, windows):
+            group.sort()
+            for (_, _, x, m), q in zip(group, win):
+                table[x, m] = q
+        phi.append(table)
 
     classes: list[tuple[Point, ...]] = []
     truncated = 0
     for x in range(e.n):
         for m in range(depth_q):
-            members: list[Point] = []
-            for i in range(n):
-                q = phi(i, x, m)
-                if q is None:
-                    members = []
-                    break
-                y, mq = q
-                members.append((y, mq * n + i))
-            if members:
-                classes.append(tuple(sorted(members)))
-            else:
+            qs = [table.get((x, m)) for table in phi]
+            if None in qs:
                 truncated += 1
+            else:
+                members = ((y, mq * n + i) for i, (y, mq) in enumerate(qs))
+                classes.append(tuple(sorted(members)))
 
     seen: set[Point] = set()
     for c in classes:
@@ -193,19 +143,19 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
                 raise AssertionError(f"emitted classes collide at {p}")
             seen.add(p)
 
+    blocks = _f_block_eclasses(e, f)
     wl = WindowedLink(e, f, depth, classes)
     wl.flags["maps_injective"] = True
     wl.flags["complete_section"] = all(
-        any(cs.e.class_index(p[0]) == ci for p in c)
+        set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
         for c in classes
-        for ci in _f_block_eclasses(e, f, c[0][0])
     )
     wl.flags["fully_enumerated"] = truncated == 0
     return wl
 
 
-def _f_block_eclasses(e: FinEqrel, f: FinEqrel, x: int) -> list[int]:
-    return sorted({e.class_index(y) for y in f.class_of(x)})
+def _f_block_eclasses(e: FinEqrel, f: FinEqrel) -> list[list[int]]:
+    return [sorted({e.class_index(y) for y in c}) for c in f.classes]
 
 
 @dataclass
@@ -233,8 +183,9 @@ def verify_windowed_link(wl: WindowedLink, depth: int | None = None) -> Incidenc
     e, f = wl.e, wl.f
     depth = wl.depth if depth is None else depth
     all_ones = True
+    blocks = _f_block_eclasses(e, f)
     for c in wl.classes:
-        block = _f_block_eclasses(e, f, c[0][0])
+        block = blocks[f.class_index(c[0][0])]
         hits = [e.class_index(p[0]) for p in c]
         if sorted(hits) != block:
             all_ones = False

@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .choice import choice_sequence_link, verify_windowed_link
@@ -137,13 +138,18 @@ def cmd_lift(args) -> int:
 
 def cmd_equidecompose(args) -> int:
     inst, raw = _read_instance(args)
-    if "A" not in raw or "B" not in raw:
-        raise EqrelError("equidecompose needs 'A' and 'B' fields")
+    if not (isinstance(raw.get("A"), list) and isinstance(raw.get("B"), list)):
+        raise EqrelError("equidecompose needs 'A' and 'B' lists of points")
     wit = equidecompose(inst.e, raw["A"], raw["B"])
-    rep = Report({"task": "equidecompose"}, "pass", seed=args.seed)
+    found = wit is not None
+    counts_a = Counter(inst.e.class_index(x) for x in set(raw["A"]))
+    counts_b = Counter(inst.e.class_index(x) for x in set(raw["B"]))
+    equal = counts_a == counts_b
+    rep = Report({"task": "equidecompose"}, "pass" if found == equal else "fail",
+                 seed=args.seed)
     rep.metrics["witness"] = [list(p) for p in wit.mapping] if wit else None
     rep.add_constraint("equidecomposable iff equal per-class counts",
-                       "witness found" if wit else "no witness", "-", True)
+                       found, equal, found == equal)
     return _emit(rep, args)
 
 

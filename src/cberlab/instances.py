@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -204,6 +205,24 @@ def enumerate_links(e: FinEqrel, f: FinEqrel) -> list[FinEqrel]:
         if ok:
             out.append(l)
     return out
+
+
+def link_count(e: FinEqrel, f: FinEqrel) -> int:
+    """Number of (E, F)-links in closed form: ∏ over F-classes of (m!)^(k−1).
+
+    In an F-class of k E-classes of size m, a link is fixed by k − 1
+    bijections from the first E-class onto the others, each L-class being a
+    point of the first class with its images.  If the E-class sizes in an
+    F-class differ, no L-class can meet each of them once, so the count is 0.
+    """
+    count = 1
+    for c in f.classes:
+        ids = {e.class_index(x) for x in c}
+        sizes = {len(e.classes[i]) for i in ids}
+        if len(sizes) != 1:
+            return 0
+        count *= math.factorial(sizes.pop()) ** (len(ids) - 1)
+    return count
 
 
 def exhaustive_shapes(max_size: int = 8) -> list[list[tuple[int, int]]]:

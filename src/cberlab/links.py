@@ -111,57 +111,6 @@ def link_finite_index(
 # --- link extension along a chain -----------------------------------------
 
 
-def _link_classes_on(
-    points: frozenset[int], e: FinEqrel, f: FinEqrel, l: FinEqrel
-) -> list[frozenset[int]]:
-    """Link classes of an (E↾points, all)-link containing L↾points.
-
-    `points` must be F-saturated.  Induction: split off the part Y where the
-    greedy matching of link-transversal points across F-classes is complete,
-    recurse on both sides, then glue the two partial links along their
-    transversals (counted exactly, matched in canonical order).
-    """
-    f_classes = [c for c in f.classes if c[0] in points]
-    l_classes = [frozenset(c) for c in l.classes if c[0] in points]
-    if len(f_classes) == 1:
-        return l_classes
-    # S: least point of each L-class, grouped by F-class.
-    s_by_f: dict[int, list[int]] = {}
-    l_of: dict[int, frozenset[int]] = {}
-    for lc in l_classes:
-        m = min(lc)
-        s_by_f.setdefault(f.class_index(m), []).append(m)
-        l_of[m] = lc
-    for v in s_by_f.values():
-        v.sort()
-    # Greedy maximal matching: one unused S-point per F-class, least first.
-    rows: list[list[int]] = []
-    cursor = {fc: 0 for fc in s_by_f}
-    while all(cursor[fc] < len(s_by_f[fc]) for fc in s_by_f):
-        rows.append([s_by_f[fc][cursor[fc]] for fc in s_by_f])
-        for fc in s_by_f:
-            cursor[fc] += 1
-    exhausted = {fc for fc in s_by_f if cursor[fc] == len(s_by_f[fc])}
-    if len(exhausted) == len(s_by_f):
-        # Every transversal point is matched: rows generate the link directly.
-        return [frozenset().union(*(l_of[m] for m in row)) for row in rows]
-    y = frozenset(x for fc in exhausted for x in f.classes[fc]) & points
-    z = points - y
-    if not y or not z:  # pragma: no cover - maximality guarantees both sides
-        raise AssertionError("degenerate split in link extension")
-    l_y = _link_classes_on(y, e, f, l)
-    l_z = _link_classes_on(z, e, f, l)
-    s_y = sorted(min(c) for c in l_y)
-    s_z = sorted(min(c) for c in l_z)
-    if len(s_y) != len(s_z):
-        raise AssertionError(
-            f"cancellation-count mismatch: {len(s_y)} vs {len(s_z)} transversal points"
-        )
-    by_min_y = {min(c): c for c in l_y}
-    by_min_z = {min(c): c for c in l_z}
-    return [by_min_y[a] | by_min_z[b] for a, b in zip(s_y, s_z)]
-
-
 def extend_link(
     e: FinEqrel,
     f: FinEqrel,
@@ -169,16 +118,29 @@ def extend_link(
     link: Link,
     gens: Sequence[Sequence[int]],
 ) -> Link:
-    """Extend an (E, F)-link to an (E, F′)-link containing it."""
+    """Extend an (E, F)-link to an (E, F′)-link containing it.
+
+    Inside each F′-class, the r-th L-class (by least element) of every F-class
+    goes into row r, and each row is one class of the new link.  This is the
+    whole of the paper's split-and-glue induction here: the witness check
+    forces all E-classes in an F′-class to one size m (the generators are
+    E-automorphisms and F′ is E joined with their orbits), and an (E, F)-link
+    has exactly m L-classes per F-class, one point from each E-class in each.
+    So the greedy matching across F-classes uses them all up at once, and
+    the split into matched and unmatched parts never happens.
+    """
     if link.e != e or link.f != f:
         raise LinkError("link does not match the given pair")
     if not f.refines(f_prime):
         raise LinkError("F is not a subrelation of F'")
     _validate_witness(e, f_prime, gens)
-    classes: list[frozenset[int]] = []
-    for c in f_prime.classes:
-        classes.extend(_link_classes_on(frozenset(c), e, f, link.l))
-    out = Link(e, f_prime, FinEqrel(e.n, tuple(tuple(sorted(c)) for c in classes)))
+    rank: Counter[int] = Counter()
+    rows: dict[tuple[int, int], list[int]] = {}
+    for c in link.l.classes:  # ordered by least element
+        fi = f.class_index(c[0])
+        rows.setdefault((f_prime.class_index(c[0]), rank[fi]), []).extend(c)
+        rank[fi] += 1
+    out = Link(e, f_prime, FinEqrel(e.n, tuple(rows.values())))
     if not link.l.refines(out.l):
         raise AssertionError("extension lost the input link")  # pragma: no cover
     return out
@@ -287,8 +249,13 @@ def equidecompose(
     """Match A to B inside E-classes, or report impossibility (None).
 
     A witness exists iff |A ∩ C| = |B ∩ C| for every class C; it is built by
-    pairing the sorted intersections.
+    pairing the sorted intersections.  A point outside 0..n-1 raises
+    LinkError.
     """
+    a, b = list(a), list(b)
+    for x in (*a, *b):
+        if type(x) is not int or not 0 <= x < e.n:
+            raise LinkError(f"point {x!r} outside ground set of size {e.n}")
     aset, bset = sorted(set(a)), sorted(set(b))
     per_class_a: dict[int, list[int]] = {}
     per_class_b: dict[int, list[int]] = {}

@@ -166,17 +166,17 @@ def is_invariant(
     When invariant, the growth consequence |BA| <= (1 + eps|B|)|A| is checked
     as a sanity check of the combinatorics.
     """
-    t = t_set(group, a, b)
-    ok = len(a) - len(t) <= eps * len(a)
-    if ok:
-        bits = _bits(group, a, b)
-        mb = bits.mask(b)
-        mba = 0
-        for x in a:
-            mba |= bits.shifted(mb, x)
-        if mba.bit_count() > (1 + eps * len(b)) * len(a):
-            raise AssertionError("growth bound violated")
-    return ok, len(t)
+    bits = _bits(group, a, b)
+    ma, mb = bits.mask(a), bits.mask(b)
+    t = mba = 0
+    for x in a:
+        s = bits.shifted(mb, x)
+        t += s & ma == s
+        mba |= s
+    ok = len(a) - t <= eps * len(a)
+    if ok and mba.bit_count() > (1 + eps * len(b)) * len(a):
+        raise AssertionError("growth bound violated")
+    return ok, t
 
 
 def power_le(r: Fraction, base: Fraction, num: int, den: int) -> bool:

@@ -21,6 +21,7 @@ from .instances import (
     exhaustive_shapes,
     gen_chain,
     gen_instance,
+    link_count,
 )
 from .links import (
     OuterAction,
@@ -303,19 +304,14 @@ def criterion_11() -> CriterionResult:
     def run():
         e = build_partition(6, [[0, 1], [2, 3], [4, 5]])
         f = full(6)
-        links = enumerate_links(e, f)
-        if len(links) != 4:
-            return False, f"expected 4 unordered links, enumerated {len(links)}"
-        counted = count_links(e, f)
+        enumerated, counted = len(enumerate_links(e, f)), link_count(e, f)
+        if enumerated != counted:
+            return False, f"enumerated {enumerated} links, closed form counts {counted}"
         if counted != 4:
-            return False, f"link counter reports {counted}"
+            return False, f"expected 4 unordered links, counted {counted}"
         return True, "6-point three-pair instance has exactly 4 unordered links"
 
     return _timed(11, "exhaustive micro-oracle", run)
-
-
-def count_links(e: FinEqrel, f: FinEqrel) -> int:
-    return len(enumerate_links(e, f))
 
 
 ALL_CRITERIA = [

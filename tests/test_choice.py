@@ -25,6 +25,30 @@ def test_choice_sequence_stage1():
         assert not e.related(cs.apply(1, x), x)
 
 
+def _walk_reference(e, f, i, x):
+    """(t, σ^t(x)) for the first step t at which the walk of the per-F-class
+    rotation σ from x enters its i-th new E-class."""
+    c = f.class_of(x)
+    sigma = {a: b for a, b in zip(c, c[1:] + c[:1])}
+    seen, y, t = [], x, 0
+    while True:
+        if e.class_index(y) not in seen:
+            if len(seen) == i:
+                return t, y
+            seen.append(e.class_index(y))
+        y, t = sigma[y], t + 1
+
+
+def test_choice_sequence_matches_rotation_walk():
+    e = build_partition(9, [[0, 5], [1, 7], [2, 4], [3], [6], [8]])
+    f = build_partition(9, [[0, 1, 2, 4, 5, 7], [3, 6, 8]])
+    cs = choice_sequence(e, f)
+    assert cs.index == 3
+    for i in range(cs.index):
+        for x in range(e.n):
+            assert (cs.exps[i][x], cs.apply(i, x)) == _walk_reference(e, f, i, x)
+
+
 def test_choice_sequence_needs_constant_index():
     e = build_partition(5, [[0, 1], [2, 3], [4]])
     f = build_partition(5, [[0, 1, 2, 3], [4]])

@@ -120,3 +120,44 @@ def test_lift_sim_report_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c65348d98eeedfbcede8f7626877c7f5da23ff01a58d9b788fbed78f726071c4"
     )
+
+
+def test_choice_link_reports_frozen(capsys):
+    """Canonical choice-link reports at depth 120: two exactly verified
+    windows and two with truncated points."""
+    frozen = {
+        0: "549bf74bae4d65a7e5f316238a4f031edd2e9b9f7f1cf4d04033ccf773b6d3a6",
+        1: "6c9a0f401294a8832a65f89aed55790eb55c92b5a8d536d703b201bc4e3a5b74",
+        6: "fbc23856a221ba72e34550a278cbf414af3bbc96313420ea9af9ea9a20877b86",
+        9: "f70446200fa6a0bf807cc73c09b4a519a72efeee7e504c8effadb8f05abdcd5b",
+    }
+    for seed, digest in frozen.items():
+        code, out = run(capsys, "choice-link", "--seed", str(seed), "--depth", "120")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+def _equidecompose(tmp_path, capsys, a, b):
+    # 8 points: E-classes {0,1}, {2,3}, {4,5}, {6,7}.
+    raw = json.loads(build_block_instance([(2, 2), (2, 2)]).to_json())
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(dict(raw, A=a, B=b)))
+    return run(capsys, "equidecompose", "--instance", str(path))
+
+
+def test_equidecompose_ledger_is_the_real_check(tmp_path, capsys):
+    code, out = _equidecompose(tmp_path, capsys, [0, 2, 2], [3, 1])
+    rep = json.loads(out)
+    assert code == 0 and rep["metrics"]["witness"] == [[0, 1], [2, 3]]
+    assert [(c["lhs"], c["rhs"], c["verdict"]) for c in rep["ledger"]] == [(True, True, True)]
+    code, out = _equidecompose(tmp_path, capsys, [0, 1], [0, 2])
+    rep = json.loads(out)
+    assert code == 0 and rep["metrics"]["witness"] is None
+    assert [(c["lhs"], c["rhs"], c["verdict"]) for c in rep["ledger"]] == [(False, False, True)]
+
+
+def test_equidecompose_point_outside_ground_set_is_input_error(tmp_path, capsys):
+    # -1 used to wrap to point 7 and 99 to end in an IndexError traceback.
+    for a in ([99], [-1], [[1]], 5, [True]):
+        code, out = _equidecompose(tmp_path, capsys, a, [7])
+        assert code == 2 and out == ""

@@ -10,6 +10,7 @@ from cberlab.instances import (
     exhaustive_shapes,
     gen_chain,
     gen_instance,
+    link_count,
 )
 
 
@@ -71,6 +72,19 @@ def test_all_partitions_bell_numbers():
 def test_enumerate_links_three_pairs():
     e = build_partition(6, [[0, 1], [2, 3], [4, 5]])
     assert len(enumerate_links(e, full(6))) == 4
+
+
+def test_link_count_closed_form_matches_enumeration():
+    shapes = exhaustive_shapes(7)
+    for shape in shapes:
+        inst = build_block_instance(shape)
+        assert link_count(inst.e, inst.f) == len(enumerate_links(inst.e, inst.f)), shape
+    assert len(shapes) == 122
+
+
+def test_link_count_zero_on_uneven_classes():
+    e = build_partition(3, [[0, 1], [2]])
+    assert link_count(e, full(3)) == len(enumerate_links(e, full(3))) == 0
 
 
 def test_exhaustive_shapes_count_and_bounds():

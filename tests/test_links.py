@@ -104,6 +104,36 @@ def test_extend_link_trivial_when_f_equals_f_prime():
     assert again.l == link.l
 
 
+def _zip_by_least(f, f_prime, l):
+    """Set-based reference extension: in each F'-class, unite the r-th
+    L-class (by least element) of every F-class inside it."""
+    out = []
+    for fpc in f_prime.classes:
+        per_f = [
+            sorted((lc for lc in l.classes if set(lc) <= set(fc)), key=min)
+            for fc in f.classes
+            if set(fc) <= set(fpc)
+        ]
+        out.extend(set().union(*row) for row in zip(*per_f))
+    return build_partition(l.n, out)
+
+
+def test_extend_link_on_every_enumerated_link():
+    extended = 0
+    for seed in range(60):
+        ch = gen_chain(seed, max_size=12)
+        f0 = ch.chain[0]
+        for l in enumerate_links(ch.e, f0):
+            link = Link(ch.e, f0, l)
+            for f_prime, wit in zip(ch.chain[1:], ch.witnesses[1:]):
+                ext = extend_link(ch.e, f0, f_prime, link, wit)
+                assert verify_link(ch.e, f_prime, ext.l)[0]
+                assert l.refines(ext.l)
+                assert ext.l == _zip_by_least(f0, f_prime, l)
+                extended += 1
+    assert extended > 200
+
+
 def test_hf_link_chain_seeded():
     for seed in range(40):
         ch = gen_chain(seed)
