@@ -11,9 +11,8 @@ only fully-materialized link classes are emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .eqrel import EqrelError, FinEqrel, WindowExhausted
+from .eqrel import EqrelError, FinEqrel
 
 Point = tuple[int, int]  # (base point, copy index)
 
@@ -36,9 +35,6 @@ class ChoiceSequence:
     index: int
     exps: tuple[tuple[int, ...], ...]  # exps[i][x]
     images: tuple[tuple[int, ...], ...]  # images[i][x] = f_i(x)
-
-    def apply(self, i: int, x: int) -> int:
-        return self.images[i][x]
 
 
 def choice_sequence(e: FinEqrel, f: FinEqrel) -> ChoiceSequence:
@@ -91,12 +87,13 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     t = exps[j][x].  The bijectivized map φ_i sends the point whose h_i-image
     has rank r (by copy, then base) among the images in its E-class to the
     r-th point of that class's window.  A link class is emitted only when all
-    N members land inside the window.
+    N members land inside the window.  A depth below N is malformed input and
+    raises EqrelError.
     """
     cs = choice_sequence(e, f)
     n = cs.index
     if depth < n:
-        raise WindowExhausted(f"window depth {depth} below index {n}")
+        raise EqrelError(f"window depth {depth} below index {n}")
     depth_q = depth // n
     # For m < depth_q, cantor(m2, t)*N + k < cantor(depth_q//N + 1, max t + 1)*N
     # <= bound, since cantor grows in both arguments and k < N: every image of
@@ -206,6 +203,3 @@ def verify_windowed_link(wl: WindowedLink, depth: int | None = None) -> Incidenc
         exact=truncated == 0,
     )
 
-
-def emitted_fraction(wl: WindowedLink) -> Fraction:
-    return Fraction(len(wl.support), wl.e.n * wl.depth)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class EqrelError(ValueError):
@@ -61,9 +61,6 @@ class FinEqrel:
     def related(self, x: int, y: int) -> bool:
         return self.class_index(x) == self.class_index(y)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self.related(*pair)
-
     def refines(self, other: "FinEqrel") -> bool:
         """True iff self is a subrelation of other (every class inside one class)."""
         if self.n != other.n:
@@ -73,32 +70,6 @@ class FinEqrel:
         )
 
     # --- operations ------------------------------------------------------
-
-    def saturate(self, a: Iterable[int]) -> frozenset[int]:
-        """Union of all classes meeting a."""
-        out: set[int] = set()
-        for x in a:
-            out.update(self.class_of(x))
-        return frozenset(out)
-
-    def hull(self, a: Iterable[int]) -> frozenset[int]:
-        """Largest invariant subset of a: complement of the saturation of the complement."""
-        aset = set(a)
-        return frozenset(range(self.n)) - self.saturate(set(range(self.n)) - aset)
-
-    def restrict(self, a: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """Restriction to a as a map point -> class-within-a (no relabelling)."""
-        aset = set(a)
-        out: dict[int, tuple[int, ...]] = {}
-        for c in self.classes:
-            part = tuple(x for x in c if x in aset)
-            for x in part:
-                out[x] = part
-        return out
-
-    def transversal(self) -> tuple[int, ...]:
-        """Least element of each class, in class order."""
-        return tuple(c[0] for c in self.classes)
 
     def index_in(self, other: "FinEqrel") -> dict[tuple[int, ...], int]:
         """Number of self-classes inside each class of the coarser relation."""
@@ -164,64 +135,3 @@ def restrict_relabel(e: FinEqrel, points: Sequence[int]) -> tuple[FinEqrel, dict
     for p in pts:
         classes.setdefault(e.class_index(p), []).append(relabel[p])
     return FinEqrel(len(pts), tuple(tuple(c) for c in classes.values())), relabel
-
-
-# --- lazy amplification ---------------------------------------------------
-
-DEFAULT_WINDOW_BUDGET = 10_000
-
-
-class WindowExhausted(RuntimeError):
-    """A query addressed a point outside the enumerated window."""
-
-
-class LazySpace:
-    """Windowed model of the product of a finite base space with the naturals.
-
-    Points are pairs (x, m): base point x and copy index m < depth.  Queries
-    outside the window are hard errors, never silent truncation.
-    """
-
-    def __init__(self, base_size: int, depth: int, budget: int = DEFAULT_WINDOW_BUDGET):
-        if base_size <= 0 or depth <= 0:
-            raise EqrelError("LazySpace needs a nonempty base and positive depth")
-        if base_size * depth > budget:
-            raise WindowExhausted(
-                f"window of {base_size}*{depth} points exceeds budget {budget}"
-            )
-        self.base_size = base_size
-        self.depth = depth
-
-    def check(self, p: tuple[int, int]) -> tuple[int, int]:
-        x, m = p
-        if not (0 <= x < self.base_size):
-            raise EqrelError(f"base point {x} outside base space")
-        if not (0 <= m < self.depth):
-            raise WindowExhausted(
-                f"copy index {m} outside window of depth {self.depth}; increase depth"
-            )
-        return p
-
-    def points(self) -> list[tuple[int, int]]:
-        return [(x, m) for x in range(self.base_size) for m in range(self.depth)]
-
-    def __len__(self) -> int:
-        return self.base_size * self.depth
-
-
-def lazy_amplify(
-    e: FinEqrel, depth: int, budget: int = DEFAULT_WINDOW_BUDGET
-) -> tuple[LazySpace, Callable[[tuple[int, int], tuple[int, int]], bool]]:
-    """Windowed amplification of e: (x, m) ~ (y, k) iff x e y.
-
-    Returns the window and the relation oracle; the oracle raises
-    WindowExhausted on out-of-window queries.
-    """
-    space = LazySpace(e.n, depth, budget)
-
-    def related(p: tuple[int, int], q: tuple[int, int]) -> bool:
-        space.check(p)
-        space.check(q)
-        return e.related(p[0], q[0])
-
-    return space, related

@@ -9,9 +9,15 @@ Inside, every set and map carries a positive int denominator ``den`` and
 stores its endpoints (and a map's offsets) as ints on the grid (1/den)Z:
 [a/den, b/den) is kept as (a, b).  Merges, comparisons, measures and the
 range, overlap and disjointness checks all run on these ints.  ``Fraction``
-appears only at the public boundary -- ``intervals``, ``pieces``,
-``measure`` and ``apply`` build exactly the Fractions the rational form
-has -- and in the raw values the constructors accept.
+appears only at the public boundary -- ``intervals``, ``pieces`` and
+``measure`` build exactly the Fractions the rational form has -- and in the
+raw values the constructors accept.
+
+The tower is built without this algebra, as a slot permutation (see
+`cberlab.tower`).  Sets and maps are its exact boundary form, and
+composition, restriction and agreement are criterion 9's cocycle check.  The
+rest -- union, intersect, apply_set and partial_bijection_between -- is the
+independent oracle that the tests recheck the slot tower against.
 
 A binary operation first rescales both operands to the lcm of their
 denominators.  No grid is fixed per tower: each object's denominator is the
@@ -116,12 +122,6 @@ class _OnGrid:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _index_of(self, x: Fraction) -> int:
-        """Index of the item whose span [a, b) holds x, or -1."""
-        q = x.numerator * self._den // x.denominator  # a <= x < b iff a <= q < b
-        i = bisect.bisect_right(self._items, (q, math.inf)) - 1
-        return i if i >= 0 and q < self._items[i][1] else -1
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -164,9 +164,6 @@ class IntervalSet(_OnGrid):
     def __repr__(self) -> str:
         return f"IntervalSet(intervals={self.intervals!r})"
 
-    def __contains__(self, x) -> bool:
-        return self._index_of(Fraction(x)) >= 0
-
     def __bool__(self) -> bool:
         return bool(self._items)
 
@@ -184,31 +181,6 @@ class IntervalSet(_OnGrid):
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         den, x, y = _common(self, other)
         return IntervalSet._from_ints(den, ((lo, hi) for lo, hi, _, _ in _overlaps(x, y)))
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        den, x, y = _common(self, other)
-        out = []
-        j = 0
-        for a, b in x:
-            while j < len(y) and y[j][1] <= a:
-                j += 1
-            k = j
-            while a < b and k < len(y) and y[k][0] < b:  # y[k] ends after a
-                c, d = y[k]
-                if a < c:
-                    out.append((a, c))
-                a = d
-                k += 1
-            if a < b:
-                out.append((a, b))
-        return IntervalSet._from_ints(den, out)
-
-    def contains_set(self, other: "IntervalSet") -> bool:
-        return not other.difference(self)
-
-
-FULL = IntervalSet([(0, 1)])
-
 
 def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
     """Sorted non-empty pieces; raises IntervalError unless the sources and
@@ -256,16 +228,6 @@ class IntervalMap(_OnGrid):
     def domain(self) -> IntervalSet:
         return IntervalSet._from_ints(self._den, ((a, b) for a, b, _ in self._items))
 
-    def image(self) -> IntervalSet:
-        return IntervalSet._from_ints(self._den, ((a + o, b + o) for a, b, o in self._items))
-
-    def apply(self, x) -> Fraction:
-        x = Fraction(x)
-        i = self._index_of(x)
-        if i < 0:
-            raise IntervalError(f"{x} outside the domain")
-        return x + Fraction(self._items[i][2], self._den)
-
     def _meet(self, s: IntervalSet) -> tuple[int, list]:
         """(lo, hi, offset) for every overlap of s with a piece's source."""
         den, ps, ivs = _common(self, s)
@@ -277,9 +239,6 @@ class IntervalMap(_OnGrid):
         if sum(hi - lo for lo, hi, _ in met) * s._den != s._length() * den:
             raise IntervalError("set is not inside the domain")
         return IntervalSet._from_ints(den, ((lo + o, hi + o) for lo, hi, o in met))
-
-    def inverse(self) -> "IntervalMap":
-        return IntervalMap._from_ints(self._den, ((a + o, b + o, -o) for a, b, o in self._items))
 
     def restrict(self, s: IntervalSet) -> "IntervalMap":
         return IntervalMap._from_ints(*self._meet(s))
@@ -301,10 +260,6 @@ class IntervalMap(_OnGrid):
         return IntervalSet._from_ints(
             den, ((lo, hi) for lo, hi, p, q in _overlaps(x, y) if p[2] == q[2])
         )
-
-
-def identity_map(s: IntervalSet) -> IntervalMap:
-    return IntervalMap._from_ints(s._den, ((a, b, 0) for a, b in s._items))
 
 
 def partial_bijection_between(a: IntervalSet, b: IntervalSet) -> IntervalMap | None:

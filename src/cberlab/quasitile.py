@@ -443,6 +443,8 @@ class HierarchyLevel:
 class TilingHierarchy:
     group: ZdGroup
     levels: list[HierarchyLevel]
+    # (key, lhs, rhs, verdict) for each check build_hierarchy ran
+    ledger: list[tuple[str, int, int | Fraction, bool]] = field(default_factory=list)
 
 
 def build_hierarchy(
@@ -452,7 +454,9 @@ def build_hierarchy(
 
     Level n+1's side is the least multiple of level n's side making level n+1
     (level-n-tile, eps_n)-invariant and eps_{n+1}-deep for the generators.
-    Sizes beyond `cap` raise TileError.
+    Sizes beyond `cap` raise TileError.  For each level above the first, the
+    ledger records the grid tiling (|covered| = |tile|) and the invariance
+    (|A \\ T(A, B)| <= eps|A|, from is_invariant's count).
     """
     if levels < 1:
         raise TileError("need at least one level")
@@ -490,9 +494,18 @@ def build_hierarchy(
                 if not (bc <= tile and not (bc & used)):
                     raise AssertionError("grid tiling broken")
                 used |= bc
-            if len(used) != len(tile):
+            tiled = len(used) == len(tile)
+            out.ledger.append(
+                (f"level {n}: {prev}-boxes tile the {side}-box, |covered| = |tile|",
+                 len(used), len(tile), tiled)
+            )
+            if not tiled:
                 raise AssertionError("grid tiling incomplete")
-            ok, _ = is_invariant(group, tile, group.box(prev), eps_seq[n - 1])
+            ok, t = is_invariant(group, tile, group.box(prev), eps_seq[n - 1])
+            out.ledger.append(
+                (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
+                 len(tile) - t, eps_seq[n - 1] * len(tile), ok)
+            )
             if not ok:
                 raise TileError(f"level {n} fails ({prev}-box, eps) invariance")
         out.levels.append(HierarchyLevel(tile, side, eps_seq[n], centers))

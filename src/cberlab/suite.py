@@ -25,9 +25,11 @@ from .instances import (
 )
 from .links import (
     OuterAction,
+    amplify_relation,
     cancel_equidecomposition,
     hf_link,
     lift_from_link,
+    lift_through_finite_normal,
     link_finite_index,
     verify_link,
 )
@@ -131,7 +133,20 @@ def criterion_4() -> CriterionResult:
             action = lift_from_link(OuterAction(inst.e, cls_gens), link)
             if not _check_action(action, inst.e):
                 return False, f"seed {seed}: lift breaks axioms or class-bijectivity"
-        return True, "500/500 lifts satisfy the action axioms and class-bijectivity"
+        # N = <x -> x xor 1> swaps the classes 2i and 2i+1 pointwise in every
+        # copy and is normal in G = <N, rotation of the classes by 2>;
+        # lift_through_finite_normal asserts that its lift extends N's action.
+        cases = [(n, m) for n in (4, 8) for m in (1, 2, 3)]
+        for n, m in cases:
+            e = amplify_relation(delta(n), m)
+            rot = tuple((i + 2) % n for i in range(n))
+            action = lift_through_finite_normal(e, [[x ^ 1 for x in range(n * m)]], [rot])
+            if not _check_action(action, e):
+                return False, f"n={n}, m={m}: normal lift breaks axioms or class-bijectivity"
+        return True, (
+            f"500/500 lifts from links and {len(cases)}/{len(cases)} lifts through a "
+            "finite normal subgroup satisfy the action axioms and class-bijectivity"
+        )
 
     return _timed(4, "lift axioms from links", run)
 

@@ -5,7 +5,6 @@ from cberlab.choice import (
     cantor_pair,
     choice_sequence,
     choice_sequence_link,
-    emitted_fraction,
     verify_windowed_link,
 )
 
@@ -21,8 +20,8 @@ def test_choice_sequence_stage1():
     assert cs.index == 2
     # f_0 is the identity, f_1 lands in the other class.
     for x in range(4):
-        assert cs.apply(0, x) == x
-        assert not e.related(cs.apply(1, x), x)
+        assert cs.images[0][x] == x
+        assert not e.related(cs.images[1][x], x)
 
 
 def _walk_reference(e, f, i, x):
@@ -46,7 +45,7 @@ def test_choice_sequence_matches_rotation_walk():
     assert cs.index == 3
     for i in range(cs.index):
         for x in range(e.n):
-            assert (cs.exps[i][x], cs.apply(i, x)) == _walk_reference(e, f, i, x)
+            assert (cs.exps[i][x], cs.images[i][x]) == _walk_reference(e, f, i, x)
 
 
 def test_choice_sequence_needs_constant_index():
@@ -78,8 +77,7 @@ def test_index_two_window():
 def test_emitted_classes_disjoint():
     wl = choice_sequence_link(delta(6), full(6), 600)
     support = [p for c in wl.classes for p in c]
-    assert len(support) == len(set(support))
-    assert emitted_fraction(wl) > 0
+    assert support and len(support) == len(set(support))
 
 
 def test_three_class_instance():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +93,44 @@ def test_nonpositive_hierarchy_eps_is_input_error():
     assert main(["hierarchy", "--eps", "0,0", "--levels", "2"]) == 2
 
 
+def test_hierarchy_ledger_is_the_real_check(capsys):
+    """One grid-tiling and one invariance entry per level above the first,
+    each with its counted sides: |covered| against |tile|, and |A \\ T|
+    against eps|A|."""
+    levels = 3
+    code, out = run(capsys, "hierarchy", "--levels", str(levels))
+    rep = json.loads(out)
+    assert code == 0
+    sides = rep["metrics"]["sides"]
+    tiling = [c for c in rep["ledger"] if "|covered| = |tile|" in c["key"]]
+    invariance = [c for c in rep["ledger"] if "invariance" in c["key"]]
+    assert len(tiling) == len(invariance) == levels - 1
+    assert len(rep["ledger"]) == 2 * (levels - 1)
+    assert [(c["lhs"], c["rhs"]) for c in tiling] == [(s, s) for s in sides[1:]]
+    # eps = 1/16, 1/32: the 32-box holds every 1-box translate, and the
+    # 992-box loses the 31 last centers of its 32-box translates.
+    assert [(c["lhs"], c["rhs"]) for c in invariance] == [
+        (0, {"num": 2, "den": 1}),
+        (31, {"num": 31, "den": 1}),
+    ]
+    assert all(c["verdict"] is True for c in rep["ledger"])
+    assert not any(v is True for c in rep["ledger"] for v in (c["lhs"], c["rhs"]))
+
+
+@pytest.mark.parametrize("depth", ["0", "-5"])
+def test_choice_link_depth_below_index_is_input_error(depth):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cberlab.cli", "choice-link", "--seed", "1", "--depth", depth],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: window depth")
+
+
 def test_no_floats_in_reports(capsys):
     code, out = run(capsys, "hierarchy", "--levels", "2")
     assert code == 0
@@ -106,7 +147,7 @@ def test_lift_sim_small(capsys):
 
 def test_extend_and_hf_and_smooth(capsys):
     for argv in (["extend-link", "--seed", "2"], ["hf-link", "--seed", "2"],
-                 ["smooth-link", "--seed", "4"], ["lift", "--seed", "6"],
+                 ["link", "--seed", "4"], ["lift", "--seed", "6"],
                  ["choice-link", "--seed", "1", "--depth", "120"]):
         code, out = run(capsys, *argv)
         assert code == 0, (argv, out)

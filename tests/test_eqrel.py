@@ -5,13 +5,11 @@ import pytest
 from cberlab.eqrel import (
     EqrelError,
     FinEqrel,
-    WindowExhausted,
     build_partition,
     delta,
     from_pairs,
     full,
     join,
-    lazy_amplify,
     restrict_relabel,
 )
 from cberlab.instances import all_partitions
@@ -30,19 +28,6 @@ def test_validation_errors():
         build_partition(3, [[0, 1], [1, 2]])  # overlap
     with pytest.raises(EqrelError):
         build_partition(3, [[0, 1], [2, 3]])  # out of range
-
-
-def test_saturate_hull_restrict():
-    e = build_partition(6, [[0, 1], [2, 3], [4, 5]])
-    assert e.saturate([0, 2]) == frozenset({0, 1, 2, 3})
-    assert e.hull([0, 1, 2]) == frozenset({0, 1})
-    r = e.restrict([0, 2, 3])
-    assert r[2] == (2, 3) and r[0] == (0,)
-
-
-def test_transversal_is_min_elements():
-    e = build_partition(5, [[4, 2], [0, 1, 3]])
-    assert e.transversal() == (0, 2)
 
 
 def test_join_and_from_pairs():
@@ -88,17 +73,6 @@ def test_join_random_agrees_with_pair_closure():
         pairs_b = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
         a, b = from_pairs(n, pairs_a), from_pairs(n, pairs_b)
         assert join(a, b) == from_pairs(n, pairs_a + pairs_b)
-
-
-def test_lazy_amplify_window_discipline():
-    e = build_partition(3, [[0, 1], [2]])
-    space, related = lazy_amplify(e, depth=10)
-    assert related((0, 0), (1, 9))
-    assert not related((0, 3), (2, 3))
-    with pytest.raises(WindowExhausted):
-        related((0, 0), (1, 10))
-    with pytest.raises(WindowExhausted):
-        lazy_amplify(full(200), depth=200)  # 40k > default budget
 
 
 def test_eqrel_is_hashable_value_type():
