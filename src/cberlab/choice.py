@@ -123,13 +123,10 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
         phi.append(table)
 
     classes: list[tuple[Point, ...]] = []
-    truncated = 0
     for x in range(e.n):
         for m in range(depth_q):
             qs = [table.get((x, m)) for table in phi]
-            if None in qs:
-                truncated += 1
-            else:
+            if None not in qs:
                 members = ((y, mq * n + i) for i, (y, mq) in enumerate(qs))
                 classes.append(tuple(sorted(members)))
 
@@ -147,7 +144,6 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
         set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
         for c in classes
     )
-    wl.flags["fully_enumerated"] = truncated == 0
     return wl
 
 
@@ -170,7 +166,7 @@ class IncidenceReport:
         return "incidence violated"
 
 
-def verify_windowed_link(wl: WindowedLink, depth: int | None = None) -> IncidenceReport:
+def verify_windowed_link(wl: WindowedLink) -> IncidenceReport:
     """Check all-ones incidence on the emitted classes.
 
     Each emitted class must pick exactly one point from each amplified E-class
@@ -178,7 +174,6 @@ def verify_windowed_link(wl: WindowedLink, depth: int | None = None) -> Incidenc
     reported as consistent (not refuted) for truncated window points.
     """
     e, f = wl.e, wl.f
-    depth = wl.depth if depth is None else depth
     all_ones = True
     blocks = _f_block_eclasses(e, f)
     for c in wl.classes:
@@ -187,14 +182,14 @@ def verify_windowed_link(wl: WindowedLink, depth: int | None = None) -> Incidenc
         if sorted(hits) != block:
             all_ones = False
             break
-        if any(p[1] >= depth or p[1] < 0 for p in c):
+        if any(p[1] >= wl.depth or p[1] < 0 for p in c):
             all_ones = False
             break
         if len({f.class_index(p[0]) for p in c}) != 1:
             all_ones = False
             break
     support = wl.support
-    window_total = e.n * depth
+    window_total = e.n * wl.depth
     truncated = window_total - len(support)
     return IncidenceReport(
         verified_classes=len(wl.classes),

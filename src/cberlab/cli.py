@@ -21,6 +21,7 @@ from .intervals import IntervalError
 from .links import (
     LinkError,
     OuterAction,
+    class_perm_of,
     equidecompose,
     extend_link,
     hf_link,
@@ -121,10 +122,7 @@ def cmd_hf_link(args) -> int:
 def cmd_lift(args) -> int:
     inst, _ = _read_instance(args)
     link = link_finite_index(inst.e, inst.f, inst.witness)
-    cls_gens = tuple(
-        tuple(inst.e.class_index(g[c[0]]) for c in inst.e.classes)
-        for g in inst.witness
-    )
+    cls_gens = tuple(class_perm_of(inst.e, g) for g in inst.witness)
     action = lift_from_link(OuterAction(inst.e, cls_gens), link)
     orbits = orbit_eqrel(action)
     inside = orbits.refines(inst.f)

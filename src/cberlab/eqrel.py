@@ -10,6 +10,10 @@ class EqrelError(ValueError):
     """Raised when partition data or a relation precondition is invalid."""
 
 
+class CheckFailed(AssertionError):
+    """Raised when a verified property fails (exit 1, even under python -O)."""
+
+
 def _canon(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     out = [tuple(sorted(set(c))) for c in classes]
     out = [c for c in out if c]
@@ -123,15 +127,3 @@ def join(e: FinEqrel, f: FinEqrel) -> FinEqrel:
     # each class is connected by the pairs from its first point to the others
     return from_pairs(e.n, ((c[0], x) for r in (e, f) for c in r.classes for x in c[1:]))
 
-
-def restrict_relabel(e: FinEqrel, points: Sequence[int]) -> tuple[FinEqrel, dict[int, int]]:
-    """Restriction of e to `points`, relabelled to {0..len-1}.
-
-    Returns the restricted relation and the map old point -> new label.
-    """
-    pts = sorted(set(points))
-    relabel = {p: i for i, p in enumerate(pts)}
-    classes: dict[int, list[int]] = {}
-    for p in pts:
-        classes.setdefault(e.class_index(p), []).append(relabel[p])
-    return FinEqrel(len(pts), tuple(tuple(c) for c in classes.values())), relabel

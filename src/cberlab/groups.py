@@ -41,11 +41,11 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def shortlex_closure(gens: Sequence[Perm], cap: int = CLOSURE_CAP) -> list[Perm]:
+def shortlex_closure(gens: Sequence[Perm]) -> list[Perm]:
     """Group elements generated by gens, in shortlex word order (first occurrence).
 
     Deterministic: breadth-first over words gens[0], gens[1], ... applied on the
-    right.  Raises if the closure exceeds the cap.
+    right.  Raises GroupError as soon as the closure exceeds CLOSURE_CAP.
     """
     if not gens:
         raise GroupError("need at least one generator (use the identity)")
@@ -62,8 +62,8 @@ def shortlex_closure(gens: Sequence[Perm], cap: int = CLOSURE_CAP) -> list[Perm]
                     seen.add(e)
                     out.append(e)
                     nxt.append(e)
-                    if len(out) > cap:
-                        raise GroupError(f"generated group exceeds cap {cap}")
+                    if len(out) > CLOSURE_CAP:
+                        raise GroupError(f"generated group exceeds cap {CLOSURE_CAP}")
         frontier = nxt
     return out
 
@@ -93,9 +93,9 @@ class FinGroup:
         return self.index[compose(self.elems[a], self.elems[b])]
 
     @staticmethod
-    def generated(gens: Sequence[Perm], cap: int = CLOSURE_CAP) -> "FinGroup":
+    def generated(gens: Sequence[Perm]) -> "FinGroup":
         """Group of permutations generated by gens."""
-        elems = tuple(shortlex_closure(gens, cap))
+        elems = tuple(shortlex_closure(gens))
         index = {p: i for i, p in enumerate(elems)}
         return FinGroup(elems, tuple(index[tuple(g)] for g in gens), index)
 

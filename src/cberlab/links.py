@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .eqrel import FinEqrel, from_pairs, join, restrict_relabel
+from .eqrel import CheckFailed, FinEqrel, from_pairs, join
 from .groups import (
     FinGroup,
     GroupAction,
@@ -60,7 +60,8 @@ def verify_link(
 
 @dataclass(frozen=True)
 class Link:
-    """A verified (E, F)-link; the constructor runs verify_link."""
+    """A verified (E, F)-link; the constructor runs verify_link and raises
+    CheckFailed if it fails, since only the constructions here build links."""
 
     e: FinEqrel
     f: FinEqrel
@@ -69,7 +70,7 @@ class Link:
     def __post_init__(self) -> None:
         ok, bad = verify_link(self.e, self.f, self.l)
         if not ok:
-            raise LinkError(f"incidence condition fails: {bad}")
+            raise CheckFailed(f"incidence condition fails: {bad}")
 
 
 def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -> list[Perm]:
@@ -80,6 +81,22 @@ def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -
     if join(e, orbit_eqrel_of_perms(e.n, perms)) != f:
         raise LinkError("witness does not generate F over E")
     return perms
+
+
+def _rows(l_classes: Iterable[Sequence[int]], f: FinEqrel, f_prime: FinEqrel) -> FinEqrel:
+    """The one row rule that builds every link here: inside each F′-class,
+    the r-th class of l (by least element) of every F-class is row r.
+
+    l_classes partition the points, refine F and come by least element.
+    """
+    f_of, fp_of = f.class_index, f_prime.class_index
+    rank = [0] * len(f.classes)
+    rows: dict[tuple[int, int], list[int]] = {}
+    for c in l_classes:
+        fi = f_of(c[0])
+        rows.setdefault((fp_of(c[0]), rank[fi]), []).extend(c)
+        rank[fi] += 1
+    return FinEqrel(f.n, tuple(rows.values()))
 
 
 def link_finite_index(
@@ -97,15 +114,13 @@ def link_finite_index(
     The (min, size, lex) greedy over those transversals then takes the
     rank-0 transversal of each F-class, then rank 1, and so on; its domain is
     every point, so its hull is the whole space and nothing is routed.
+    That is `_rows` of the singletons over E ⊆ F: the r-th singleton of an
+    E-class is its r-th point.
     """
     if not e.refines(f):
         raise LinkError("E is not a subrelation of F")
     _validate_witness(e, f, gens)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for c in e.classes:
-        for rank, x in enumerate(c):
-            groups.setdefault((f.class_index(x), rank), []).append(x)
-    return Link(e, f, FinEqrel(e.n, tuple(groups.values())))
+    return Link(e, f, _rows([(x,) for x in range(e.n)], e, f))
 
 
 # --- link extension along a chain -----------------------------------------
@@ -121,7 +136,7 @@ def extend_link(
     """Extend an (E, F)-link to an (E, F′)-link containing it.
 
     Inside each F′-class, the r-th L-class (by least element) of every F-class
-    goes into row r, and each row is one class of the new link.  This is the
+    goes into row r (`_rows`), and each row is one class of the new link.  This is the
     whole of the paper's split-and-glue induction here: the witness check
     forces all E-classes in an F′-class to one size m (the generators are
     E-automorphisms and F′ is E joined with their orbits), and an (E, F)-link
@@ -134,15 +149,9 @@ def extend_link(
     if not f.refines(f_prime):
         raise LinkError("F is not a subrelation of F'")
     _validate_witness(e, f_prime, gens)
-    rank: Counter[int] = Counter()
-    rows: dict[tuple[int, int], list[int]] = {}
-    for c in link.l.classes:  # ordered by least element
-        fi = f.class_index(c[0])
-        rows.setdefault((f_prime.class_index(c[0]), rank[fi]), []).extend(c)
-        rank[fi] += 1
-    out = Link(e, f_prime, FinEqrel(e.n, tuple(rows.values())))
+    out = Link(e, f_prime, _rows(link.l.classes, f, f_prime))
     if not link.l.refines(out.l):
-        raise AssertionError("extension lost the input link")  # pragma: no cover
+        raise CheckFailed("extension lost the input link")  # pragma: no cover
     return out
 
 
@@ -171,15 +180,19 @@ def hf_link(
 
 @dataclass(frozen=True)
 class OuterAction:
-    """Class-level action data: one permutation of E-classes per generator."""
+    """Class-level action data: one permutation of E-classes per generator.
+    A move onto a class of another size has no lift and raises LinkError."""
 
     e: FinEqrel
     gens: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.e.classes)
+        cls = self.e.classes
         for g in self.gens:
-            perm_of(g, k)
+            perm_of(g, len(cls))
+            for i, j in enumerate(g):
+                if len(cls[i]) != len(cls[j]):
+                    raise LinkError(f"class map {g} moves class {i} onto a class of another size")
 
     def coarsening(self) -> FinEqrel:
         """E joined with the class moves of the generated group: E^{∨G}."""
@@ -199,7 +212,8 @@ def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
     unique, hence g·(h·x) and (gh)·x are both the point of [x]_L in the
     class gh·[x]_E; GroupAction rechecks the axioms on the Cayley edges.  By
     construction g·x lies in g·[x]_E, and g·x = x when g fixes [x]_E, so
-    the lift induces the class data and is class-bijective.
+    the lift induces the class data and is class-bijective.  It costs |G|·n
+    lookups: that is the size of its output, one image per element and point.
     """
     e = outer.e
     if link.e != e:
@@ -307,7 +321,8 @@ def amplify_relation(e: FinEqrel, copies: int) -> FinEqrel:
 # --- lifting through a finite normal subgroup ------------------------------
 
 
-def _class_perm_of(e: FinEqrel, p: Perm) -> Perm:
+def class_perm_of(e: FinEqrel, p: Perm) -> Perm:
+    """The permutation of E-classes induced by an E-automorphism p."""
     return tuple(e.class_index(p[c[0]]) for c in e.classes)
 
 
@@ -320,10 +335,16 @@ def lift_through_finite_normal(
 
     n_gens generate a class-bijective action of N on points; outer_gens are
     E-class permutations for the remaining generators of G.  G is realized as
-    the generated group of class permutations (class-bijective actions are
-    determined by their class data), with N required normal.  The lift builds
-    the orbit link L of N, a quotient link L' over a transversal of L, and
-    lifts through the join of the two.
+    the generated group of class permutations, with N required normal.  The
+    orbit relation L of N is an (E, F)-link for F = E ∨ L, and the lift goes
+    through `_rows(L, F, F′)`, a link of E ⊆ F′ = E^{∨G}.
+
+    A quotient link over a transversal of L collapses to this: the rank link
+    of F ⊆ F′ restricted to S, the N-orbit minima relabelled in order, puts
+    the r-th point of S in each F-class, the minimum of its r-th N-orbit,
+    into row r, and joined with L that is `_rows(L, F, F′)`.  N's class maps
+    need no count against its elements: if p, q ∈ N induce one class map,
+    q⁻¹p fixes every class, so by the pointwise check it is the identity.
     """
     n_perms = [perm_of(p, e.n) for p in n_gens]
     for p in n_perms:
@@ -340,11 +361,9 @@ def lift_through_finite_normal(
     Link(e, f, l_rel)
 
     k = len(e.classes)
-    n_cls = [_class_perm_of(e, p) for p in n_elems]
+    n_cls = [class_perm_of(e, p) for p in n_elems]
     all_cls_gens = [perm_of(g, k) for g in outer_gens] + n_cls
     n_cls_set = set(n_cls)
-    if len(n_cls_set) != len(n_elems):
-        raise LinkError("N-action class data collapses; not class-bijective")
     # Generators suffice: the g with gNg⁻¹ ⊆ N are closed under products, and
     # in a finite group the products of the generators are all of G.
     for g in all_cls_gens:
@@ -354,43 +373,9 @@ def lift_through_finite_normal(
 
     outer = OuterAction(e, tuple(all_cls_gens))
     f_prime = outer.coarsening()
-
-    # Quotient pair over a transversal of L.
-    s = [min(c) for c in l_rel.classes]
-    f_s, relabel = restrict_relabel(f, s)
-    fp_s, _ = restrict_relabel(f_prime, s)
-    back = {v: p for p, v in relabel.items()}
-    # Witnesses on the quotient: block maps induced by the class generators.
-    wit: list[Perm] = []
-    for g in all_cls_gens:
-        img = [0] * len(s)
-        moved: dict[int, list[int]] = {}
-        for p in s:
-            tgt_cls = g[e.class_index(p)]
-            tgt_f = f.class_index(e.classes[tgt_cls][0])
-            moved.setdefault(tgt_f, []).append(p)
-        for tgt_f, srcs in moved.items():
-            dsts = sorted(p for p in s if f.class_index(p) == tgt_f)
-            if len(srcs) != len(dsts):
-                raise AssertionError(
-                    "cancellation-count mismatch on the quotient transversal"
-                )
-            for p, q in zip(sorted(srcs), dsts):
-                img[relabel[p]] = relabel[q]
-        wit.append(perm_of(img, len(s)))
-    if f_s == fp_s:
-        l_prime_pairs: list[tuple[int, int]] = []
-    else:
-        lq = link_finite_index(f_s, fp_s, wit)
-        l_prime_pairs = [
-            (back[a], back[b]) for c in lq.l.classes for a, b in zip(c, c[1:])
-        ]
-    l_star = join(l_rel, from_pairs(e.n, l_prime_pairs))
-    link_star = Link(e, f_prime, l_star)
-
-    action = lift_from_link(outer, link_star)
+    action = lift_from_link(outer, Link(e, f_prime, _rows(l_rel.classes, f, f_prime)))
     # The lift must extend the supplied N-action.
     for p_pt, p_cls in zip(n_elems, n_cls):
         if action.act[action.group.index[p_cls]] != p_pt:
-            raise AssertionError("lift does not extend the normal-subgroup action")
+            raise CheckFailed("lift does not extend the normal-subgroup action")
     return action

@@ -448,14 +448,15 @@ class TilingHierarchy:
 
 
 def build_hierarchy(
-    group: ZdGroup, eps_seq: Sequence[Fraction], levels: int, cap: int = FOLNER_CAP
+    group: ZdGroup, eps_seq: Sequence[Fraction], levels: int
 ) -> TilingHierarchy:
     """Nested exact box tilings of Z^d: one tile per level.
 
     Level n+1's side is the least multiple of level n's side making level n+1
     (level-n-tile, eps_n)-invariant and eps_{n+1}-deep for the generators.
-    Sizes beyond `cap` raise TileError.  For each level above the first, the
-    ledger records the grid tiling (|covered| = |tile|) and the invariance
+    A tile beyond FOLNER_CAP points raises TileError as soon as the side
+    search passes it.  For each level above the first, the ledger records
+    the grid tiling (|covered| = |tile|) and the invariance
     (|A \\ T(A, B)| <= eps|A|, from is_invariant's count).
     """
     if levels < 1:
@@ -466,17 +467,16 @@ def build_hierarchy(
     sides = [1]
     for n in range(1, levels):
         prev = sides[-1]
-        lo = prev
+        # generator depth 1/lo <= eps_n: start at the least such multiple.
         # invariance: the lo-box has (lo - prev + 1)^d points c whose
         # prev-box translate stays inside, so |A \ T(A, B)| <= eps_{n-1} |A|
-        # reads lo^d - (lo - prev + 1)^d <= eps_{n-1} lo^d; generator depth:
-        # 1/lo <= eps_n
-        while lo**d - (lo - prev + 1) ** d > eps_seq[n - 1] * lo**d or 1 > eps_seq[n] * lo:
+        # reads lo^d - (lo - prev + 1)^d <= eps_{n-1} lo^d.  Both fail on an
+        # initial run of multiples only, so the least side is found upwards.
+        lo = prev * max(1, math.ceil(1 / (eps_seq[n] * prev)))
+        while lo**d <= FOLNER_CAP and lo**d - (lo - prev + 1) ** d > eps_seq[n - 1] * lo**d:
             lo += prev
-        if lo**d > cap:
-            raise TileError(
-                f"level {n} needs side {lo} (|tile| = {lo**d} > cap {cap})"
-            )
+        if lo**d > FOLNER_CAP:
+            raise TileError(f"level {n} needs side >= {lo} (|tile| = {lo**d} > cap {FOLNER_CAP})")
         sides.append(lo)
     out = TilingHierarchy(group, [])
     for n, side in enumerate(sides):

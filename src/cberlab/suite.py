@@ -27,6 +27,7 @@ from .links import (
     OuterAction,
     amplify_relation,
     cancel_equidecomposition,
+    class_perm_of,
     hf_link,
     lift_from_link,
     lift_through_finite_normal,
@@ -126,10 +127,7 @@ def criterion_4() -> CriterionResult:
         for seed in range(500):
             inst = gen_instance(seed, max_size=10, max_index=3)
             link = link_finite_index(inst.e, inst.f, inst.witness)
-            cls_gens = tuple(
-                tuple(inst.e.class_index(g[c[0]]) for c in inst.e.classes)
-                for g in inst.witness
-            )
+            cls_gens = tuple(class_perm_of(inst.e, g) for g in inst.witness)
             action = lift_from_link(OuterAction(inst.e, cls_gens), link)
             if not _check_action(action, inst.e):
                 return False, f"seed {seed}: lift breaks axioms or class-bijectivity"

@@ -52,6 +52,22 @@ def test_link_and_lift_on_a_wide_class(tmp_path, capsys):
         assert all(p[x] % 3 == x % 3 for p in rep["metrics"]["action"] for x in range(n))
 
 
+def test_lift_beyond_closure_cap_is_input_error(tmp_path, capsys):
+    """(0 1) and an 8-cycle generate S_8: 40,320 elements exceed CLOSURE_CAP,
+    so the lift is rejected before it is materialised."""
+    path = tmp_path / "s8.json"
+    path.write_text(json.dumps({
+        "n": 8,
+        "E": [[x] for x in range(8)],
+        "F": [list(range(8))],
+        "witness": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]],
+    }))
+    assert main(["lift", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: generated group exceeds cap 10000\n"
+
+
 def test_verify_link_pass_and_fail(tmp_path, capsys):
     inst = gen_instance(3)
     raw = json.loads(inst.to_json())

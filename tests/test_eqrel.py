@@ -10,7 +10,6 @@ from cberlab.eqrel import (
     from_pairs,
     full,
     join,
-    restrict_relabel,
 )
 from cberlab.instances import all_partitions
 
@@ -55,14 +54,6 @@ def test_refines_and_index():
     assert delta(4).refines(e) and e.refines(f)
     assert not f.refines(e)
     assert e.index_in(f) == {(0, 1, 2, 3): 2}
-
-
-def test_restrict_relabel_roundtrip():
-    e = build_partition(6, [[0, 1], [2, 3], [4, 5]])
-    sub, relabel = restrict_relabel(e, [0, 2, 3, 5])
-    assert sub.n == 4
-    assert sub.related(relabel[2], relabel[3])
-    assert not sub.related(relabel[0], relabel[5])
 
 
 def test_join_random_agrees_with_pair_closure():

@@ -1,8 +1,14 @@
+import hashlib
+import os
 import random
+from collections import Counter
+import subprocess
+import sys
 
 import pytest
 
-from cberlab.eqrel import build_partition, delta, full
+from cberlab.eqrel import CheckFailed, build_partition, delta, full
+from cberlab.groups import GroupError
 from cberlab.instances import all_partitions, enumerate_links, gen_chain, gen_instance
 from cberlab.links import (
     Link,
@@ -68,8 +74,27 @@ def test_verify_link_containment_error():
 
 def test_link_constructor_rejects_non_link():
     e = build_partition(4, [[0, 1], [2, 3]])
-    with pytest.raises(LinkError):
+    with pytest.raises(CheckFailed):
         Link(e, full(4), build_partition(4, [[0, 1], [2, 3]]))
+
+
+def test_link_check_survives_python_O():
+    """A failed incidence check raises CheckFailed, an AssertionError the
+    CLI maps to exit 1, even when `python -O` strips `assert` statements."""
+    code = (
+        "from cberlab.eqrel import build_partition, full\n"
+        "from cberlab.links import Link\n"
+        "e = build_partition(4, [[0, 1], [2, 3]])\n"
+        "Link(e, full(4), e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith(
+        "cberlab.eqrel.CheckFailed: incidence condition fails"
+    )
 
 
 def test_link_finite_index_delta_pair():
@@ -180,6 +205,90 @@ def test_lift_through_finite_normal_rejects_non_normal():
         lift_through_finite_normal(e, [[1, 0, 2]], [(1, 2, 0)])
 
 
+def test_outer_action_rejects_a_move_between_sizes():
+    # Class 0 has one point and class 1 two: no lift can swap them.
+    e = build_partition(3, [[0], [1, 2]])
+    with pytest.raises(LinkError, match="size"):
+        OuterAction(e, ((1, 0),))
+    with pytest.raises(LinkError, match="size"):
+        lift_through_finite_normal(e, [[0, 1, 2]], [(1, 0)])
+
+
+def _cycles(sigma):
+    seen, out = set(), []
+    for i in range(len(sigma)):
+        if i not in seen:
+            cyc = [i]
+            seen.add(i)
+            while sigma[cyc[-1]] not in seen:
+                cyc.append(sigma[cyc[-1]])
+                seen.add(cyc[-1])
+            out.append(cyc)
+    return out
+
+
+def _class_bijective_perm(rng, e, sigma):
+    """A point permutation over the class permutation sigma whose power of
+    each cycle's length is the identity on that cycle's classes, so the
+    group it generates is class-bijective."""
+    p = [0] * e.n
+    for cyc in _cycles(sigma):
+        cs = [list(e.classes[i]) for i in cyc]
+        for a, b in zip(cs, cs[1:]):
+            for x, y in zip(a, rng.sample(b, len(b))):
+                p[x] = y
+        for x in cs[0]:
+            y = x
+            for _ in cs[1:]:
+                y = p[y]
+            p[y] = x
+    return p
+
+
+def _normal_lift_case(rng):
+    """Uniform E-class size 1-3, up to 5 classes; N from one or two
+    class-bijective generators; 0-2 outer class maps, each a power of N's
+    class map (so N stays normal) or a random permutation."""
+    m, k = rng.randint(1, 3), rng.randint(1, 5)
+    pts = list(range(m * k))
+    rng.shuffle(pts)
+    e = build_partition(m * k, [pts[i * m:(i + 1) * m] for i in range(k)])
+    sigma = rng.sample(range(k), k)
+    n_gens = [_class_bijective_perm(rng, e, sigma)]
+    if rng.random() < 0.3:
+        n_gens.append(_class_bijective_perm(rng, e, rng.sample(range(k), k)))
+    outer = []
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            g = list(range(k))
+            for _ in range(rng.randrange(k)):
+                g = [sigma[i] for i in g]
+            outer.append(tuple(g))
+        else:
+            outer.append(tuple(rng.sample(range(k), k)))
+    return e, n_gens, outer
+
+
+def test_lift_through_finite_normal_frozen():
+    """500 seeded inputs: each lift (group elements and action) or the type
+    of its input error, hashed.  The digest was recorded when the lift went
+    through a quotient link over a transversal of the N-orbits; the row rule
+    must give the same lifts and reject the same inputs."""
+    rng = random.Random(12)
+    outcomes = []
+    for _ in range(500):
+        e, n_gens, outer = _normal_lift_case(rng)
+        try:
+            action = lift_through_finite_normal(e, n_gens, outer)
+            outcomes.append((action.group.elems, action.act))
+        except (LinkError, GroupError) as exc:
+            outcomes.append(type(exc).__name__)
+    counts = Counter(o if isinstance(o, str) else "lift" for o in outcomes)
+    assert counts == {"lift": 390, "LinkError": 107, "GroupError": 3}
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "629aeb88741cdcc7fe47a6d6b02055487a2a2d764294a3ba7014df36bc6341bc"
+
+
 def test_equidecompose_witness_and_impossible():
     e = build_partition(6, [[0, 1, 2], [3, 4, 5]])
     wit = equidecompose(e, [0, 3], [2, 4])
@@ -211,3 +320,4 @@ def test_constructed_link_among_enumerated():
         inst = gen_instance(seed, max_size=8, max_index=3)
         link = link_finite_index(inst.e, inst.f, inst.witness)
         assert link.l in enumerate_links(inst.e, inst.f)
+        assert link.l == _zip_by_least(inst.e, inst.f, delta(inst.e.n))

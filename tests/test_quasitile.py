@@ -114,6 +114,10 @@ def test_hierarchy_sides_and_cap():
              Fraction(1, 128), Fraction(1, 256)],
             5,
         )
+    # The side search starts at the depth bound, so a tiny eps is rejected
+    # at once rather than after one step per side.
+    with pytest.raises(TileError, match="side >= 1000000000 "):
+        build_hierarchy(ZdGroup(1), [Fraction(1, 2), Fraction(1, 10**9)], 2)
 
 
 def _least_side(g, prev, eps_inv, eps_depth):
