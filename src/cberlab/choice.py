@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .eqrel import EqrelError, FinEqrel
+from .eqrel import CheckFailed, EqrelError, FinEqrel
 
 Point = tuple[int, int]  # (base point, copy index)
 
@@ -134,12 +134,12 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     for c in classes:
         for p in c:
             if p in seen:  # pragma: no cover - injectivity guarantees this
-                raise AssertionError(f"emitted classes collide at {p}")
+                raise CheckFailed(f"emitted classes collide at {p}")
             seen.add(p)
 
     blocks = _f_block_eclasses(e, f)
     wl = WindowedLink(e, f, depth, classes)
-    wl.flags["maps_injective"] = True
+    wl.flags["maps_injective"] = len(seen) == sum(map(len, classes))
     wl.flags["complete_section"] = all(
         set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
         for c in classes

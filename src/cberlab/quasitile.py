@@ -3,9 +3,19 @@
 All arithmetic is exact: ratios are fractions, and comparisons against
 fractional powers (1-eps)^(a/q) are decided by cross-raising to integer
 powers.  Shapes and windows are finite subsets of Z^d or Z/n.  Both share
-one bitset path: `_bits` picks the encoding (a linear shift in Z^d, a rotation
-in Z/n), and t_set, is_invariant and greedy_disjoint_translates run on int
-masks alone.  check_tiling is the independent set-based recheck.
+one bitset path: `_bits` picks the encoding (a linear shift in a Z^d box, a
+rotation in Z/n), and the kernels run on int masks as whole-mask algebra:
+
+- T(A, B) = {c in A : B + c <= A} is the erosion A & AND_{v in B} (A - v),
+  and |BA| is the popcount of the dilation OR_{v in B} (A + v): |B| shifts
+  each.  Both are exact because the Z^d box holds A + B (no c + v with c in
+  A leaves it or aliases) and Z/n rotates (-v is the rotation by n - v).
+- is_invariant reads |T| and |BA| as popcounts.
+- greedy_disjoint_translates walks the set bits of T in ascending order.
+  Bit order is the canonical order: row-major positions order a Z^d box
+  lexicographically, and Z/n positions are its integers.
+
+check_tiling is the independent set-based recheck.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .eqrel import CheckFailed
+
 
 class TileError(ValueError):
     """Raised when tiling inputs or preconditions are invalid."""
@@ -25,7 +37,9 @@ class TileError(ValueError):
 
 
 class MarkedGroup:
-    """A group with explicit element encoding and a canonical total order."""
+    """A group with explicit element encoding.  Its canonical total order is
+    the natural order of its elements (tuples in Z^d, integers in Z/n), which
+    is the bit order of its encoding."""
 
     def op(self, a, b):
         raise NotImplementedError
@@ -36,9 +50,6 @@ class MarkedGroup:
     @property
     def identity(self):
         raise NotImplementedError
-
-    def sort_key(self, a):
-        return a
 
 
 class ZdGroup(MarkedGroup):
@@ -86,21 +97,31 @@ class CyclicGroup(MarkedGroup):
 
 
 # --- bitset encodings -------------------------------------------------------
+#
+# Each encoding maps the group elements it needs to bit positions so that
+# pos(c + v) = pos(c) + raw(v) (mod n in Z/n): a translate is one shift of a
+# whole mask.
 
 
 class _ZdBits:
-    """Subsets of Z^d as integer bitmasks under a linear position encoding,
-    so a translate is a single shift and set algebra is int arithmetic.  The
-    encoding box holds A, B and A + B, so every mask and translate is exact."""
+    """Subsets of Z^d as integer bitmasks under a row-major position encoding
+    of a box, so a translate is a single shift and set algebra is int
+    arithmetic.  The box holds A, B and A + B, and raw is injective on it, so
+    every mask and every translate of a point of A by B is exact.  Position p
+    is the mixed-radix number whose digits are the coordinates minus the
+    box's corner; `zero` is the position of the origin, which need not lie
+    in the box.  Digit order is coordinate order, so bit order is the
+    lexicographic order of the points of the box."""
 
     def __init__(self, group: ZdGroup, a: frozenset, b: frozenset):
         ext = [(min(xs), max(xs), min(ys), max(ys)) for xs, ys in zip(zip(*a), zip(*b), strict=True)]
-        los = [min(alo, blo, alo + blo) for alo, _, blo, _ in ext]
+        self.los = [min(alo, blo, alo + blo) for alo, _, blo, _ in ext]
         his = [max(ahi, bhi, ahi + bhi) for _, ahi, _, bhi in ext]
         self.strides = [1] * group.d
         for j in range(group.d - 2, -1, -1):
-            self.strides[j] = self.strides[j + 1] * (his[j + 1] - los[j + 1] + 1)
-        self.zero = -sum(lo * s for lo, s in zip(los, self.strides))
+            self.strides[j] = self.strides[j + 1] * (his[j + 1] - self.los[j + 1] + 1)
+        self.zero = -sum(lo * s for lo, s in zip(self.los, self.strides))
+        self.size = (his[0] - self.los[0] + 1) * self.strides[0]
 
     def raw(self, v) -> int:
         return sum(x * s for x, s in zip(v, self.strides))
@@ -111,28 +132,47 @@ class _ZdBits:
             m |= 1 << (self.raw(v) + self.zero)
         return m
 
-    def shifted(self, base_mask: int, c) -> int:
-        r = self.raw(c)
+    def shifted(self, base_mask: int, r: int) -> int:
+        """The mask translated by the element of raw offset r."""
         return base_mask << r if r >= 0 else base_mask >> -r
+
+    def element(self, p: int) -> tuple:
+        """The point at position p, by mixed-radix divmod."""
+        out = []
+        for lo, s in zip(self.los, self.strides):
+            x, p = divmod(p, s)
+            out.append(x + lo)
+        return tuple(out)
 
 
 class _CyclicBits:
-    """Subsets of Z/n as n-bit masks over 0..n-1; a translate is a rotation."""
+    """Subsets of Z/n as n-bit masks over 0..n-1; a translate is a rotation,
+    and bit order is the integer order of Z/n."""
+
+    zero = 0
 
     def __init__(self, group: CyclicGroup):
-        self.n = group.n
+        self.n = self.size = group.n
         self.full = (1 << group.n) - 1
+
+    def raw(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise TileError(f"{v!r} is not an element 0..{self.n - 1} of Z/{self.n}")
+        return v
 
     def mask(self, s: Iterable) -> int:
         m = 0
         for v in s:
-            if not 0 <= v < self.n:
-                raise TileError(f"{v!r} is not an element 0..{self.n - 1} of Z/{self.n}")
-            m |= 1 << v
+            m |= 1 << self.raw(v)
         return m
 
-    def shifted(self, base_mask: int, c: int) -> int:
-        return ((base_mask << c) | (base_mask >> (self.n - c))) & self.full
+    def shifted(self, base_mask: int, r: int) -> int:
+        """The mask rotated by r; -v is the rotation by n - v."""
+        r %= self.n
+        return ((base_mask << r) | (base_mask >> (self.n - r))) & self.full
+
+    def element(self, p: int) -> int:
+        return p
 
 
 def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
@@ -144,6 +184,12 @@ def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
     raise TileError(f"no bitset encoding for {type(group).__name__}")
 
 
+def _set_bits(m: int) -> list[int]:
+    """Positions of the set bits of m, ascending."""
+    s = bin(m)[:1:-1]
+    return [i for i, ch in enumerate(s) if ch == "1"]
+
+
 # --- invariance -------------------------------------------------------------
 
 
@@ -151,31 +197,38 @@ def translate(group: MarkedGroup, b: frozenset, c) -> frozenset:
     return frozenset(group.op(v, c) for v in b)
 
 
-def t_set(group: MarkedGroup, a: frozenset, b: frozenset) -> frozenset:
-    """Centers whose whole B-translate stays inside A."""
-    bits = _bits(group, a, b)
-    ma, mb = bits.mask(a), bits.mask(b)
-    return frozenset(c for c in a if (s := bits.shifted(mb, c)) & ma == s)
+def _erode(bits, ma: int, offs: Sequence[int]) -> int:
+    """T(A, B) = {c in A : B + c <= A} as a mask, by the erosion identity
+    A (-) B = A & AND_{v in B} (A - v): |B| whole-window shifts.  Bit c of
+    the shift of A by -v is bit c + v of A, and c + v is exact for c in A,
+    since the Z^d box holds A + B and Z/n rotates."""
+    t = ma
+    for r in offs:
+        t &= bits.shifted(ma, -r)
+    return t
 
 
 def is_invariant(
     group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction
 ) -> tuple[bool, int]:
-    """(B, eps)-invariance of A: |A \\ T(A,B)| <= eps|A|.
+    """(B, eps)-invariance of A: |A \\ T(A,B)| <= eps|A|, with |T| the
+    popcount of the erosion mask.
 
     When invariant, the growth consequence |BA| <= (1 + eps|B|)|A| is checked
-    as a sanity check of the combinatorics.
+    as a sanity check of the combinatorics; |BA| is the popcount of the
+    dilation OR_{v in B} (A + v), exact for the same reason as the erosion.
     """
     bits = _bits(group, a, b)
-    ma, mb = bits.mask(a), bits.mask(b)
-    t = mba = 0
-    for x in a:
-        s = bits.shifted(mb, x)
-        t += s & ma == s
-        mba |= s
+    ma = bits.mask(a)
+    offs = [bits.raw(v) for v in b]
+    t = _erode(bits, ma, offs).bit_count()
     ok = len(a) - t <= eps * len(a)
-    if ok and mba.bit_count() > (1 + eps * len(b)) * len(a):
-        raise AssertionError("growth bound violated")
+    if ok:
+        mba = 0
+        for r in offs:
+            mba |= bits.shifted(ma, r)
+        if mba.bit_count() > (1 + eps * len(b)) * len(a):
+            raise CheckFailed("growth bound violated")
     return ok, t
 
 
@@ -202,34 +255,83 @@ class DisjointFamily:
     covered: frozenset
 
 
+class _Blocks:
+    """The covered set U over the positions 0..size-1, kept in blocks of
+    w = span(B) bits.  A translate of B starts at the position of its center
+    plus the least offset of B and spans at most w bits, so it meets at most
+    two consecutive blocks: each center tests and ORs two small ints, not a
+    whole window.  A Z/n translate that crosses n - 1 -> 0 is split in two
+    pieces; in Z^d the box holds A + B, so no translate of a center wraps."""
+
+    def __init__(self, bits, offs: Sequence[int]):
+        self.lo = min(offs)
+        self.tile = sum(1 << (r - self.lo) for r in offs)
+        self.w = max(offs) - self.lo + 1
+        self.size = bits.size
+        self.low = (1 << self.w) - 1
+        self.blocks = [0] * (self.size // self.w + 2)
+
+    def _pieces(self, p: int):
+        s = (p + self.lo) % self.size
+        cut = self.size - s
+        if cut >= self.w:
+            return ((s, self.tile),)
+        return (s, self.tile & ((1 << cut) - 1)), (0, self.tile >> cut)
+
+    def fresh(self, p: int) -> int:
+        """|(B + c) \\ U| for the center c at position p."""
+        new = 0
+        for s, m in self._pieces(p):
+            q, off = divmod(s, self.w)
+            u = self.blocks[q] | self.blocks[q + 1] << self.w
+            new += (m << off & ~u).bit_count()
+        return new
+
+    def add(self, p: int) -> None:
+        for s, m in self._pieces(p):
+            q, off = divmod(s, self.w)
+            m <<= off
+            self.blocks[q] |= m & self.low
+            self.blocks[q + 1] |= m >> self.w
+
+    def count(self) -> int:
+        return sum(x.bit_count() for x in self.blocks)
+
+
 def greedy_disjoint_translates(
     group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction
 ) -> DisjointFamily:
     """Maximal eps-disjoint family of B-translates inside A, canonical order.
 
     A center c in T(A,B) is accepted when the new part Bc \\ U keeps at least
-    (1 - eps)|B| points.  Maximality: every rejected center is rechecked.
+    (1 - eps)|B| points.  The centers are the set bits of the erosion mask,
+    walked in ascending bit order, which is the canonical order: the
+    lexicographic order in a Z^d box, the integer order in Z/n.  Only
+    accepted centers are decoded to elements.  Maximality: every rejected
+    center is rechecked against the final U.
     """
     if not b:
         raise TileError("empty tile")
-    order = sorted(t_set(group, a, b), key=group.sort_key)
     need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
     bits = _bits(group, a, b)
-    mb = bits.mask(b)
-    centers, witnesses, mu = [], [], 0
-    for c in order:
-        mbc = bits.shifted(mb, c)
-        if (new := (mbc & ~mu).bit_count()) >= need:
-            centers.append(c)
+    ma = bits.mask(a)
+    offs = [bits.raw(v) for v in b]
+    u = _Blocks(bits, offs)
+    accepted, witnesses, rejected = [], [], []
+    for p in _set_bits(_erode(bits, ma, offs)):
+        if (new := u.fresh(p)) >= need:
+            accepted.append(p)
             witnesses.append(new)
-            mu |= mbc
-    accepted = set(centers)
-    for c in order:
-        if c not in accepted and (bits.shifted(mb, c) & ~mu).bit_count() >= need:
-            raise AssertionError("greedy family is not maximal")
+            u.add(p)
+        else:
+            rejected.append(p)
+    for p in rejected:
+        if u.fresh(p) >= need:
+            raise CheckFailed("greedy family is not maximal")
+    centers = [bits.element(p) for p in accepted]
     covered = frozenset(translate_union(group, b, centers))
-    if len(covered) != mu.bit_count():
-        raise AssertionError("covered bits disagree with the translate union")
+    if len(covered) != u.count():
+        raise CheckFailed("covered bits disagree with the translate union")
     return DisjointFamily(centers, witnesses, covered)
 
 
@@ -247,7 +349,7 @@ def covering_family(
         raise TileError("window is not sufficiently invariant for the covering bound")
     fam = greedy_disjoint_translates(group, a, b, eps)
     if len(fam.covered) < eps * (1 - delta) * len(a):
-        raise AssertionError("covering bound violated")
+        raise CheckFailed("covering bound violated")
     return fam
 
 
@@ -362,7 +464,7 @@ def quasi_tile(
         centers, witnesses = centers[:count], witnesses[:count]
         cov = translate_union(group, b, centers)
         if len(cov) != sum(witnesses):
-            raise AssertionError("witness bookkeeping is off")
+            raise CheckFailed("witness bookkeeping is off")
         ratio = Fraction(len(cov), len(residue))
         qt.log(f"stage{i}:band-low", ratio, f">= max(eps(1-eps)^(1/{2**i}), 1-(1-eps)^(1-1/{2**i}))",
                ge_lo(ratio))
@@ -492,7 +594,7 @@ def build_hierarchy(
             for c in centers:
                 bc = translate(group, group.box(prev), c)
                 if not (bc <= tile and not (bc & used)):
-                    raise AssertionError("grid tiling broken")
+                    raise CheckFailed("grid tiling broken")
                 used |= bc
             tiled = len(used) == len(tile)
             out.ledger.append(
@@ -500,13 +602,13 @@ def build_hierarchy(
                  len(used), len(tile), tiled)
             )
             if not tiled:
-                raise AssertionError("grid tiling incomplete")
+                raise CheckFailed("grid tiling incomplete")
             ok, t = is_invariant(group, tile, group.box(prev), eps_seq[n - 1])
             out.ledger.append(
                 (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
                  len(tile) - t, eps_seq[n - 1] * len(tile), ok)
             )
             if not ok:
-                raise TileError(f"level {n} fails ({prev}-box, eps) invariance")
+                raise CheckFailed(f"level {n} fails ({prev}-box, eps) invariance")
         out.levels.append(HierarchyLevel(tile, side, eps_seq[n], centers))
     return out

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cberlab import quasitile
 from cberlab.cli import main
 from cberlab.instances import build_block_instance, gen_instance
 
@@ -107,6 +108,16 @@ def test_bad_fraction_is_input_error():
 
 def test_nonpositive_hierarchy_eps_is_input_error():
     assert main(["hierarchy", "--eps", "0,0", "--levels", "2"]) == 2
+
+
+def test_hierarchy_failed_invariance_exits_1(monkeypatch, capsys):
+    """A failed invariance recheck is a verified property failing, not
+    malformed input."""
+    monkeypatch.setattr(quasitile, "is_invariant", lambda *args: (False, 0))
+    code = main(["hierarchy", "--levels", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "level 1 fails (1-box, eps) invariance" in captured.err
 
 
 def test_hierarchy_ledger_is_the_real_check(capsys):

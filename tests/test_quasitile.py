@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cberlab import quasitile
 from cberlab.quasitile import (
     CyclicGroup,
     TileError,
@@ -18,9 +19,15 @@ from cberlab.quasitile import (
     power_ge,
     power_le,
     quasi_tile,
-    t_set,
     tiling_constants,
 )
+
+
+def t_set(g, a, b):
+    """T(A, B) decoded from the erosion mask the kernels share."""
+    bits = quasitile._bits(g, a, b)
+    t = quasitile._erode(bits, bits.mask(a), [bits.raw(v) for v in b])
+    return frozenset(bits.element(p) for p in quasitile._set_bits(t))
 
 
 def test_t_set_box():
@@ -178,9 +185,12 @@ def test_two_shape_chain_fails_its_band_check_alike_on_z_and_zn():
 
 def test_cyclic_elements_outside_the_group_are_rejected():
     g = CyclicGroup(5)
-    for a in (frozenset({0, 5}), frozenset({-1, 0})):
+    for a, b in ((frozenset({0, 5}), frozenset({0})), (frozenset({-1, 0}), frozenset({0})),
+                 (frozenset({0, 1}), frozenset({0, 5}))):
         with pytest.raises(TileError):
-            t_set(g, a, frozenset({0}))
+            is_invariant(g, a, b, Fraction(0))
+        with pytest.raises(TileError):
+            greedy_disjoint_translates(g, a, b, Fraction(0))
 
 
 def test_failing_check_raises_under_optimize():
@@ -213,7 +223,7 @@ def ref_t_set(g, a, b):
 
 def ref_greedy(g, a, b, eps):
     centers, witnesses, used = [], [], set()
-    for c in sorted(ref_t_set(g, a, b), key=g.sort_key):
+    for c in sorted(ref_t_set(g, a, b)):
         bc = {g.op(v, c) for v in b}
         if len(bc - used) >= (1 - eps) * len(b):
             centers.append(c)
@@ -242,6 +252,8 @@ def points(d, lo, hi, **kw):
 @given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4), eps=epsilons)
 @example(a=frozenset((x,) for x in (3, 4, 6, 7, 8)), b=frozenset({(0,), (1,)}), eps=Fraction(1, 2))
 @example(a=frozenset((x,) for x in range(100, 110)), b=frozenset({(-2,), (1,)}), eps=Fraction(0))
+# positive coordinates and B without the identity: the origin lies outside the box
+@example(a=frozenset((x,) for x in range(20, 40)) - {(27,)}, b=frozenset({(2,), (5,)}), eps=Fraction(1, 2))
 def test_bitset_path_matches_sets_on_z(a, b, eps):
     assert_matches_reference(ZdGroup(1), a, b, eps)
 
@@ -269,6 +281,52 @@ def cyclic_windows(draw):
 @example(nab=(7, frozenset({5, 6, 0, 1}), frozenset({0, 1})), eps=Fraction(0))  # wraps at 6
 @example(nab=(9, frozenset(range(9)) - {4}, frozenset({0, 2, 3})), eps=Fraction(1, 5))
 @example(nab=(1, frozenset({0}), frozenset({0})), eps=Fraction(0))  # only the c = 0 rotation
+# blocks of span(B) = 6 bits: the translates by 11..15 cross 15 -> 0 and are split,
+# and the piece at 11 straddles two blocks
+@example(nab=(16, frozenset(range(16)) - {7}, frozenset({0, 1, 5})), eps=Fraction(1, 3))
 def test_bitset_path_matches_sets_on_zn(nab, eps):
     n, a, b = nab
     assert_matches_reference(CyclicGroup(n), a, b, eps)
+
+
+@st.composite
+def holed_z2_windows(draw):
+    """A box with negative corner coordinates, minus a few holes."""
+    x0, y0 = draw(st.integers(-9, -1)), draw(st.integers(-9, 0))
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    box = frozenset((x0 + i, y0 + j) for i in range(w) for j in range(h))
+    holes = draw(st.frozensets(st.sampled_from(sorted(box)), max_size=len(box) // 3))
+    return box - holes or box
+
+
+@PARITY
+@given(a=holed_z2_windows(), b=points(2, -1, 2, max_size=4), eps=epsilons)
+def test_greedy_order_is_lexicographic_on_holed_z2(a, b, eps):
+    """Ascending bit order of the erosion mask is the lexicographic order of
+    the centers, whatever the window's corner."""
+    g = ZdGroup(2)
+    fam = greedy_disjoint_translates(g, a, b, eps)
+    assert fam.centers == sorted(fam.centers)
+    assert_matches_reference(g, a, b, eps)
+
+
+def test_kernels_shift_once_per_point_of_b(monkeypatch):
+    """Erosion and dilation cost |B| whole-window shifts each, not one per
+    point of A: a per-point loop would make 10^5 calls here."""
+    calls = []
+    shifted = quasitile._ZdBits.shifted
+
+    def counting(self, m, r):
+        calls.append(r)
+        return shifted(self, m, r)
+
+    monkeypatch.setattr(quasitile._ZdBits, "shifted", counting)
+    g = ZdGroup(1)
+    a = frozenset((x,) for x in range(10**5))
+    b = g.segment(50)
+    assert is_invariant(g, a, b, Fraction(1, 100)) == (True, 10**5 - 49)
+    assert len(calls) <= 2 * len(b) + 2
+    calls.clear()
+    fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
+    assert fam.centers[:2] == [(0,), (40,)] and len(fam.centers) == 2499
+    assert len(calls) <= len(b) + 2
