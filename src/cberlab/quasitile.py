@@ -14,14 +14,23 @@ rotation in Z/n), and the kernels run on int masks as whole-mask algebra:
 - greedy_disjoint_translates walks the set bits of T in ascending order.
   Bit order is the canonical order: row-major positions order a Z^d box
   lexicographically, and Z/n positions are its integers.
+- Its maximality recheck counts at every position at once: the |B| shifts
+  of the free mask ~U by -v, v in B, are summed into bit-sliced counters
+  (slice j holds bit j of |(B + c) \\ U| for every c), which are compared
+  with the acceptance threshold slice by slice.  The family is maximal iff
+  no rejected center, T & ~accepted, reaches it.
+- A mask is built by setting one byte per point and converting the bytes
+  once, so every mask is linear in the window.
 
 check_tiling is the independent set-based recheck.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -61,7 +70,7 @@ class ZdGroup(MarkedGroup):
         self.d = d
 
     def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
@@ -114,9 +123,16 @@ class _ZdBits:
     lexicographic order of the points of the box."""
 
     def __init__(self, group: ZdGroup, a: frozenset, b: frozenset):
-        ext = [(min(xs), max(xs), min(ys), max(ys)) for xs, ys in zip(zip(*a), zip(*b), strict=True)]
-        self.los = [min(alo, blo, alo + blo) for alo, _, blo, _ in ext]
-        his = [max(ahi, bhi, ahi + bhi) for _, ahi, _, bhi in ext]
+        if set(map(len, a)) | set(map(len, b)) != {group.d}:
+            raise TileError(f"points of A and B must have {group.d} coordinates")
+        # Extents read one coordinate per pass: transposing A with zip(*A)
+        # would hold an iterator per point.
+        self.los, his = [], []
+        for coord in map(operator.itemgetter, range(group.d)):
+            alo, ahi = min(map(coord, a)), max(map(coord, a))
+            blo, bhi = min(map(coord, b)), max(map(coord, b))
+            self.los.append(min(alo, blo, alo + blo))
+            his.append(max(ahi, bhi, ahi + bhi))
         self.strides = [1] * group.d
         for j in range(group.d - 2, -1, -1):
             self.strides[j] = self.strides[j + 1] * (his[j + 1] - self.los[j + 1] + 1)
@@ -124,13 +140,13 @@ class _ZdBits:
         self.size = (his[0] - self.los[0] + 1) * self.strides[0]
 
     def raw(self, v) -> int:
-        return sum(x * s for x, s in zip(v, self.strides))
+        return sum(map(operator.mul, v, self.strides))
 
     def mask(self, s: Iterable) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << (self.raw(v) + self.zero)
-        return m
+        strides, zero = self.strides, self.zero
+        if len(strides) == 1:  # Z: the position is the coordinate plus zero, no Python call per point
+            return _mask_at(map(zero.__add__, map(operator.itemgetter(0), s)), self.size)
+        return _mask_at((sum(map(operator.mul, v, strides)) + zero for v in s), self.size)
 
     def shifted(self, base_mask: int, r: int) -> int:
         """The mask translated by the element of raw offset r."""
@@ -161,10 +177,7 @@ class _CyclicBits:
         return v
 
     def mask(self, s: Iterable) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << self.raw(v)
-        return m
+        return _mask_at(map(self.raw, s), self.n)
 
     def shifted(self, base_mask: int, r: int) -> int:
         """The mask rotated by r; -v is the rotation by n - v."""
@@ -184,10 +197,26 @@ def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
     raise TileError(f"no bitset encoding for {type(group).__name__}")
 
 
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_at(positions: Iterable[int], size: int) -> int:
+    """The int with the bits at the positions set, 0 <= position < size.
+    One byte per position is set and the bytes are converted once, as
+    binary digits: linear in size.  OR-ing 1 << p into a window-sized int
+    would copy the whole int once per position.  The positions are
+    streamed, never held in a list."""
+    buf = bytearray(size)
+    for p in positions:
+        buf[p] = 1
+    return int(buf.translate(_TO_DIGITS)[::-1], 2)
+
+
 def _set_bits(m: int) -> list[int]:
     """Positions of the set bits of m, ascending."""
-    s = bin(m)[:1:-1]
-    return [i for i, ch in enumerate(s) if ch == "1"]
+    flags = bin(m)[:1:-1].encode().translate(_TO_FLAGS)
+    return list(itertools.compress(range(len(flags)), flags))
 
 
 # --- invariance -------------------------------------------------------------
@@ -294,8 +323,71 @@ class _Blocks:
             self.blocks[q] |= m & self.low
             self.blocks[q + 1] |= m >> self.w
 
-    def count(self) -> int:
-        return sum(x.bit_count() for x in self.blocks)
+    def walk(self, centers: Iterable[int], need: int) -> tuple[list[int], list[int]]:
+        """The greedy pass: in order, accept the center at position p and add
+        its translate to U when |(B + c) \\ U| >= need.  Returns the accepted
+        positions and their counts.  A translate that ends before position
+        size (every Z^d one) reads and ORs its two blocks inline; one that
+        wraps goes through fresh and add."""
+        blocks, tile, lo, w, low, size = self.blocks, self.tile, self.lo, self.w, self.low, self.size
+        accepted, witnesses = [], []
+        for p in centers:
+            s = p + lo
+            if s + w <= size:
+                q, off = divmod(s, w)
+                m = tile << off
+                new = (m & ~(blocks[q] | blocks[q + 1] << w)).bit_count()
+                if new >= need:
+                    blocks[q] |= m & low
+                    blocks[q + 1] |= m >> w
+                    accepted.append(p)
+                    witnesses.append(new)
+            elif (new := self.fresh(p)) >= need:
+                self.add(p)
+                accepted.append(p)
+                witnesses.append(new)
+        return accepted, witnesses
+
+    def mask(self) -> int:
+        """U as one int: the blocks as w-digit binary strings, most
+        significant first, converted once."""
+        return int("".join(format(x, f"0{self.w}b") for x in reversed(self.blocks)), 2)
+
+
+def _check_maximal(bits, offs: Sequence[int], covered: int, rejected: int, need: int) -> None:
+    """Raise CheckFailed if a rejected center c still has |(B + c) \\ U| >= need.
+
+    The count is taken at every position at once.  Bit p of
+    shifted(free, -r), free = ~U, is 1 iff p + r is uncovered, so the sum of
+    these |B| one-bit masks is |(B + c) \\ U| at the position p of every c.
+    The sum is bit-sliced (slice j holds bit j of every count) and grows by
+    ripple-carry adds: |B| shifts and O(|B| log |B|) whole-window int
+    operations.  count >= need is then decided slice by slice from the top,
+    over the rejected positions only: `eq` keeps the positions whose count
+    agrees with need on the slices read so far, and `ge` those already
+    above it."""
+    if not rejected:
+        return
+    free = ((1 << bits.size) - 1) ^ covered
+    slices: list[int] = []
+    for r in offs:
+        carry, j = bits.shifted(free, -r), 0
+        while carry:
+            if j == len(slices):
+                slices.append(carry)
+                break
+            slices[j], carry = slices[j] ^ carry, slices[j] & carry
+            j += 1
+    ge, eq = 0, rejected
+    for j in reversed(range(max(len(slices), need.bit_length()))):
+        x = slices[j] if j < len(slices) else 0
+        if need >> j & 1:
+            eq &= x
+        else:
+            ge |= eq & x
+            eq &= ~x
+    if ge | eq:
+        raise CheckFailed("greedy family is not maximal")
 
 
 def greedy_disjoint_translates(
@@ -308,31 +400,23 @@ def greedy_disjoint_translates(
     walked in ascending bit order, which is the canonical order: the
     lexicographic order in a Z^d box, the integer order in Z/n.  Only
     accepted centers are decoded to elements.  Maximality: every rejected
-    center is rechecked against the final U.
+    center is rechecked against the final U by _check_maximal.
     """
     if not b:
         raise TileError("empty tile")
     need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
     bits = _bits(group, a, b)
-    ma = bits.mask(a)
     offs = [bits.raw(v) for v in b]
+    t = _erode(bits, bits.mask(a), offs)
     u = _Blocks(bits, offs)
-    accepted, witnesses, rejected = [], [], []
-    for p in _set_bits(_erode(bits, ma, offs)):
-        if (new := u.fresh(p)) >= need:
-            accepted.append(p)
-            witnesses.append(new)
-            u.add(p)
-        else:
-            rejected.append(p)
-    for p in rejected:
-        if u.fresh(p) >= need:
-            raise CheckFailed("greedy family is not maximal")
+    accepted, witnesses = u.walk(_set_bits(t), need)
+    covered = u.mask()
+    _check_maximal(bits, offs, covered, t ^ _mask_at(accepted, bits.size), need)
     centers = [bits.element(p) for p in accepted]
-    covered = frozenset(translate_union(group, b, centers))
-    if len(covered) != u.count():
+    union = frozenset(translate_union(group, b, centers))
+    if len(union) != covered.bit_count():
         raise CheckFailed("covered bits disagree with the translate union")
-    return DisjointFamily(centers, witnesses, covered)
+    return DisjointFamily(centers, witnesses, union)
 
 
 def translate_union(group: MarkedGroup, b: frozenset, centers: Iterable) -> set:
@@ -407,6 +491,26 @@ def _band(eps: Fraction, i: int):
     return ge_lo, le_hi
 
 
+def _trim(witnesses: Sequence[int], n: int, le_hi) -> int:
+    """The largest count whose prefix coverage sum(witnesses[:count]) / n
+    satisfies le_hi, or 0, by binary search over the prefix sums.
+
+    Trimming keeps prefixes of the acceptance order, so the coverage of the
+    first count centers is the running sum of their witnesses.  The search
+    is exact because the predicate is monotone in count:
+    - le_hi(r) is r/eps <= (1-eps)^(-1/q) and 1 - r >= (1-eps)^((q+1)/q),
+      two upper bounds on r (power_le is true for r <= 0 and (r/eps)^q
+      grows with r > 0; power_ge is false for 1 - r <= 0 and (1 - r)^q
+      shrinks as r grows below 1).  So le_hi(r) and r' <= r give le_hi(r').
+    - The witnesses are counts >= 0, so the prefix sums never decrease.
+    Hence le_hi holds on the prefix sums of counts 1..c* and fails on the
+    rest, and c* is the number of prefix sums on which it holds: O(log
+    count) evaluations of le_hi instead of count sums of count terms.
+    """
+    prefix = list(itertools.accumulate(witnesses))
+    return bisect.bisect_left(prefix, True, key=lambda s: not le_hi(Fraction(s, n)))
+
+
 def quasi_tile(
     group: MarkedGroup,
     a: frozenset,
@@ -451,17 +555,9 @@ def quasi_tile(
         qt.log(f"stage{i}:greedy-coverage", Fraction(len(fam.covered), len(residue)),
                f">= eps(1-3^-{k - i})", len(fam.covered) >= floor)
         ge_lo, le_hi = _band(eps, i)
-        centers = list(fam.centers)
-        witnesses = list(fam.witnesses)
-        # Trimming keeps prefixes of the acceptance order, so prefix coverage
-        # is the running sum of the acceptance witnesses.
-        count = len(centers)
-        while count and not le_hi(Fraction(sum(witnesses[:count]), len(residue))):
-            count -= 1
-        budget = p_scaled[i] * len(a) / len(b)
-        while count > budget:
-            count -= 1
-        centers, witnesses = centers[:count], witnesses[:count]
+        # count <= budget iff count <= floor(budget), for an int count.
+        count = min(_trim(fam.witnesses, len(residue), le_hi), math.floor(p_scaled[i] * len(a) / len(b)))
+        centers, witnesses = fam.centers[:count], fam.witnesses[:count]
         cov = translate_union(group, b, centers)
         if len(cov) != sum(witnesses):
             raise CheckFailed("witness bookkeeping is off")
@@ -590,9 +686,10 @@ def build_hierarchy(
             centers = sorted(
                 itertools.product(range(0, side, prev), repeat=group.d)
             )
+            box = group.box(prev)
             used: set = set()
             for c in centers:
-                bc = translate(group, group.box(prev), c)
+                bc = translate(group, box, c)
                 if not (bc <= tile and not (bc & used)):
                     raise CheckFailed("grid tiling broken")
                 used |= bc
@@ -603,7 +700,7 @@ def build_hierarchy(
             )
             if not tiled:
                 raise CheckFailed("grid tiling incomplete")
-            ok, t = is_invariant(group, tile, group.box(prev), eps_seq[n - 1])
+            ok, t = is_invariant(group, tile, box, eps_seq[n - 1])
             out.ledger.append(
                 (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
                  len(tile) - t, eps_seq[n - 1] * len(tile), ok)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .eqrel import CheckFailed
 from .intervals import IntervalMap, IntervalSet
 from .quasitile import TileError, TilingHierarchy, ZdGroup
 
@@ -141,7 +142,8 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
     Agreement bound: mu{phi^n_g = phi^{n+1}_g} >= (1-eps)(1-3 eps) when g is
     eps-deep in the stage-n tile (eps the transition modulus).  Action bound:
     mu(dom) of the locus where phi_{g+h} = phi_g . phi_h is >= 1 - 2 eps when
-    h and g+h are eps-deep in the stage-(n+1) tile.
+    h and g+h are eps-deep in the stage-(n+1) tile.  A bound that fails
+    under its premise raises CheckFailed, whatever the interpreter flags.
     """
     if not 0 <= n < len(tower.stages) - 1:
         raise TileError("need two consecutive stages")
@@ -168,7 +170,7 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
     rep = StageReport((n, n + 1), g, agree, bound, premise, None, Fraction(0), False)
     if premise:
         if agree < bound:
-            raise AssertionError(
+            raise CheckFailed(
                 f"agreement {agree} below bound {bound} despite deepness"
             )
     else:
@@ -189,7 +191,7 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
         rep.defect_bound = 1 - 2 * eps1
         if rep.defect_premise:
             if rep.defect_domain < rep.defect_bound:
-                raise AssertionError(
+                raise CheckFailed(
                     f"action defect {rep.defect_domain} below {rep.defect_bound}"
                 )
         else:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cberlab import quasitile
+from cberlab.eqrel import CheckFailed
 from cberlab.quasitile import (
     CyclicGroup,
     TileError,
@@ -312,7 +313,9 @@ def test_greedy_order_is_lexicographic_on_holed_z2(a, b, eps):
 
 def test_kernels_shift_once_per_point_of_b(monkeypatch):
     """Erosion and dilation cost |B| whole-window shifts each, not one per
-    point of A: a per-point loop would make 10^5 calls here."""
+    point of A: a per-point loop would make 10^5 calls here.  The greedy
+    family shifts |B| times for the erosion and |B| times for the
+    maximality recheck's counters."""
     calls = []
     shifted = quasitile._ZdBits.shifted
 
@@ -329,4 +332,113 @@ def test_kernels_shift_once_per_point_of_b(monkeypatch):
     calls.clear()
     fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
     assert fam.centers[:2] == [(0,), (40,)] and len(fam.centers) == 2499
-    assert len(calls) <= len(b) + 2
+    assert len(calls) <= 2 * len(b) + 2
+
+
+# --- linear masks, the log-time trim and the counter recheck ----------------
+
+
+def ref_mask(bits, s):
+    """One bit OR-ed in per point: the quadratic build the masks replace."""
+    m = 0
+    for v in s:
+        m |= 1 << (bits.raw(v) + bits.zero)
+    return m
+
+
+@PARITY
+@given(a=points(1, -30, 30, max_size=40), b=points(1, -5, 5, max_size=6))
+def test_zd_mask_matches_one_bit_per_point_on_z(a, b):
+    bits = quasitile._bits(ZdGroup(1), a, b)
+    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+
+
+@PARITY
+@given(a=holed_z2_windows(), b=points(2, -2, 3, max_size=5))
+def test_zd_mask_matches_one_bit_per_point_on_z2(a, b):
+    bits = quasitile._bits(ZdGroup(2), a, b)
+    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+
+
+@PARITY
+@given(n=st.integers(1, 40), s=st.frozensets(st.integers(-3, 45), max_size=20))
+def test_cyclic_mask_matches_one_bit_per_point(n, s):
+    bits = quasitile._CyclicBits(CyclicGroup(n))
+    if all(0 <= v < n for v in s):
+        assert bits.mask(s) == ref_mask(bits, s)
+    else:
+        with pytest.raises(TileError):
+            bits.mask(s)
+
+
+def ref_trim(witnesses, n, le_hi):
+    """The linear scan the binary search replaces: drop the last center
+    until the prefix coverage is under the band ceiling."""
+    count = len(witnesses)
+    while count and not le_hi(Fraction(sum(witnesses[:count]), n)):
+        count -= 1
+    return count
+
+
+@PARITY
+@given(
+    size=st.integers(1, 400),
+    holes=st.frozensets(st.integers(0, 399), max_size=40),
+    shape_len=st.integers(1, 12),
+    eps=st.sampled_from([Fraction(2, 5), Fraction(1, 3)]),
+    stage=st.integers(0, 3),
+)
+def test_binary_search_trim_matches_the_linear_scan(size, holes, shape_len, eps, stage):
+    """On the witnesses of greedy families over holed Z windows, at both
+    eps of the tiling workload and at several stage bands."""
+    g = ZdGroup(1)
+    a = frozenset((x,) for x in range(size) if x not in holes) or frozenset({(0,)})
+    fam = greedy_disjoint_translates(g, a, g.segment(shape_len), eps)
+    _, le_hi = quasitile._band(eps, stage)
+    for n in (len(a), max(1, len(fam.covered))):
+        assert quasitile._trim(fam.witnesses, n, le_hi) == ref_trim(fam.witnesses, n, le_hi)
+
+
+def test_maximality_recheck_rejects_a_forged_family():
+    """A family with its last translate taken out is not maximal: the
+    counter recheck finds the dropped center still has |B| fresh points."""
+    g = ZdGroup(1)
+    a = frozenset((x,) for x in range(100))
+    b = g.segment(10)
+    fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
+    bits = quasitile._bits(g, a, b)
+    offs = [bits.raw(v) for v in b]
+    last = fam.centers[-1]
+    forged = bits.mask(fam.covered - quasitile.translate(g, b, last))
+    quasitile._check_maximal(bits, offs, bits.mask(fam.covered), bits.mask({last}), 8)
+    with pytest.raises(CheckFailed, match="not maximal"):
+        quasitile._check_maximal(bits, offs, forged, bits.mask({last}), 8)
+
+
+def assert_counter_recheck_matches(g, a, b, covered, need):
+    """The bit-sliced counts against |(B + c) \\ U| read center by center,
+    with every center of T(A, B) rejected."""
+    bits = quasitile._bits(g, a, b)
+    offs = [bits.raw(v) for v in b]
+    t = ref_t_set(g, a, b)
+    args = (bits, offs, bits.mask(covered), bits.mask(t), need)
+    if any(len(quasitile.translate(g, b, c) - covered) >= need for c in t):
+        with pytest.raises(CheckFailed):
+            quasitile._check_maximal(*args)
+    else:
+        quasitile._check_maximal(*args)
+
+
+@PARITY
+@given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4), data=st.data())
+def test_counter_recheck_matches_the_per_center_count_on_z(a, b, data):
+    covered = data.draw(st.frozensets(st.sampled_from(sorted(a))))
+    assert_counter_recheck_matches(ZdGroup(1), a, b, covered, data.draw(st.integers(0, 5)))
+
+
+@PARITY
+@given(nab=cyclic_windows(), covered=st.frozensets(st.integers(0, 15)), need=st.integers(0, 5))
+@example(nab=(16, frozenset(range(16)), frozenset({0, 1, 5})), covered=frozenset(), need=3)
+def test_counter_recheck_matches_the_per_center_count_on_zn(nab, covered, need):
+    n, a, b = nab
+    assert_counter_recheck_matches(CyclicGroup(n), a, b, frozenset(x for x in covered if x < n), need)

@@ -124,6 +124,43 @@ def test_partition_check_raises_under_optimize():
     assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 1 slots")
 
 
+FORGED_TOWERS = {
+    # stage 2's slots reversed: phi^1_g and phi^2_g now disagree almost
+    # everywhere, though g = 1 is deep in the 32-box.
+    "agreement": (
+        "st = tw.stages[2]\n"
+        "st.slots.update({x: st.size - 1 - p for x, p in st.slots.items()})\n"
+        "stage_report(tw, 1, (1,), (1,))\n"
+    ),
+    # stage 1's tile spread over the even points: h = 1 is still deep by the
+    # side, but no x has x + h in the tile.  g = 0 keeps the agreement.
+    "action defect": (
+        "st = tw.stages[1]\n"
+        "st.slots = {(2 * x,): p for (x,), p in st.slots.items()}\n"
+        "stage_report(tw, 0, (0,), (1,))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("check", FORGED_TOWERS)
+def test_stage_report_bounds_raise_under_optimize(check):
+    """stage_report's agreement and action-defect bounds raise CheckFailed
+    explicitly, so python -O keeps them: a forged tower is reported."""
+    code = (
+        "from fractions import Fraction as F\n"
+        "from cberlab.quasitile import ZdGroup, build_hierarchy\n"
+        "from cberlab.tower import build_tower, stage_report\n"
+        "tw = build_tower(build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32), F(1, 64)], 3), 3)\n"
+    ) + FORGED_TOWERS[check]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith(f"cberlab.eqrel.CheckFailed: {check} ")
+
+
 RECHECK = [
     (ZdGroup(1), EPS[:3], [(0,), (1,), (-1,), (2,), (7,), (31,), (40,)]),
     (ZdGroup(2), [F(1, 4)] * 3, [(0, 0), (1, 0), (0, 1), (-1, 2), (3, 3), (5, -1)]),
