@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .links import (
     verify_link,
 )
 from .quasitile import TileError, ZdGroup, build_hierarchy, check_tiling, quasi_tile
-from .report import Report, rational
+from .report import Report
 from .suite import run_suite
 from .tower import build_tower, stage_report, summability_report
 
@@ -173,13 +174,22 @@ def _make_group(name: str) -> ZdGroup:
     raise TileError(f"unknown group {name!r} (use z or z2)")
 
 
+def _nearest_root(n: int) -> int:
+    """round(sqrt(n)) on ints: sqrt(n) > r + 1/2 iff n > r^2 + r, and
+    sqrt(n) is never exactly r + 1/2."""
+    r = math.isqrt(n)
+    return r + (n > r * r + r)
+
+
 def cmd_tile(args) -> int:
     group = _make_group(args.group)
     eps = Fraction(args.eps)
-    side = round(args.size ** (1 / group.d))
+    if args.size < 0:
+        raise TileError(f"window size must be nonnegative, got {args.size}")
     if args.group == "z":
         a = frozenset((x,) for x in range(args.size))
     else:
+        side = _nearest_root(args.size)
         a = frozenset(itertools.product(range(side), repeat=2))
     chain = [group.segment(int(x)) for x in args.chain.split(",")]
     qt = quasi_tile(group, a, chain, eps)
@@ -220,17 +230,20 @@ def cmd_lift_sim(args) -> int:
                        summ["prefix_sum"], summ["tail_bound"], summ["halving"])
     stages_out = []
     for st in tower.stages:
-        total = sum(t.measure for t in st.targets.values())
+        total = st.covered
         rep.add_constraint(f"stage side {st.side}: sum |A| mu(X_A) = 1", total, 1, total == 1)
+        # T_g is the single slot [p/size, (p+1)/size) with p = pi_n(g), so
+        # its rational form is read off one table of reduced endpoints.
+        size = st.size
+        ends = [
+            {"num": q // (d := math.gcd(q, size)), "den": size // d} for q in range(size + 1)
+        ]
         stages_out.append(
             {
                 "side": st.side,
                 "eps": st.eps,
-                "base": [list(map(rational, iv)) for iv in st.base.intervals],
-                "targets": {
-                    str(g): [list(map(rational, iv)) for iv in t.intervals]
-                    for g, t in st.targets.items()
-                },
+                "base": [[ends[0], ends[1]]],
+                "targets": {str(g): [[ends[p], ends[p + 1]]] for g, p in st.slots.items()},
             }
         )
     gen = tuple([1] + [0] * (tower.group.d - 1))

@@ -11,7 +11,9 @@ stores its endpoints (and a map's offsets) as ints on the grid (1/den)Z:
 range, overlap and disjointness checks all run on these ints.  ``Fraction``
 appears only at the public boundary -- ``intervals``, ``pieces`` and
 ``measure`` build exactly the Fractions the rational form has -- and in the
-raw values the constructors accept.
+raw values the constructors accept.  ``intervals`` and ``pieces`` are built
+once per object, on the first read, with one Fraction per distinct value,
+and every later read returns the same tuple.
 
 The tower is built without this algebra, as a slot permutation (see
 `cberlab.tower`).  Sets and maps are its exact boundary form, and
@@ -74,6 +76,12 @@ def _on(den: int, x: Fraction) -> int:
     return x.numerator * (den // x.denominator)
 
 
+def _fractions(den: int, items: tuple[tuple[int, ...], ...]) -> dict[int, Fraction]:
+    """One Fraction v/den for each distinct int v in items: neighbouring
+    intervals share an endpoint, and a map's pieces share a few offsets."""
+    return {v: Fraction(v, den) for v in {v for it in items for v in it}}
+
+
 def _scale(items: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
     return items if k == 1 else tuple(tuple(v * k for v in it) for it in items)
 
@@ -105,19 +113,23 @@ def _common(x, y) -> tuple[int, tuple, tuple]:
 class _OnGrid:
     """Immutable int items on the grid 1/_den, compared as the rational
     objects they stand for: equal when equal after rescaling to a common
-    denominator."""
+    denominator.  `_view` memoizes the public Fraction form (``intervals``
+    or ``pieces``): it is built on the first read, or handed to `_new` by a
+    caller that already holds those Fractions, and returned on every later
+    read.  It plays no part in equality or hashing."""
 
-    __slots__ = ("_den", "_items")
+    __slots__ = ("_den", "_items", "_view")
 
     @classmethod
-    def _new(cls, den: int, items: tuple):
+    def _new(cls, den: int, items: tuple, view: tuple | None = None):
         self = object.__new__(cls)
-        self._fill(den, items)
+        self._fill(den, items, view)
         return self
 
-    def _fill(self, den: int, items: tuple) -> None:
+    def _fill(self, den: int, items: tuple, view: tuple | None = None) -> None:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_view", view)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -151,8 +163,10 @@ class IntervalSet(_OnGrid):
 
     @property
     def intervals(self) -> tuple[Iv, ...]:
-        den = self._den
-        return tuple((Fraction(a, den), Fraction(b, den)) for a, b in self._items)
+        if self._view is None:
+            f = _fractions(self._den, self._items)
+            object.__setattr__(self, "_view", tuple((f[a], f[b]) for a, b in self._items))
+        return self._view
 
     def _length(self) -> int:
         return sum(b - a for a, b in self._items)
@@ -217,10 +231,11 @@ class IntervalMap(_OnGrid):
 
     @property
     def pieces(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        den = self._den
-        return tuple(
-            (Fraction(a, den), Fraction(b, den), Fraction(o, den)) for a, b, o in self._items
-        )
+        if self._view is None:
+            f = _fractions(self._den, self._items)
+            view = tuple((f[a], f[b], f[o]) for a, b, o in self._items)
+            object.__setattr__(self, "_view", view)
+        return self._view
 
     def __repr__(self) -> str:
         return f"IntervalMap(pieces={self.pieces!r})"

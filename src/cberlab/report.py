@@ -13,15 +13,35 @@ def rational(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+# Exact leaf types, returned as they are.  bool is listed for itself: `type`
+# does not see it as int.
+_LEAVES = frozenset({int, str, bool, type(None)})
+
+
 def _encode(x: Any) -> Any:
+    """x as a fresh JSON tree: Fractions as {"num", "den"}, tuples and lists
+    as lists, sets and frozensets as sorted lists, dict keys as str.  A float
+    anywhere but in a dict key raises TypeError."""
     t = type(x)  # exact types first: tower reports hold ~10^5 of them
+    if t in _LEAVES:
+        return x
     if t is Fraction:
         return {"num": x.numerator, "den": x.denominator}
+    # Lists inline their Fractions and dicts their exact leaves: one call fewer
+    # for each of the ~10^5 slot endpoints of a tower report.
     if t is tuple or t is list:
-        return [_encode(v) for v in x]
+        return [
+            {"num": v.numerator, "den": v.denominator} if type(v) is Fraction else _encode(v)
+            for v in x
+        ]
+    if t is dict:
+        return {
+            k if type(k) is str else str(k): v if type(v) in _LEAVES else _encode(v)
+            for k, v in x.items()
+        }
     if isinstance(x, Fraction):
         return rational(x)
-    if isinstance(x, bool) or isinstance(x, (int, str)) or x is None:
+    if isinstance(x, (int, str)):
         return x
     if isinstance(x, float):
         raise TypeError("no floats cross the interface; use Fraction")
@@ -59,4 +79,7 @@ class Report:
             ],
             "seed": self.seed,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # _encode builds a fresh tree with no cycles, so the check is moot
+        return json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), check_circular=False
+        )

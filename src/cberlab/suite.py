@@ -267,8 +267,7 @@ def criterion_9() -> CriterionResult:
         tower = build_tower(hier, 4)  # partition + disjointness asserted exactly
         details = []
         for st in tower.stages:
-            total = sum((t.measure for t in st.targets.values()), Fraction(0))
-            if total != 1:
+            if st.covered != 1:
                 return False, f"partition identity fails at side {st.side}"
         for n, ident in ((1, (0,)), (2, (0,))):
             m = materialize_map(tower, n, ident)

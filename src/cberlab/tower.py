@@ -25,7 +25,11 @@ stored as pi_n, a dict element -> slot index, and checked by one integer
 identity: its keys are the tile and its values are range(size).  Maps,
 agreement and defect are slot counts; `IntervalSet`, `IntervalMap` and
 `Fraction` appear only at the boundary (`TowerStage.targets`, `.base`,
-`materialize_map` and the measures of `StageReport`).
+`materialize_map` and the measures of `StageReport`).  The T-sets of a stage
+share one table of endpoint Fractions, which is also their memoized
+`intervals` view.  The CLI needs none of these objects: `lift-sim` emits each
+slot straight from pi_n as reduced endpoints, and its partition check is
+`TowerStage.covered`, a count of slot indices.
 """
 
 from __future__ import annotations
@@ -49,8 +53,17 @@ class TowerStage:
     def size(self) -> int:
         return len(self.slots)
 
-    def _slot(self, p: int) -> IntervalSet:
-        return IntervalSet._from_ints(self.size, [(p, p + 1)])
+    @property
+    def covered(self) -> Fraction:
+        """mu of the union of the T-sets, on ints: the distinct slot indices
+        in range(size), over size."""
+        return Fraction(len(set(self.slots.values()).intersection(range(self.size))), self.size)
+
+    def _slot(self, p: int, view: tuple | None = None) -> IntervalSet:
+        # build_tower's partition identity has proven that the slot indices
+        # are exactly range(size), so [p, p + 1) needs no _normalize: it is
+        # already a sorted, non-empty interval inside [0, size).
+        return IntervalSet._new(self.size, ((p, p + 1),), view)
 
     @cached_property
     def base(self) -> IntervalSet:
@@ -59,8 +72,11 @@ class TowerStage:
 
     @cached_property
     def targets(self) -> dict[tuple, IntervalSet]:
-        """element -> T_g, a partition of [0,1)."""
-        return {g: self._slot(p) for g, p in self.slots.items()}
+        """element -> T_g, a partition of [0,1).  Neighbouring slots share
+        the Fraction of their common endpoint in their `intervals` views."""
+        size = self.size
+        ends = [Fraction(q, size) for q in range(size + 1)]
+        return {g: self._slot(p, ((ends[p], ends[p + 1]),)) for g, p in self.slots.items()}
 
 
 @dataclass

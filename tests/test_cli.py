@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cberlab import quasitile
-from cberlab.cli import main
+from cberlab.cli import _nearest_root, main
 from cberlab.instances import build_block_instance, gen_instance
 
 
@@ -106,6 +106,24 @@ def test_bad_fraction_is_input_error():
     assert main(["tile", "--eps", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("group", ["z", "z2"])
+def test_negative_tile_size_is_input_error(group, capsys):
+    # On z2 the side used to be round(size ** 0.5): a complex number, and an
+    # uncaught TypeError with exit 1.
+    assert main(["tile", "--group", group, "--size", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: window size must be nonnegative")
+
+
+def test_tile_side_is_the_nearest_integer_root():
+    assert [_nearest_root(n) for n in (0, 1, 2, 3, 12, 13, 100000)] == [0, 1, 1, 2, 3, 4, 316]
+    for n in range(5000):
+        s = _nearest_root(n)
+        assert (2 * s - 1) ** 2 < 4 * n < (2 * s + 1) ** 2 or n == s == 0
+        assert s == round(n ** 0.5)  # the float rule it replaces, for n >= 0
+
+
 def test_nonpositive_hierarchy_eps_is_input_error():
     assert main(["hierarchy", "--eps", "0,0", "--levels", "2"]) == 2
 
@@ -188,6 +206,20 @@ def test_lift_sim_report_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c65348d98eeedfbcede8f7626877c7f5da23ff01a58d9b788fbed78f726071c4"
     )
+
+
+def test_z2_lift_sim_report_frozen(capsys):
+    """The canonical report of a 2-stage tower over Z^2, byte for byte: its
+    slots are emitted straight from the slot permutation, with no floats."""
+    code, out = run(capsys, "lift-sim", "--group", "z2", "--eps", "1/8,1/16",
+                    "--stages", "2", "--seed", "0")
+    assert code == 0
+    assert len(out.encode()) == 15106
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "52084f3c5d471dca840e16d084335be26814e761470fee2c07f3555afe6c5976"
+    )
+    payload = json.loads(out, parse_float=lambda s: pytest.fail(f"float {s}"))
+    assert payload["outcome"] == "pass"
 
 
 def test_choice_link_reports_frozen(capsys):

@@ -161,3 +161,29 @@ def test_malformed_input_raises(d, data):
     ):
         with pytest.raises(IntervalError):
             IntervalMap(raw)
+
+
+@SETTINGS
+@given(grid_sets(), grid_maps(), st.integers(2, 6))
+def test_views_are_memoized(x, y, k):
+    """A repeated .intervals or .pieces read returns the same tuple, equal to
+    the view of a freshly built equal object, and memoizing it changes
+    neither immutability nor equality nor hashing."""
+    (d, a), (_, m) = x, y
+    fine = IntervalSet([(0, F(1, d * k)), (F(1, d * k), 1)])  # [0,1) on 1/(d*k)
+    h_a, h_m = hash(a), hash(m)
+    view = a.intervals
+    assert a.intervals is view
+    for b in (IntervalSet(view), a.intersect(fine)):
+        assert b.intervals == view and b == a and hash(b) == h_a
+    pieces = m.pieces
+    assert m.pieces is pieces
+    fresh = IntervalMap(pieces)
+    assert fresh.pieces == pieces and fresh == m and hash(fresh) == h_m
+    assert all(type(v) is F for p in pieces for v in p)
+    for obj in (a, m):
+        with pytest.raises(AttributeError):
+            obj._view = ()
+        with pytest.raises(AttributeError):
+            setattr(obj, "_den", 1)
+    assert hash(a) == h_a and hash(m) == h_m

@@ -2,8 +2,64 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cberlab.report import Report, rational
+
+
+def oracle_encode(x):
+    """`report._encode` as it was before its exact-type fast paths: the
+    reference the fast encoder must match byte for byte."""
+    t = type(x)
+    if t is Fraction:
+        return {"num": x.numerator, "den": x.denominator}
+    if t is tuple or t is list:
+        return [oracle_encode(v) for v in x]
+    if isinstance(x, Fraction):
+        return rational(x)
+    if isinstance(x, bool) or isinstance(x, (int, str)) or x is None:
+        return x
+    if isinstance(x, float):
+        raise TypeError("no floats cross the interface; use Fraction")
+    if isinstance(x, dict):
+        return {str(k): oracle_encode(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, set, frozenset)):
+        items = sorted(x) if isinstance(x, (set, frozenset)) else x
+        return [oracle_encode(v) for v in items]
+    return str(x)
+
+
+def oracle_to_json(r: Report) -> str:
+    payload = {
+        "scenario": oracle_encode(r.scenario),
+        "outcome": r.outcome,
+        "metrics": oracle_encode(r.metrics),
+        "ledger": [
+            {"key": k, "lhs": oracle_encode(l), "rhs": oracle_encode(v), "verdict": ok}
+            for k, l, v, ok in r.ledger
+        ],
+        "seed": r.seed,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+scalars = st.one_of(fractions, st.integers(-10**6, 10**6), st.booleans(), st.none(),
+                    st.text(max_size=4))
+sortable = st.one_of(st.integers(-20, 20), fractions)  # a set must sort
+dict_keys = st.one_of(st.text(max_size=3), st.integers(-5, 5),
+                      st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+payloads = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.sets(sortable, max_size=4),
+        st.frozensets(sortable, max_size=4),
+        st.dictionaries(dict_keys, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
 
 
 def test_rational_encoding():
@@ -28,3 +84,30 @@ def test_canonical_json_and_ledger():
     assert not r.all_pass
     # byte-identical re-serialization
     assert r.to_json() == r.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads, payloads, payloads)
+def test_to_json_matches_the_generic_encoder(scenario, metric, lhs):
+    r = Report({"s": scenario}, "pass", metrics={"m": metric, 3: [metric]}, seed=1)
+    r.add_constraint("c", lhs, metric, True)
+    assert r.to_json() == oracle_to_json(r)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda f: [1, f],
+    lambda f: (Fraction(1, 2), f),
+    lambda f: {"k": f},
+    lambda f: {(1, 2): [{"k": (f,)}]},
+    lambda f: {f},
+    lambda f: frozenset({1.5, f}),
+])
+def test_floats_rejected_at_every_depth(wrap):
+    for place in ("metrics", "scenario", "lhs"):
+        r = Report({}, "pass")
+        if place == "lhs":
+            r.add_constraint("c", wrap(0.5), 1, True)
+        else:
+            setattr(r, place, {"x": wrap(0.5)})
+        with pytest.raises(TypeError):
+            r.to_json()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -35,6 +36,24 @@ def test_stage_targets_partition():
         assert sum(t.measure for t in st.targets.values()) == 1
         n = len(st.targets)
         assert all(t.measure == F(1, n) for t in st.targets.values())
+
+
+def test_stage_covered_and_slot_views():
+    """`covered` counts distinct slot indices on ints, and each target's
+    memoized view is the one a freshly built set has."""
+    tw = small_tower(3)
+    for st in tw.stages:
+        n = st.size
+        assert st.covered == sum(t.measure for t in st.targets.values()) == 1
+        assert st.base.intervals == IntervalSet([(0, F(1, n))]).intervals
+        for g, t in st.targets.items():
+            p = st.slots[g]
+            assert t == IntervalSet([(F(p, n), F(p + 1, n))])
+            assert t.intervals == IntervalSet([(F(p, n), F(p + 1, n))]).intervals
+    st = tw.stages[1]
+    g, h = list(st.slots)[:2]
+    broken = dataclasses.replace(st, slots={**st.slots, g: st.slots[h]})  # two share a slot
+    assert broken.covered == F(st.size - 1, st.size)
 
 
 def test_identity_map_every_stage():
