@@ -21,6 +21,19 @@ rotation in Z/n), and the kernels run on int masks as whole-mask algebra:
   no rejected center, T & ~accepted, reaches it.
 - A mask is built by setting one byte per point and converting the bytes
   once, so every mask is linear in the window.
+- One encoding per window: `_Window` builds the encoding, A's mask, B's
+  offsets and T once per (A, B), and the invariance count and the greedy
+  walk both read it.  quasi_tile and covering_family take the invariance
+  from the greedy family's window instead of encoding A again.
+- The greedy family's covered mask U must equal a mask set position by
+  position, p + raw(v) (mod n in Z/n) for each accepted position p and v
+  in B.  It shares only the accepted positions and B's offsets with the
+  blocks that built U, none of their block words, shifts or wrap split, so
+  the two agree only if the blocks recorded exactly the accepted
+  translates.  quasi_tile's trimmed prefix is set the same way, and its
+  popcount must equal the prefix's witness sum.
+- The centers, the covered set and the residue are decoded from set bits,
+  streamed, so no list of their positions is held beside the elements.
 
 check_tiling is the independent set-based recheck.
 """
@@ -28,12 +41,13 @@ check_tiling is the independent set-based recheck.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .eqrel import CheckFailed
 
@@ -127,17 +141,17 @@ class _ZdBits:
             raise TileError(f"points of A and B must have {group.d} coordinates")
         # Extents read one coordinate per pass: transposing A with zip(*A)
         # would hold an iterator per point.
-        self.los, his = [], []
+        self.los, self.his = [], []
         for coord in map(operator.itemgetter, range(group.d)):
             alo, ahi = min(map(coord, a)), max(map(coord, a))
             blo, bhi = min(map(coord, b)), max(map(coord, b))
             self.los.append(min(alo, blo, alo + blo))
-            his.append(max(ahi, bhi, ahi + bhi))
+            self.his.append(max(ahi, bhi, ahi + bhi))
         self.strides = [1] * group.d
         for j in range(group.d - 2, -1, -1):
-            self.strides[j] = self.strides[j + 1] * (his[j + 1] - self.los[j + 1] + 1)
+            self.strides[j] = self.strides[j + 1] * (self.his[j + 1] - self.los[j + 1] + 1)
         self.zero = -sum(lo * s for lo, s in zip(self.los, self.strides))
-        self.size = (his[0] - self.los[0] + 1) * self.strides[0]
+        self.size = (self.his[0] - self.los[0] + 1) * self.strides[0]
 
     def raw(self, v) -> int:
         return sum(map(operator.mul, v, self.strides))
@@ -152,13 +166,21 @@ class _ZdBits:
         """The mask translated by the element of raw offset r."""
         return base_mask << r if r >= 0 else base_mask >> -r
 
-    def element(self, p: int) -> tuple:
-        """The point at position p, by mixed-radix divmod."""
-        out = []
-        for lo, s in zip(self.los, self.strides):
-            x, p = divmod(p, s)
-            out.append(x + lo)
-        return tuple(out)
+    def translates(self, ps: Iterable[int], offs: Sequence[int]) -> Iterator[int]:
+        """The positions p + r of B + c for the centers c at the positions
+        ps, r = raw(v) for v in B: exact, since the box holds A + B."""
+        return itertools.chain.from_iterable(map(r.__add__, ps) for r in offs)
+
+    def elements(self, m: int) -> Iterator[tuple]:
+        """The points at the set bits of m, ascending, streamed.  The box's
+        points in row-major order are its positions in order, so the bits
+        select them from the product of the coordinate ranges.  In Z the
+        range itself is selected, and only selected points become tuples."""
+        flags = _flags(m)
+        if len(self.los) == 1:
+            return zip(itertools.compress(range(self.los[0], self.his[0] + 1), flags))
+        ranges = [range(lo, hi + 1) for lo, hi in zip(self.los, self.his)]
+        return itertools.compress(itertools.product(*ranges), flags)
 
 
 class _CyclicBits:
@@ -184,8 +206,14 @@ class _CyclicBits:
         r %= self.n
         return ((base_mask << r) | (base_mask >> (self.n - r))) & self.full
 
-    def element(self, p: int) -> int:
-        return p
+    def translates(self, ps: Iterable[int], offs: Sequence[int]) -> Iterator[int]:
+        """The positions (p + r) mod n of B + c for the centers c at the
+        positions ps, r = raw(v) for v in B."""
+        return itertools.chain.from_iterable(map(self.n.__rmod__, map(r.__add__, ps)) for r in offs)
+
+    def elements(self, m: int) -> Iterator[int]:
+        """The elements at the set bits of m, ascending, streamed."""
+        return itertools.compress(range(self.n), _flags(m))
 
 
 def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
@@ -213,10 +241,14 @@ def _mask_at(positions: Iterable[int], size: int) -> int:
     return int(buf.translate(_TO_DIGITS)[::-1], 2)
 
 
-def _set_bits(m: int) -> list[int]:
-    """Positions of the set bits of m, ascending."""
-    flags = bin(m)[:1:-1].encode().translate(_TO_FLAGS)
-    return list(itertools.compress(range(len(flags)), flags))
+def _flags(m: int) -> bytes:
+    """One byte per bit of m, least significant first: 1 where it is set."""
+    return bin(m)[:1:-1].encode().translate(_TO_FLAGS)
+
+
+def _set_bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of m, ascending, streamed."""
+    return itertools.compress(itertools.count(), _flags(m))
 
 
 # --- invariance -------------------------------------------------------------
@@ -237,6 +269,36 @@ def _erode(bits, ma: int, offs: Sequence[int]) -> int:
     return t
 
 
+class _Window:
+    """One window A and shape B, encoded once: the bitset encoding, A's
+    mask, B's raw offsets and the erosion T(A, B).  The invariance count and
+    the greedy walk both read this one build."""
+
+    def __init__(self, group: MarkedGroup, a: frozenset, b: frozenset):
+        self.bits = _bits(group, a, b)
+        self.mask = self.bits.mask(a)
+        self.offs = [self.bits.raw(v) for v in b]
+        self.interior = _erode(self.bits, self.mask, self.offs)
+        self.points = len(a)
+
+    def invariance(self, eps: Fraction) -> tuple[bool, int]:
+        """is_invariant on this window: (|A \\ T| <= eps|A|, |T|)."""
+        t, na = self.interior.bit_count(), self.points
+        ok = na - t <= eps * na
+        if ok:
+            mba = 0
+            for r in self.offs:
+                mba |= self.bits.shifted(self.mask, r)
+            if mba.bit_count() > (1 + eps * len(self.offs)) * na:
+                raise CheckFailed("growth bound violated")
+        return ok, t
+
+    def union(self, ps: Iterable[int]) -> int:
+        """The mask of the union of B + c over the centers c at positions
+        ps, set position by position from p + raw(v)."""
+        return _mask_at(self.bits.translates(ps, self.offs), self.bits.size)
+
+
 def is_invariant(
     group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction
 ) -> tuple[bool, int]:
@@ -247,18 +309,7 @@ def is_invariant(
     as a sanity check of the combinatorics; |BA| is the popcount of the
     dilation OR_{v in B} (A + v), exact for the same reason as the erosion.
     """
-    bits = _bits(group, a, b)
-    ma = bits.mask(a)
-    offs = [bits.raw(v) for v in b]
-    t = _erode(bits, ma, offs).bit_count()
-    ok = len(a) - t <= eps * len(a)
-    if ok:
-        mba = 0
-        for r in offs:
-            mba |= bits.shifted(ma, r)
-        if mba.bit_count() > (1 + eps * len(b)) * len(a):
-            raise CheckFailed("growth bound violated")
-    return ok, t
+    return _Window(group, a, b).invariance(eps)
 
 
 def power_le(r: Fraction, base: Fraction, num: int, den: int) -> bool:
@@ -281,7 +332,15 @@ def power_ge(r: Fraction, base: Fraction, num: int, den: int) -> bool:
 class DisjointFamily:
     centers: list  # canonical order of acceptance
     witnesses: list[int]  # |Bc \ U| at acceptance time
-    covered: frozenset
+    window: _Window = field(repr=False, compare=False)  # the encoding the family was built on
+    positions: list[int] = field(repr=False, compare=False)  # the centers' bit positions in it
+    covered_mask: int = field(repr=False)  # U, the covered positions, as one mask
+
+    @functools.cached_property
+    def covered(self) -> frozenset:
+        """U as elements, decoded on first read: quasi_tile needs only its
+        popcount."""
+        return frozenset(self.window.bits.elements(self.covered_mask))
 
 
 class _Blocks:
@@ -398,29 +457,25 @@ def greedy_disjoint_translates(
     A center c in T(A,B) is accepted when the new part Bc \\ U keeps at least
     (1 - eps)|B| points.  The centers are the set bits of the erosion mask,
     walked in ascending bit order, which is the canonical order: the
-    lexicographic order in a Z^d box, the integer order in Z/n.  Only
-    accepted centers are decoded to elements.  Maximality: every rejected
-    center is rechecked against the final U by _check_maximal.
+    lexicographic order in a Z^d box, the integer order in Z/n.  The final U
+    must equal the union of the accepted translates, set from their positions
+    apart from the blocks; then every rejected center is rechecked against
+    it by _check_maximal.  Centers and covered points are decoded from the
+    set bits of their masks.
     """
     if not b:
         raise TileError("empty tile")
     need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
-    bits = _bits(group, a, b)
-    offs = [bits.raw(v) for v in b]
-    t = _erode(bits, bits.mask(a), offs)
-    u = _Blocks(bits, offs)
-    accepted, witnesses = u.walk(_set_bits(t), need)
+    win = _Window(group, a, b)
+    bits = win.bits
+    u = _Blocks(bits, win.offs)
+    accepted, witnesses = u.walk(_set_bits(win.interior), need)
     covered = u.mask()
-    _check_maximal(bits, offs, covered, t ^ _mask_at(accepted, bits.size), need)
-    centers = [bits.element(p) for p in accepted]
-    union = frozenset(translate_union(group, b, centers))
-    if len(union) != covered.bit_count():
+    if win.union(accepted) != covered:
         raise CheckFailed("covered bits disagree with the translate union")
-    return DisjointFamily(centers, witnesses, union)
-
-
-def translate_union(group: MarkedGroup, b: frozenset, centers: Iterable) -> set:
-    return {group.op(v, c) for c in centers for v in b}
+    chosen = _mask_at(accepted, bits.size)
+    _check_maximal(bits, win.offs, covered, win.interior ^ chosen, need)
+    return DisjointFamily(list(bits.elements(chosen)), witnesses, win, accepted, covered)
 
 
 def covering_family(
@@ -428,10 +483,10 @@ def covering_family(
 ) -> DisjointFamily:
     """Greedy family plus the covering bound for (B, delta)-invariant windows:
     a maximal eps-disjoint family covers at least eps(1-delta)|A| points."""
-    ok, _ = is_invariant(group, a, b, delta)
+    fam = greedy_disjoint_translates(group, a, b, eps)
+    ok, _ = fam.window.invariance(delta)
     if not ok:
         raise TileError("window is not sufficiently invariant for the covering bound")
-    fam = greedy_disjoint_translates(group, a, b, eps)
     if len(fam.covered) < eps * (1 - delta) * len(a):
         raise CheckFailed("covering bound violated")
     return fam
@@ -547,26 +602,29 @@ def quasi_tile(
     qt = QuasiTiling(eps, list(chain), [], [], p_raw, p_scaled, Fraction(0))
     residue = a
     for i, b in enumerate(chain):
-        ok, _ = is_invariant(group, residue, b, Fraction(1, 3 ** (k - i)))
+        fam = greedy_disjoint_translates(group, residue, b, eps)
+        win = fam.window
+        ok, _ = win.invariance(Fraction(1, 3 ** (k - i)))
         qt.log(f"stage{i}:residue-invariance", Fraction(len(residue), len(a)),
                f"A_{i} is (B_{i}, 3^-{k - i})-invariant", ok)
-        fam = greedy_disjoint_translates(group, residue, b, eps)
         floor = eps * (1 - Fraction(1, 3 ** (k - i))) * len(residue)
-        qt.log(f"stage{i}:greedy-coverage", Fraction(len(fam.covered), len(residue)),
-               f">= eps(1-3^-{k - i})", len(fam.covered) >= floor)
+        greedy = fam.covered_mask.bit_count()
+        qt.log(f"stage{i}:greedy-coverage", Fraction(greedy, len(residue)),
+               f">= eps(1-3^-{k - i})", greedy >= floor)
         ge_lo, le_hi = _band(eps, i)
         # count <= budget iff count <= floor(budget), for an int count.
         count = min(_trim(fam.witnesses, len(residue), le_hi), math.floor(p_scaled[i] * len(a) / len(b)))
         centers, witnesses = fam.centers[:count], fam.witnesses[:count]
-        cov = translate_union(group, b, centers)
-        if len(cov) != sum(witnesses):
+        cov = win.union(fam.positions[:count])
+        covered = cov.bit_count()
+        if covered != sum(witnesses):
             raise CheckFailed("witness bookkeeping is off")
-        ratio = Fraction(len(cov), len(residue))
+        ratio = Fraction(covered, len(residue))
         qt.log(f"stage{i}:band-low", ratio, f">= max(eps(1-eps)^(1/{2**i}), 1-(1-eps)^(1-1/{2**i}))",
                ge_lo(ratio))
         qt.log(f"stage{i}:band-high", ratio, f"<= min(eps(1-eps)^(-1/{2**i}), 1-(1-eps)^(1+1/{2**i}))",
                le_hi(ratio))
-        abs_ratio = Fraction(len(cov), len(a))
+        abs_ratio = Fraction(covered, len(a))
         qt.log(f"stage{i}:absolute-band-low", abs_ratio,
                f">= eps(1-eps)^({i}+1/{2**i})",
                power_ge(abs_ratio / eps, 1 - eps, i * 2**i + 1, 2**i))
@@ -577,15 +635,18 @@ def quasi_tile(
                f"<= {p_scaled[i]}", len(b) * len(centers) <= p_scaled[i] * len(a))
         qt.centers.append(centers)
         qt.witnesses.append(witnesses)
-        residue = residue - cov
-        res_ratio = Fraction(len(residue), len(a))
+        rest = win.mask & ~cov
+        left = rest.bit_count()
+        if i + 1 < k:  # the next stage's window; after the last only its size is read
+            residue = frozenset(win.bits.elements(rest))
+        res_ratio = Fraction(left, len(a))
         qt.log(f"stage{i}:residue-band-low", res_ratio,
                f">= (1-eps)^({i + 1}+1/{2**i})",
                power_ge(res_ratio, 1 - eps, (i + 1) * 2**i + 1, 2**i))
         qt.log(f"stage{i}:residue-band-high", res_ratio,
                f"<= (1-eps)^({i + 1}-1/{2**i})",
                power_le(res_ratio, 1 - eps, (i + 1) * 2**i - 1, 2**i))
-    qt.coverage = Fraction(len(a) - len(residue), len(a))
+    qt.coverage = Fraction(len(a) - left, len(a))
     qt.log("final:coverage", qt.coverage, ">= 1-eps", qt.coverage >= 1 - eps)
     return qt
 
@@ -631,7 +692,6 @@ FOLNER_CAP = 10**6
 
 @dataclass
 class HierarchyLevel:
-    tile: frozenset
     side: int
     eps: Fraction
     centers: list  # tiling of this tile by the previous level's tile
@@ -678,7 +738,6 @@ def build_hierarchy(
         sides.append(lo)
     out = TilingHierarchy(group, [])
     for n, side in enumerate(sides):
-        tile = group.box(side)
         if n == 0:
             centers = []
         else:
@@ -686,17 +745,24 @@ def build_hierarchy(
             centers = sorted(
                 itertools.product(range(0, side, prev), repeat=group.d)
             )
-            box = group.box(prev)
-            used: set = set()
+            tile, box = group.box(side), group.box(prev)
+            # Each translate c + box is the prev-box's mask shifted by raw(c)
+            # in the encoding of box and centers, which holds every c + v and
+            # reads |box| + |centers| points, not the tile.  It lies in the
+            # tile iff 0 <= c_j <= side - prev; a running AND proves the
+            # translates disjoint and the popcount that they cover the tile.
+            bits = _bits(group, box, frozenset(centers))
+            mbox, used = bits.mask(box), 0
             for c in centers:
-                bc = translate(group, box, c)
-                if not (bc <= tile and not (bc & used)):
+                bc = bits.shifted(mbox, bits.raw(c))
+                if not all(0 <= x <= side - prev for x in c) or bc & used:
                     raise CheckFailed("grid tiling broken")
                 used |= bc
-            tiled = len(used) == len(tile)
+            covered = used.bit_count()
+            tiled = covered == len(tile)
             out.ledger.append(
                 (f"level {n}: {prev}-boxes tile the {side}-box, |covered| = |tile|",
-                 len(used), len(tile), tiled)
+                 covered, len(tile), tiled)
             )
             if not tiled:
                 raise CheckFailed("grid tiling incomplete")
@@ -707,5 +773,5 @@ def build_hierarchy(
             )
             if not ok:
                 raise CheckFailed(f"level {n} fails ({prev}-box, eps) invariance")
-        out.levels.append(HierarchyLevel(tile, side, eps_seq[n], centers))
+        out.levels.append(HierarchyLevel(side, eps_seq[n], centers))
     return out

@@ -2,9 +2,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cberlab import quasitile
 from cberlab.eqrel import CheckFailed
@@ -26,9 +27,8 @@ from cberlab.quasitile import (
 
 def t_set(g, a, b):
     """T(A, B) decoded from the erosion mask the kernels share."""
-    bits = quasitile._bits(g, a, b)
-    t = quasitile._erode(bits, bits.mask(a), [bits.raw(v) for v in b])
-    return frozenset(bits.element(p) for p in quasitile._set_bits(t))
+    win = quasitile._Window(g, a, b)
+    return frozenset(win.bits.elements(win.interior))
 
 
 def test_t_set_box():
@@ -149,6 +149,14 @@ def test_hierarchy_sides_in_z2_meet_the_box_invariance():
         build_hierarchy(g, [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], 3)
 
 
+def test_grid_tiling_check_rejects_overlapping_translates(monkeypatch):
+    """With every shift pinned to 0 the translates all land on the first
+    box, and the running AND of the grid-tiling check raises."""
+    monkeypatch.setattr(quasitile._ZdBits, "shifted", lambda self, m, r: m)
+    with pytest.raises(CheckFailed, match="grid tiling broken"):
+        build_hierarchy(ZdGroup(2), [Fraction(1, 4)] * 2, 2)
+
+
 def test_hierarchy_rejects_nonpositive_eps():
     for eps in ([Fraction(0), Fraction(0)], [Fraction(1, 16), Fraction(-1, 32)]):
         with pytest.raises(TileError):
@@ -194,22 +202,61 @@ def test_cyclic_elements_outside_the_group_are_rejected():
             greedy_disjoint_translates(g, a, b, Fraction(0))
 
 
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """code under python -O, which strips bare asserts, with src importable."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_failing_check_raises_under_optimize():
     """QuasiTiling.log raises explicitly, so python -O keeps the check: at
     eps = 1/3 the stage band caps coverage at 1/2 < 1 - eps."""
-    code = (
+    proc = run_optimized(
         "from fractions import Fraction\n"
         "from cberlab.quasitile import ZdGroup, quasi_tile\n"
         "g = ZdGroup(1)\n"
         "quasi_tile(g, frozenset((x,) for x in range(5000)), [g.segment(10)], Fraction(1, 3))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
     assert proc.returncode == 1
     assert "AssertionError: final:coverage" in proc.stderr
+
+
+FORGED_WINDOWS = [
+    (ZdGroup(1), frozenset((x,) for x in range(100)), ZdGroup(1).segment(10), Fraction(1, 5)),
+    (CyclicGroup(200), frozenset(range(200)) - {3, 4}, frozenset(range(7)), Fraction(2, 5)),
+]
+FORGES = {
+    "bit dropped": lambda m: m & (m - 1),
+    # same popcount, so a count comparison would pass it
+    "bit moved": lambda m: m & (m - 1) | ~m & (m + 1),
+}
+
+
+@pytest.mark.parametrize("forge", FORGES.values(), ids=FORGES.keys())
+@pytest.mark.parametrize("g, a, b, eps", FORGED_WINDOWS, ids=["Z", "Z/200"])
+def test_union_mask_check_rejects_forged_blocks(monkeypatch, g, a, b, eps, forge):
+    """The covered mask the blocks hand back, forged: the union of the
+    accepted translates, set from their positions, no longer equals it."""
+    mask = quasitile._Blocks.mask
+    monkeypatch.setattr(quasitile._Blocks, "mask", lambda self: forge(mask(self)))
+    with pytest.raises(CheckFailed, match="disagree with the translate union"):
+        greedy_disjoint_translates(g, a, b, eps)
+
+
+def test_union_mask_check_raises_under_optimize():
+    proc = run_optimized(
+        "from fractions import Fraction\n"
+        "from cberlab import quasitile as q\n"
+        "mask = q._Blocks.mask\n"
+        "q._Blocks.mask = lambda self: (m := mask(self)) & (m - 1)\n"
+        "q.greedy_disjoint_translates(q.CyclicGroup(200), frozenset(range(200)) - {3, 4},\n"
+        "                             frozenset(range(7)), Fraction(2, 5))\n"
+    )
+    assert proc.returncode == 1
+    assert "CheckFailed: covered bits disagree with the translate union" in proc.stderr
 
 
 # --- the bitset path against plain sets --------------------------------------
@@ -290,6 +337,17 @@ def test_bitset_path_matches_sets_on_zn(nab, eps):
     assert_matches_reference(CyclicGroup(n), a, b, eps)
 
 
+@pytest.mark.parametrize("b", [frozenset(range(7)), frozenset({0, 2, 9})])
+def test_cyclic_translates_wrapping_past_zero_match_the_reference(b):
+    """3 and 4 are missing, so no early center covers 0..2 and the last
+    accepted translates cross 199 -> 0: their union positions are taken
+    mod n."""
+    g, a, eps = CyclicGroup(200), frozenset(range(200)) - {3, 4}, Fraction(2, 5)
+    fam = greedy_disjoint_translates(g, a, b, eps)
+    assert any(c + max(b) >= 200 for c in fam.centers)
+    assert (fam.centers, fam.witnesses, fam.covered) == ref_greedy(g, a, b, eps)
+
+
 @st.composite
 def holed_z2_windows(draw):
     """A box with negative corner coordinates, minus a few holes."""
@@ -309,6 +367,54 @@ def test_greedy_order_is_lexicographic_on_holed_z2(a, b, eps):
     fam = greedy_disjoint_translates(g, a, b, eps)
     assert fam.centers == sorted(fam.centers)
     assert_matches_reference(g, a, b, eps)
+
+
+def assert_ledger_matches_public_calls(g, a, b, eps):
+    """quasi_tile's stage-0 invariance and greedy-coverage entries, read off
+    its one shared encoding, against separate calls to is_invariant and
+    greedy_disjoint_translates.  Each entry is recorded as it is logged, so
+    the entries before a failing check are compared too."""
+    assume(len(a) > 3)  # quasi_tile needs |A| > 3^k
+    (k, *_), entries, log = tiling_constants(eps), {}, quasitile.QuasiTiling.log
+
+    def record(qt, key, value, relation, ok):
+        entries[key] = (value, ok)
+        log(qt, key, value, relation, ok)
+
+    with mock.patch.object(quasitile.QuasiTiling, "log", record):
+        try:
+            quasi_tile(g, a, [b], eps)
+        except AssertionError:
+            pass
+    ok, _ = is_invariant(g, a, b, Fraction(1, 3**k))
+    assert entries["stage0:residue-invariance"] == (1, ok)
+    if ok:
+        n = len(greedy_disjoint_translates(g, a, b, eps).covered)
+        floor = eps * (1 - Fraction(1, 3**k)) * len(a)
+        assert entries["stage0:greedy-coverage"] == (Fraction(n, len(a)), n >= floor)
+
+
+# k = 1 for every eps >= 1/3
+stage_eps = st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)])
+
+
+@PARITY
+@given(a=points(1, -10, 30), b=points(1, -3, 4, max_size=4), eps=stage_eps)
+def test_quasi_tile_ledger_matches_public_calls_on_z(a, b, eps):
+    assert_ledger_matches_public_calls(ZdGroup(1), a, b | {(0,)}, eps)
+
+
+@PARITY
+@given(a=holed_z2_windows(), b=points(2, -1, 2, max_size=4), eps=stage_eps)
+def test_quasi_tile_ledger_matches_public_calls_on_z2(a, b, eps):
+    assert_ledger_matches_public_calls(ZdGroup(2), a, b | {(0, 0)}, eps)
+
+
+@PARITY
+@given(nab=cyclic_windows(), eps=stage_eps)
+def test_quasi_tile_ledger_matches_public_calls_on_zn(nab, eps):
+    n, a, b = nab
+    assert_ledger_matches_public_calls(CyclicGroup(n), a, b | {0}, eps)
 
 
 def test_kernels_shift_once_per_point_of_b(monkeypatch):
