@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="z")
     p.add_argument("--eps", default="2/5")
     p.add_argument("--size", type=int, default=100000)
-    p.add_argument("--chain", default="50", help="comma list of segment lengths")
+    p.add_argument("--chain", default="50",
+                   help="comma list of segment lengths; every eps that can pass needs exactly one")
     p.set_defaults(fn=cmd_tile)
 
     p = sub.add_parser("hierarchy")

@@ -1,10 +1,11 @@
 """Quasi-tilings of amenable-group windows by epsilon-disjoint translates.
 
-All arithmetic is exact: ratios are fractions, and comparisons against
-fractional powers (1-eps)^(a/q) are decided by cross-raising to integer
-powers.  Shapes and windows are finite subsets of Z^d or Z/n.  Both share
-one bitset path: `_bits` picks the encoding (a linear shift in a Z^d box, a
-rotation in Z/n), and the kernels run on int masks as whole-mask algebra:
+All arithmetic is exact: ratios are fractions, and each coverage band is one
+Fraction comparison (quasi_tile admits only eps >= 1/3, where one shape is
+needed and the band exponents are integers).  Shapes and windows are finite
+subsets of Z^d or Z/n.  Both share one bitset path: `_bits` picks the
+encoding (a linear shift in a Z^d box, a rotation in Z/n), and the kernels
+run on int masks as whole-mask algebra:
 
 - T(A, B) = {c in A : B + c <= A} is the erosion A & AND_{v in B} (A - v),
   and |BA| is the popcount of the dilation OR_{v in B} (A + v): |B| shifts
@@ -67,9 +68,6 @@ class MarkedGroup:
     def op(self, a, b):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     @property
     def identity(self):
         raise NotImplementedError
@@ -85,9 +83,6 @@ class ZdGroup(MarkedGroup):
 
     def op(self, a, b):
         return tuple(map(operator.add, a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
 
     @property
     def identity(self):
@@ -110,9 +105,6 @@ class CyclicGroup(MarkedGroup):
 
     def op(self, a, b):
         return (a + b) % self.n
-
-    def inv(self, a):
-        return (-a) % self.n
 
     @property
     def identity(self):
@@ -310,19 +302,6 @@ def is_invariant(
     dilation OR_{v in B} (A + v), exact for the same reason as the erosion.
     """
     return _Window(group, a, b).invariance(eps)
-
-
-def power_le(r: Fraction, base: Fraction, num: int, den: int) -> bool:
-    """Decide r <= base**(num/den) exactly for r, base > 0, den > 0."""
-    if r <= 0:
-        return True
-    return r**den <= base**num
-
-
-def power_ge(r: Fraction, base: Fraction, num: int, den: int) -> bool:
-    if r <= 0:
-        return False
-    return r**den >= base**num
 
 
 # --- greedy epsilon-disjoint families --------------------------------------
@@ -528,42 +507,12 @@ class QuasiTiling:
             raise AssertionError(f"{key}: {value} fails {relation}")
 
 
-def _band(eps: Fraction, i: int):
-    """Relative coverage band for stage i as exact-power predicates.
-
-    Lower bound: max(eps(1-eps)^(1/2^i), 1-(1-eps)^(1-1/2^i));
-    upper bound: min(eps(1-eps)^(-1/2^i), 1-(1-eps)^(1+1/2^i)).
-    """
-    q = 2**i
-    base = 1 - eps
-
-    def ge_lo(r: Fraction) -> bool:
-        return power_ge(r / eps, base, 1, q) and power_le(1 - r, base, q - 1, q)
-
-    def le_hi(r: Fraction) -> bool:
-        return power_le(r / eps, base, -1, q) and power_ge(1 - r, base, q + 1, q)
-
-    return ge_lo, le_hi
-
-
-def _trim(witnesses: Sequence[int], n: int, le_hi) -> int:
-    """The largest count whose prefix coverage sum(witnesses[:count]) / n
-    satisfies le_hi, or 0, by binary search over the prefix sums.
-
-    Trimming keeps prefixes of the acceptance order, so the coverage of the
-    first count centers is the running sum of their witnesses.  The search
-    is exact because the predicate is monotone in count:
-    - le_hi(r) is r/eps <= (1-eps)^(-1/q) and 1 - r >= (1-eps)^((q+1)/q),
-      two upper bounds on r (power_le is true for r <= 0 and (r/eps)^q
-      grows with r > 0; power_ge is false for 1 - r <= 0 and (1 - r)^q
-      shrinks as r grows below 1).  So le_hi(r) and r' <= r give le_hi(r').
-    - The witnesses are counts >= 0, so the prefix sums never decrease.
-    Hence le_hi holds on the prefix sums of counts 1..c* and fails on the
-    rest, and c* is the number of prefix sums on which it holds: O(log
-    count) evaluations of le_hi instead of count sums of count terms.
-    """
-    prefix = list(itertools.accumulate(witnesses))
-    return bisect.bisect_left(prefix, True, key=lambda s: not le_hi(Fraction(s, n)))
+def _trim(witnesses: Sequence[int], n: int, cap: Fraction) -> int:
+    """The largest count whose prefix coverage sum(witnesses[:count]) / n is
+    at most cap, or 0.  The prefix sums are ints that never decrease (the
+    witnesses are counts), and s / n <= cap iff s <= floor(cap n), so the
+    count is one bisection against that one int."""
+    return bisect.bisect_right(list(itertools.accumulate(witnesses)), math.floor(cap * n))
 
 
 def quasi_tile(
@@ -572,81 +521,68 @@ def quasi_tile(
     chain: Sequence[frozenset],
     eps: Fraction,
 ) -> QuasiTiling:
-    """Epsilon-quasi-tile the window A by the descending shape chain.
+    """Epsilon-quasi-tile the window A by the one-shape chain [B]: trim a
+    maximal eps-disjoint family of B-translates inside A, from the end of the
+    canonical order, into the coverage band and under the budget, remove the
+    covered part, and assert that the coverage reaches 1 - eps.
 
-    Stage i takes a maximal eps-disjoint family of B_i-translates inside the
-    residue A_i, trims it from the end of the canonical order into the stage
-    coverage band and under the normalized budget p_i / sum(p), and removes
-    the covered part.  The final coverage is asserted to reach 1 - eps.
+    eps < 1/3 is rejected first, since no input passes there.  The paper's
+    construction takes k shapes, k least with 2eps >= (1-eps)^k, so k = 1
+    iff eps >= 1/3.  For k >= 2, stage k-1's residue-band-low check needs a
+    residue >= (1-eps)^(k + 2^(1-k)) > 2eps(1-eps)^(3/2), because
+    (1-eps)^(k-1) > 2eps by the minimality of k and 1 + 2^(1-k) <= 3/2; and
+    2eps(1-eps)^(3/2) > eps, because 4(1-eps)^3 > 1 for eps < 1/3.  But
+    final:coverage needs a residue <= eps.  So the stages past the first,
+    with their chain-descent and eta-invariance pre-checks, 2^i-root bands
+    and budget split, served only inputs that cannot pass, and collapse.
+
+    Stage 0's band exponents have q = 2^0 = 1, so each band is a plain
+    Fraction comparison, and its residue is A, so each band and its absolute
+    band compare one ratio.  The ledger keeps the keys and relation strings
+    of stage i = 0 of k = 1.
     """
-    k, p_raw, eta = tiling_constants(eps)
-    if len(chain) != k:
-        raise TileError(f"need {k} shapes for eps={eps}, got {len(chain)}")
-    for b in chain:
-        if group.identity not in b:
-            raise TileError("every shape must contain the identity")
-    for b0, b1 in zip(chain, chain[1:]):
-        if not b1 <= b0:
-            raise TileError("shape chain must be descending")
-    total = sum(p_raw)
-    p_scaled = [x / total for x in p_raw]
-    for i, eta_i in enumerate(eta):
-        binv = frozenset(group.inv(v) for v in chain[i + 1])
-        ok, _ = is_invariant(group, chain[i], binv, eta_i / len(chain[i + 1]))
-        if not ok:
-            raise TileError(f"shape {i} is not invariant enough for shape {i + 1}")
-    delta = Fraction(1, 3**k)
-    if len(a) * delta <= 1:
+    if not Fraction(1, 3) <= eps < 1:
+        raise TileError(f"eps must be in [1/3, 1), got {eps}: below 1/3 no shape chain can pass")
+    if len(chain) != 1:
+        raise TileError(f"need one shape for eps={eps}, got {len(chain)}")
+    (b,) = chain
+    if group.identity not in b:
+        raise TileError("every shape must contain the identity")
+    n = len(a)
+    if n <= 3:  # |A| delta <= 1 for the invariance modulus delta = 3^-k = 1/3
         raise TileError("window too small for the chosen eps")
 
-    qt = QuasiTiling(eps, list(chain), [], [], p_raw, p_scaled, Fraction(0))
-    residue = a
-    for i, b in enumerate(chain):
-        fam = greedy_disjoint_translates(group, residue, b, eps)
-        win = fam.window
-        ok, _ = win.invariance(Fraction(1, 3 ** (k - i)))
-        qt.log(f"stage{i}:residue-invariance", Fraction(len(residue), len(a)),
-               f"A_{i} is (B_{i}, 3^-{k - i})-invariant", ok)
-        floor = eps * (1 - Fraction(1, 3 ** (k - i))) * len(residue)
-        greedy = fam.covered_mask.bit_count()
-        qt.log(f"stage{i}:greedy-coverage", Fraction(greedy, len(residue)),
-               f">= eps(1-3^-{k - i})", greedy >= floor)
-        ge_lo, le_hi = _band(eps, i)
-        # count <= budget iff count <= floor(budget), for an int count.
-        count = min(_trim(fam.witnesses, len(residue), le_hi), math.floor(p_scaled[i] * len(a) / len(b)))
-        centers, witnesses = fam.centers[:count], fam.witnesses[:count]
-        cov = win.union(fam.positions[:count])
-        covered = cov.bit_count()
-        if covered != sum(witnesses):
-            raise CheckFailed("witness bookkeeping is off")
-        ratio = Fraction(covered, len(residue))
-        qt.log(f"stage{i}:band-low", ratio, f">= max(eps(1-eps)^(1/{2**i}), 1-(1-eps)^(1-1/{2**i}))",
-               ge_lo(ratio))
-        qt.log(f"stage{i}:band-high", ratio, f"<= min(eps(1-eps)^(-1/{2**i}), 1-(1-eps)^(1+1/{2**i}))",
-               le_hi(ratio))
-        abs_ratio = Fraction(covered, len(a))
-        qt.log(f"stage{i}:absolute-band-low", abs_ratio,
-               f">= eps(1-eps)^({i}+1/{2**i})",
-               power_ge(abs_ratio / eps, 1 - eps, i * 2**i + 1, 2**i))
-        qt.log(f"stage{i}:absolute-band-high", abs_ratio,
-               f"<= eps(1-eps)^({i}-1/{2**i})",
-               power_le(abs_ratio / eps, 1 - eps, i * 2**i - 1, 2**i))
-        qt.log(f"stage{i}:budget-scaled", Fraction(len(b) * len(centers), len(a)),
-               f"<= {p_scaled[i]}", len(b) * len(centers) <= p_scaled[i] * len(a))
-        qt.centers.append(centers)
-        qt.witnesses.append(witnesses)
-        rest = win.mask & ~cov
-        left = rest.bit_count()
-        if i + 1 < k:  # the next stage's window; after the last only its size is read
-            residue = frozenset(win.bits.elements(rest))
-        res_ratio = Fraction(left, len(a))
-        qt.log(f"stage{i}:residue-band-low", res_ratio,
-               f">= (1-eps)^({i + 1}+1/{2**i})",
-               power_ge(res_ratio, 1 - eps, (i + 1) * 2**i + 1, 2**i))
-        qt.log(f"stage{i}:residue-band-high", res_ratio,
-               f"<= (1-eps)^({i + 1}-1/{2**i})",
-               power_le(res_ratio, 1 - eps, (i + 1) * 2**i - 1, 2**i))
-    qt.coverage = Fraction(len(a) - left, len(a))
+    # One shape: its budget is p_0 = eps, and p_0 / sum(p) = 1 normalized.
+    qt = QuasiTiling(eps, [b], [], [], [eps], [Fraction(1)], Fraction(0))
+    fam = greedy_disjoint_translates(group, a, b, eps)
+    win = fam.window
+    ok, _ = win.invariance(Fraction(1, 3))
+    qt.log("stage0:residue-invariance", Fraction(1), "A_0 is (B_0, 3^-1)-invariant", ok)
+    greedy = fam.covered_mask.bit_count()
+    qt.log("stage0:greedy-coverage", Fraction(greedy, n), ">= eps(1-3^-1)",
+           greedy >= eps * Fraction(2, 3) * n)
+    cap = min(eps / (1 - eps), 1 - (1 - eps) ** 2)
+    # count <= budget iff count <= floor(budget), for an int count.
+    count = min(_trim(fam.witnesses, n, cap), n // len(b))
+    centers, witnesses = fam.centers[:count], fam.witnesses[:count]
+    cov = win.union(fam.positions[:count])
+    covered = cov.bit_count()
+    if covered != sum(witnesses):
+        raise CheckFailed("witness bookkeeping is off")
+    ratio = Fraction(covered, n)
+    low = ratio >= eps * (1 - eps)
+    qt.log("stage0:band-low", ratio, ">= max(eps(1-eps)^(1/1), 1-(1-eps)^(1-1/1))", low)
+    qt.log("stage0:band-high", ratio, "<= min(eps(1-eps)^(-1/1), 1-(1-eps)^(1+1/1))", ratio <= cap)
+    qt.log("stage0:absolute-band-low", ratio, ">= eps(1-eps)^(0+1/1)", low)
+    qt.log("stage0:absolute-band-high", ratio, "<= eps(1-eps)^(0-1/1)", ratio <= eps / (1 - eps))
+    qt.log("stage0:budget-scaled", Fraction(len(b) * count, n), "<= 1", len(b) * count <= n)
+    qt.centers.append(centers)
+    qt.witnesses.append(witnesses)
+    left = (win.mask & ~cov).bit_count()
+    res_ratio = Fraction(left, n)
+    qt.log("stage0:residue-band-low", res_ratio, ">= (1-eps)^(1+1/1)", res_ratio >= (1 - eps) ** 2)
+    qt.log("stage0:residue-band-high", res_ratio, "<= (1-eps)^(1-1/1)", res_ratio <= 1)
+    qt.coverage = Fraction(n - left, n)
     qt.log("final:coverage", qt.coverage, ">= 1-eps", qt.coverage >= 1 - eps)
     return qt
 

@@ -106,6 +106,18 @@ def test_bad_fraction_is_input_error():
     assert main(["tile", "--eps", "nonsense"]) == 2
 
 
+def test_tile_rejects_small_eps_before_the_constants(monkeypatch):
+    """eps < 1/3 cannot pass, and its shape count k grows like log(1/eps)/eps
+    (6,212 exact powers at eps = 1/1000): the rejection must not compute it."""
+    monkeypatch.setattr(quasitile, "tiling_constants", lambda eps: pytest.fail("constants computed"))
+    assert main(["tile", "--eps", "1/100000", "--size", "10"]) == 2
+
+
+def test_tile_multi_shape_chain_is_input_error():
+    # It used to run all three stages and exit 1 at stage1:residue-band-low.
+    assert main(["tile", "--eps", "1/4", "--size", "50000", "--chain", "500,2,1"]) == 2
+
+
 @pytest.mark.parametrize("group", ["z", "z2"])
 def test_negative_tile_size_is_input_error(group, capsys):
     # On z2 the side used to be round(size ** 0.5): a complex number, and an
@@ -193,7 +205,8 @@ def test_lift_sim_small(capsys):
 def test_extend_and_hf_and_smooth(capsys):
     for argv in (["extend-link", "--seed", "2"], ["hf-link", "--seed", "2"],
                  ["link", "--seed", "4"], ["lift", "--seed", "6"],
-                 ["choice-link", "--seed", "1", "--depth", "120"]):
+                 ["choice-link", "--seed", "1", "--depth", "120"],
+                 ["tile", "--group", "z2", "--eps", "2/5", "--size", "100000", "--chain", "9"]):
         code, out = run(capsys, *argv)
         assert code == 0, (argv, out)
 

@@ -18,8 +18,6 @@ from cberlab.quasitile import (
     covering_family,
     greedy_disjoint_translates,
     is_invariant,
-    power_ge,
-    power_le,
     quasi_tile,
     tiling_constants,
 )
@@ -52,13 +50,6 @@ def test_cyclic_group_wraps():
     b = frozenset({0, 1, 2})
     # the whole group window is perfectly invariant
     assert is_invariant(g, a, b, Fraction(0))[0]
-
-
-def test_power_comparisons_exact():
-    # (3/4)^(1/2): r = 0.866... slightly less than sqrt(3)/2
-    assert power_le(Fraction(866, 1000), Fraction(3, 4), 1, 2)
-    assert not power_ge(Fraction(866, 1000), Fraction(3, 4), 1, 2)
-    assert power_ge(Fraction(867, 1000), Fraction(3, 4), 1, 2)
 
 
 def test_greedy_family_eps_disjoint_and_maximal():
@@ -176,9 +167,11 @@ def test_window_off_the_origin_tiles():
     assert chk.eps_disjoint and chk.coverage_ok
 
 
-def test_two_shape_chain_fails_its_band_check_alike_on_z_and_zn():
-    """The stage-1 residue no longer holds the identity.  On Z and on Z/5000
-    the chain tiles the same way and fails the same stage-1 band check."""
+def test_two_shape_chain_is_rejected_alike_on_z_and_zn(monkeypatch):
+    """eps = 3/10 needs k = 2 shapes, and no chain of them can pass, so a
+    two-shape chain is rejected as input on Z and on Z/5000 alike, before
+    the constants are computed."""
+    monkeypatch.setattr(quasitile, "tiling_constants", lambda eps: pytest.fail("constants computed"))
     z, zn = ZdGroup(1), CyclicGroup(5000)
     cases = [
         (z, frozenset((x,) for x in range(5000)), [z.segment(90), z.segment(2)]),
@@ -186,10 +179,30 @@ def test_two_shape_chain_fails_its_band_check_alike_on_z_and_zn():
     ]
     messages = []
     for g, a, chain in cases:
-        with pytest.raises(AssertionError, match=r"^stage1:residue-band-low: 1897/5000 ") as exc:
+        with pytest.raises(TileError, match=r"^eps must be in \[1/3, 1\), got 3/10") as exc:
             quasi_tile(g, a, chain, Fraction(3, 10))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def test_no_eps_below_a_third_can_pass():
+    """The proof behind quasi_tile's rejection of eps < 1/3, checked exactly
+    for every eps = p/q < 1/3 with q <= 60: k >= 2, (1-eps)^(k-1) > 2eps and
+    4(1-eps)^3 > 1.  Where k <= 6, also directly: the last stage's
+    residue-band-low bound (1-eps)^(k + 2^(1-k)) exceeds eps, the most that
+    final:coverage admits, i.e. eps^(2^(k-1)) < (1-eps)^(k 2^(k-1) + 1)."""
+    epsilons = {Fraction(p, q) for q in range(2, 61) for p in range(1, q) if 3 * p < q}
+    direct = 0
+    for eps in epsilons:
+        k, _, _ = tiling_constants(eps)
+        assert k >= 2
+        assert (1 - eps) ** (k - 1) > 2 * eps
+        assert 4 * (1 - eps) ** 3 > 1
+        if k <= 6:
+            h = 2 ** (k - 1)
+            assert eps**h < (1 - eps) ** (k * h + 1)
+            direct += 1
+    assert (len(epsilons), direct) == (367, 184)
 
 
 def test_cyclic_elements_outside_the_group_are_rejected():
@@ -486,23 +499,29 @@ def ref_trim(witnesses, n, le_hi):
     return count
 
 
+def ref_le_hi(eps):
+    """Stage 0's band ceiling as the exact-power predicate it was written
+    as, r/eps <= (1-eps)^-1 (true for r <= 0) and 1 - r >= (1-eps)^2 (false
+    for 1 - r <= 0), against which quasi_tile's plain ceiling is checked."""
+    return lambda r: (r <= 0 or r / eps <= 1 / (1 - eps)) and 1 - r > 0 and 1 - r >= (1 - eps) ** 2
+
+
 @PARITY
 @given(
     size=st.integers(1, 400),
     holes=st.frozensets(st.integers(0, 399), max_size=40),
     shape_len=st.integers(1, 12),
     eps=st.sampled_from([Fraction(2, 5), Fraction(1, 3)]),
-    stage=st.integers(0, 3),
 )
-def test_binary_search_trim_matches_the_linear_scan(size, holes, shape_len, eps, stage):
+def test_binary_search_trim_matches_the_linear_scan(size, holes, shape_len, eps):
     """On the witnesses of greedy families over holed Z windows, at both
-    eps of the tiling workload and at several stage bands."""
+    eps of the tiling workload and the one band ceiling quasi_tile trims to."""
     g = ZdGroup(1)
     a = frozenset((x,) for x in range(size) if x not in holes) or frozenset({(0,)})
     fam = greedy_disjoint_translates(g, a, g.segment(shape_len), eps)
-    _, le_hi = quasitile._band(eps, stage)
+    cap = min(eps / (1 - eps), 1 - (1 - eps) ** 2)
     for n in (len(a), max(1, len(fam.covered))):
-        assert quasitile._trim(fam.witnesses, n, le_hi) == ref_trim(fam.witnesses, n, le_hi)
+        assert quasitile._trim(fam.witnesses, n, cap) == ref_trim(fam.witnesses, n, ref_le_hi(eps))
 
 
 def test_maximality_recheck_rejects_a_forged_family():
