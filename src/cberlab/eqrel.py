@@ -86,8 +86,9 @@ class FinEqrel:
 
 
 def build_partition(n: int, classes: Sequence[Sequence[int]]) -> FinEqrel:
-    """Validate and build a FinEqrel from raw class data."""
-    return FinEqrel(n, _canon(classes))
+    """Validate and build a FinEqrel from raw class data; the constructor
+    canonicalizes it."""
+    return FinEqrel(n, classes)
 
 
 def delta(n: int) -> FinEqrel:

@@ -466,7 +466,7 @@ def covering_family(
     ok, _ = fam.window.invariance(delta)
     if not ok:
         raise TileError("window is not sufficiently invariant for the covering bound")
-    if len(fam.covered) < eps * (1 - delta) * len(a):
+    if fam.covered_mask.bit_count() < eps * (1 - delta) * len(a):
         raise CheckFailed("covering bound violated")
     return fam
 

@@ -7,12 +7,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-
-def rational(x) -> dict:
-    f = x if type(x) is Fraction else Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
-
-
 # Exact leaf types, returned as they are.  bool is listed for itself: `type`
 # does not see it as int.
 _LEAVES = frozenset({int, str, bool, type(None)})
@@ -20,9 +14,10 @@ _LEAVES = frozenset({int, str, bool, type(None)})
 
 def _encode(x: Any) -> Any:
     """x as a fresh JSON tree: Fractions as {"num", "den"}, tuples and lists
-    as lists, sets and frozensets as sorted lists, dict keys as str.  A float
-    anywhere but in a dict key raises TypeError."""
-    t = type(x)  # exact types first: tower reports hold ~10^5 of them
+    as lists, sets and frozensets as sorted lists, dict keys as str.  The
+    dispatch is on exact types; any other type raises TypeError, a float
+    (anywhere but in a dict key) with its own message."""
+    t = type(x)
     if t in _LEAVES:
         return x
     if t is Fraction:
@@ -39,24 +34,17 @@ def _encode(x: Any) -> Any:
             k if type(k) is str else str(k): v if type(v) in _LEAVES else _encode(v)
             for k, v in x.items()
         }
-    if isinstance(x, Fraction):
-        return rational(x)
-    if isinstance(x, (int, str)):
-        return x
-    if isinstance(x, float):
+    if t is set or t is frozenset:
+        return [_encode(v) for v in sorted(x)]
+    if t is float:
         raise TypeError("no floats cross the interface; use Fraction")
-    if isinstance(x, dict):
-        return {str(k): _encode(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = sorted(x) if isinstance(x, (set, frozenset)) else x
-        return [_encode(v) for v in items]
-    return str(x)
+    raise TypeError(f"cannot encode {t.__name__} in a report")
 
 
 @dataclass
 class Report:
     scenario: dict
-    outcome: str  # "pass" | "fail" | "error"
+    outcome: str = "pass"  # "pass" | "fail" | "error"
     metrics: dict = field(default_factory=dict)
     ledger: list = field(default_factory=list)  # (key, lhs, rhs, verdict)
     seed: int | None = None

@@ -25,11 +25,11 @@ stored as pi_n, a dict element -> slot index, and checked by one integer
 identity: its keys are the tile and its values are range(size).  Maps,
 agreement and defect are slot counts; `IntervalSet`, `IntervalMap` and
 `Fraction` appear only at the boundary (`TowerStage.targets`, `.base`,
-`materialize_map` and the measures of `StageReport`).  The T-sets of a stage
-share one table of endpoint Fractions, which is also their memoized
-`intervals` view.  The CLI needs none of these objects: `lift-sim` emits each
-slot straight from pi_n as reduced endpoints, and its partition check is
-`TowerStage.covered`, a count of slot indices.
+`materialize_map` and the measures of `StageReport`).  A stage keeps one
+table of endpoint Fractions, `TowerStage.ends`; its T-sets share it as their
+memoized `intervals` views, and `lift-sim` emits each slot straight from pi_n
+as the pair ends[p], ends[p + 1] without building a T-set.  Its partition
+check is `TowerStage.covered`, a count of slot indices.
 """
 
 from __future__ import annotations
@@ -71,11 +71,18 @@ class TowerStage:
         return self._slot(0)
 
     @cached_property
+    def ends(self) -> list[Fraction]:
+        """The slot endpoints q/size, q = 0..size: T_g = [ends[p], ends[p + 1])
+        for p = pi_n(g)."""
+        size = self.size
+        return [Fraction(q, size) for q in range(size + 1)]
+
+    @cached_property
     def targets(self) -> dict[tuple, IntervalSet]:
         """element -> T_g, a partition of [0,1).  Neighbouring slots share
-        the Fraction of their common endpoint in their `intervals` views."""
-        size = self.size
-        ends = [Fraction(q, size) for q in range(size + 1)]
+        the Fraction of their common endpoint, from `ends`, in their
+        `intervals` views."""
+        ends = self.ends
         return {g: self._slot(p, ((ends[p], ends[p + 1]),)) for g, p in self.slots.items()}
 
 

@@ -202,6 +202,25 @@ def test_lift_sim_small(capsys):
     assert rep["outcome"] == "pass"
 
 
+def test_lift_sim_outcome_is_read_off_the_ledger(capsys):
+    """A sequence that does not halve fails its summability check, and the
+    report says so: outcome "fail" beside the false verdict, and exit 1."""
+    code, out = run(capsys, "lift-sim", "--eps", "1/16,1/16,1/16", "--stages", "2")
+    rep = json.loads(out)
+    verdicts = {c["key"]: c["verdict"] for c in rep["ledger"]}
+    assert verdicts["summability: eps halves stage to stage"] is False
+    assert (code, rep["outcome"]) == (1, "fail")
+
+
+@pytest.mark.parametrize("knob", [["--seed", "0"], ["--out", "suite.json"]])
+def test_suite_takes_no_seed_or_out(knob):
+    """The suite's criteria fix their own seeds and it prints a table, so
+    it accepts neither knob; argparse rejects them before any criterion runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", *knob])
+    assert exc.value.code == 2
+
+
 def test_extend_and_hf_and_smooth(capsys):
     for argv in (["extend-link", "--seed", "2"], ["hf-link", "--seed", "2"],
                  ["link", "--seed", "4"], ["lift", "--seed", "6"],
