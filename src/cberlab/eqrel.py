@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -14,7 +15,15 @@ class CheckFailed(AssertionError):
     """Raised when a verified property fails (exit 1, even under python -O)."""
 
 
-def _canon(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+def _canon(classes: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The classes as sorted tuples, ordered by least element.  Raises
+    EqrelError unless every class is an iterable of int (not bool) points."""
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(classes)))
+    except TypeError as exc:  # classes, or one class, is not iterable
+        raise EqrelError(f"classes must be lists of int points: {exc}") from exc
+    if kinds - {int}:
+        raise EqrelError(f"points must be ints, got {sorted(t.__name__ for t in kinds - {int})}")
     out = [tuple(sorted(set(c))) for c in classes]
     out = [c for c in out if c]
     out.sort(key=lambda c: c[0])

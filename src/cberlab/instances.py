@@ -105,6 +105,8 @@ def gen_instance(seed: int, max_size: int = 12, max_index: int = 4) -> Instance:
     """Seeded random instance with a valid witness, |X| <= max_size."""
     if not 1 <= max_size <= MAX_GEN_SIZE:
         raise EqrelError(f"size bound must be in 1..{MAX_GEN_SIZE}")
+    if max_index < 1:
+        raise EqrelError(f"index bound must be at least 1, got {max_index}")
     rng = random.Random(seed)
     inst = build_block_instance(_block_shapes(rng, max_size, max_index))
     perm = list(range(inst.e.n))

@@ -11,7 +11,7 @@ run on int masks as whole-mask algebra:
   and |BA| is the popcount of the dilation OR_{v in B} (A + v): |B| shifts
   each.  Both are exact because the Z^d box holds A + B (no c + v with c in
   A leaves it or aliases) and Z/n rotates (-v is the rotation by n - v).
-- is_invariant reads |T| and |BA| as popcounts.
+- `_Window.invariance` reads |T| and |BA| as popcounts.
 - greedy_disjoint_translates walks the set bits of T in ascending order.
   Bit order is the canonical order: row-major positions order a Z^d box
   lexicographically, and Z/n positions are its integers.
@@ -60,20 +60,7 @@ class TileError(ValueError):
 # --- groups -----------------------------------------------------------------
 
 
-class MarkedGroup:
-    """A group with explicit element encoding.  Its canonical total order is
-    the natural order of its elements (tuples in Z^d, integers in Z/n), which
-    is the bit order of its encoding."""
-
-    def op(self, a, b):
-        raise NotImplementedError
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-
-class ZdGroup(MarkedGroup):
+class ZdGroup:
     """Z^d with tuple elements and lexicographic canonical order."""
 
     def __init__(self, d: int):
@@ -95,7 +82,7 @@ class ZdGroup(MarkedGroup):
         return frozenset((x,) + (0,) * (self.d - 1) for x in range(length))
 
 
-class CyclicGroup(MarkedGroup):
+class CyclicGroup:
     """Z/n with integer elements 0..n-1."""
 
     def __init__(self, n: int):
@@ -120,27 +107,19 @@ class CyclicGroup(MarkedGroup):
 
 class _ZdBits:
     """Subsets of Z^d as integer bitmasks under a row-major position encoding
-    of a box, so a translate is a single shift and set algebra is int
-    arithmetic.  The box holds A, B and A + B, and raw is injective on it, so
-    every mask and every translate of a point of A by B is exact.  Position p
-    is the mixed-radix number whose digits are the coordinates minus the
-    box's corner; `zero` is the position of the origin, which need not lie
-    in the box.  Digit order is coordinate order, so bit order is the
-    lexicographic order of the points of the box."""
+    of the box with corners los and his, so a translate is a single shift and
+    set algebra is int arithmetic.  The caller picks a box that holds A, B
+    and A + B, and raw is injective on it, so every mask and every translate
+    of a point of A by B is exact.  Position p is the mixed-radix number
+    whose digits are the coordinates minus the box's corner; `zero` is the
+    position of the origin, which need not lie in the box.  Digit order is
+    coordinate order, so bit order is the lexicographic order of the points
+    of the box."""
 
-    def __init__(self, group: ZdGroup, a: frozenset, b: frozenset):
-        if set(map(len, a)) | set(map(len, b)) != {group.d}:
-            raise TileError(f"points of A and B must have {group.d} coordinates")
-        # Extents read one coordinate per pass: transposing A with zip(*A)
-        # would hold an iterator per point.
-        self.los, self.his = [], []
-        for coord in map(operator.itemgetter, range(group.d)):
-            alo, ahi = min(map(coord, a)), max(map(coord, a))
-            blo, bhi = min(map(coord, b)), max(map(coord, b))
-            self.los.append(min(alo, blo, alo + blo))
-            self.his.append(max(ahi, bhi, ahi + bhi))
-        self.strides = [1] * group.d
-        for j in range(group.d - 2, -1, -1):
+    def __init__(self, los: Sequence[int], his: Sequence[int]):
+        self.los, self.his = list(los), list(his)
+        self.strides = [1] * len(los)
+        for j in range(len(los) - 2, -1, -1):
             self.strides[j] = self.strides[j + 1] * (self.his[j + 1] - self.los[j + 1] + 1)
         self.zero = -sum(lo * s for lo, s in zip(self.los, self.strides))
         self.size = (self.his[0] - self.los[0] + 1) * self.strides[0]
@@ -153,6 +132,15 @@ class _ZdBits:
         if len(strides) == 1:  # Z: the position is the coordinate plus zero, no Python call per point
             return _mask_at(map(zero.__add__, map(operator.itemgetter(0), s)), self.size)
         return _mask_at((sum(map(operator.mul, v, strides)) + zero for v in s), self.size)
+
+    def box(self, side: int) -> int:
+        """The mask of [0, side)^d in an encoding with corner 0 that holds
+        it: a run of `side` ones, repeated `side` times at stride s_j for each
+        earlier coordinate j by one product with sum_{i < side} 2^(i s_j)."""
+        m = (1 << side) - 1
+        for s in self.strides[-2::-1]:
+            m *= ((1 << side * s) - 1) // ((1 << s) - 1)
+        return m
 
     def shifted(self, base_mask: int, r: int) -> int:
         """The mask translated by the element of raw offset r."""
@@ -208,10 +196,21 @@ class _CyclicBits:
         return itertools.compress(range(self.n), _flags(m))
 
 
-def _bits(group: MarkedGroup, a: frozenset, b: frozenset):
-    """The bitset encoding of the group, covering A, B and A + B."""
+def _bits(group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset):
+    """The bitset encoding of the group, covering A, B and A + B: the one
+    place an encoding is sized from point sets."""
     if isinstance(group, ZdGroup):
-        return _ZdBits(group, a, b)
+        if set(map(len, a)) | set(map(len, b)) != {group.d}:
+            raise TileError(f"points of A and B must have {group.d} coordinates")
+        # Extents read one coordinate per pass: transposing A with zip(*A)
+        # would hold an iterator per point.
+        los, his = [], []
+        for coord in map(operator.itemgetter, range(group.d)):
+            alo, ahi = min(map(coord, a)), max(map(coord, a))
+            blo, bhi = min(map(coord, b)), max(map(coord, b))
+            los.append(min(alo, blo, alo + blo))
+            his.append(max(ahi, bhi, ahi + bhi))
+        return _ZdBits(los, his)
     if isinstance(group, CyclicGroup):
         return _CyclicBits(group)
     raise TileError(f"no bitset encoding for {type(group).__name__}")
@@ -246,7 +245,7 @@ def _set_bits(m: int) -> Iterator[int]:
 # --- invariance -------------------------------------------------------------
 
 
-def translate(group: MarkedGroup, b: frozenset, c) -> frozenset:
+def translate(group: ZdGroup | CyclicGroup, b: frozenset, c) -> frozenset:
     return frozenset(group.op(v, c) for v in b)
 
 
@@ -262,19 +261,27 @@ def _erode(bits, ma: int, offs: Sequence[int]) -> int:
 
 
 class _Window:
-    """One window A and shape B, encoded once: the bitset encoding, A's
+    """One window A and shape B in one encoding: the bitset encoding, A's
     mask, B's raw offsets and the erosion T(A, B).  The invariance count and
     the greedy walk both read this one build."""
 
-    def __init__(self, group: MarkedGroup, a: frozenset, b: frozenset):
-        self.bits = _bits(group, a, b)
-        self.mask = self.bits.mask(a)
-        self.offs = [self.bits.raw(v) for v in b]
-        self.interior = _erode(self.bits, self.mask, self.offs)
-        self.points = len(a)
+    def __init__(self, bits, mask: int, offs: Sequence[int]):
+        self.bits, self.mask, self.offs = bits, mask, offs
+        self.interior = _erode(bits, mask, offs)
+        self.points = mask.bit_count()
+
+    @classmethod
+    def of(cls, group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset) -> "_Window":
+        """The window of the point sets A and B, in `_bits`'s encoding."""
+        bits = _bits(group, a, b)
+        return cls(bits, bits.mask(a), [bits.raw(v) for v in b])
 
     def invariance(self, eps: Fraction) -> tuple[bool, int]:
-        """is_invariant on this window: (|A \\ T| <= eps|A|, |T|)."""
+        """(B, eps)-invariance of A: (|A \\ T(A, B)| <= eps|A|, |T|), |T| the
+        popcount of the erosion.  When invariant, the growth consequence
+        |BA| <= (1 + eps|B|)|A| is checked as a sanity check of the
+        combinatorics; |BA| is the popcount of the dilation OR_{v in B} (A + v),
+        exact for the same reason as the erosion."""
         t, na = self.interior.bit_count(), self.points
         ok = na - t <= eps * na
         if ok:
@@ -289,19 +296,6 @@ class _Window:
         """The mask of the union of B + c over the centers c at positions
         ps, set position by position from p + raw(v)."""
         return _mask_at(self.bits.translates(ps, self.offs), self.bits.size)
-
-
-def is_invariant(
-    group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction
-) -> tuple[bool, int]:
-    """(B, eps)-invariance of A: |A \\ T(A,B)| <= eps|A|, with |T| the
-    popcount of the erosion mask.
-
-    When invariant, the growth consequence |BA| <= (1 + eps|B|)|A| is checked
-    as a sanity check of the combinatorics; |BA| is the popcount of the
-    dilation OR_{v in B} (A + v), exact for the same reason as the erosion.
-    """
-    return _Window(group, a, b).invariance(eps)
 
 
 # --- greedy epsilon-disjoint families --------------------------------------
@@ -429,7 +423,7 @@ def _check_maximal(bits, offs: Sequence[int], covered: int, rejected: int, need:
 
 
 def greedy_disjoint_translates(
-    group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction
+    group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset, eps: Fraction
 ) -> DisjointFamily:
     """Maximal eps-disjoint family of B-translates inside A, canonical order.
 
@@ -445,7 +439,7 @@ def greedy_disjoint_translates(
     if not b:
         raise TileError("empty tile")
     need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
-    win = _Window(group, a, b)
+    win = _Window.of(group, a, b)
     bits = win.bits
     u = _Blocks(bits, win.offs)
     accepted, witnesses = u.walk(_set_bits(win.interior), need)
@@ -458,7 +452,7 @@ def greedy_disjoint_translates(
 
 
 def covering_family(
-    group: MarkedGroup, a: frozenset, b: frozenset, eps: Fraction, delta: Fraction
+    group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset, eps: Fraction, delta: Fraction
 ) -> DisjointFamily:
     """Greedy family plus the covering bound for (B, delta)-invariant windows:
     a maximal eps-disjoint family covers at least eps(1-delta)|A| points."""
@@ -516,7 +510,7 @@ def _trim(witnesses: Sequence[int], n: int, cap: Fraction) -> int:
 
 
 def quasi_tile(
-    group: MarkedGroup,
+    group: ZdGroup | CyclicGroup,
     a: frozenset,
     chain: Sequence[frozenset],
     eps: Fraction,
@@ -596,7 +590,7 @@ class TilingCheck:
     coverage: Fraction
 
 
-def check_tiling(group: MarkedGroup, a: frozenset, qt: QuasiTiling) -> TilingCheck:
+def check_tiling(group: ZdGroup | CyclicGroup, a: frozenset, qt: QuasiTiling) -> TilingCheck:
     """Independent re-verification of a quasi-tiling from its centers alone."""
     eps = qt.eps
     used: set = set()
@@ -651,7 +645,7 @@ def build_hierarchy(
     A tile beyond FOLNER_CAP points raises TileError as soon as the side
     search passes it.  For each level above the first, the ledger records
     the grid tiling (|covered| = |tile|) and the invariance
-    (|A \\ T(A, B)| <= eps|A|, from is_invariant's count).
+    (|A \\ T(A, B)| <= eps|A|, from `_Window.invariance`'s count).
     """
     if levels < 1:
         raise TileError("need at least one level")
@@ -672,42 +666,39 @@ def build_hierarchy(
         if lo**d > FOLNER_CAP:
             raise TileError(f"level {n} needs side >= {lo} (|tile| = {lo**d} > cap {FOLNER_CAP})")
         sides.append(lo)
-    out = TilingHierarchy(group, [])
-    for n, side in enumerate(sides):
-        if n == 0:
-            centers = []
-        else:
-            prev = sides[n - 1]
-            centers = sorted(
-                itertools.product(range(0, side, prev), repeat=group.d)
-            )
-            tile, box = group.box(side), group.box(prev)
-            # Each translate c + box is the prev-box's mask shifted by raw(c)
-            # in the encoding of box and centers, which holds every c + v and
-            # reads |box| + |centers| points, not the tile.  It lies in the
-            # tile iff 0 <= c_j <= side - prev; a running AND proves the
-            # translates disjoint and the popcount that they cover the tile.
-            bits = _bits(group, box, frozenset(centers))
-            mbox, used = bits.mask(box), 0
-            for c in centers:
-                bc = bits.shifted(mbox, bits.raw(c))
-                if not all(0 <= x <= side - prev for x in c) or bc & used:
-                    raise CheckFailed("grid tiling broken")
-                used |= bc
-            covered = used.bit_count()
-            tiled = covered == len(tile)
-            out.ledger.append(
-                (f"level {n}: {prev}-boxes tile the {side}-box, |covered| = |tile|",
-                 covered, len(tile), tiled)
-            )
-            if not tiled:
-                raise CheckFailed("grid tiling incomplete")
-            ok, t = is_invariant(group, tile, box, eps_seq[n - 1])
-            out.ledger.append(
-                (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
-                 len(tile) - t, eps_seq[n - 1] * len(tile), ok)
-            )
-            if not ok:
-                raise CheckFailed(f"level {n} fails ({prev}-box, eps) invariance")
+    out = TilingHierarchy(group, [HierarchyLevel(1, eps_seq[0], [])])
+    for n in range(1, levels):
+        prev, side = sides[n - 1], sides[n]
+        size = side**d
+        centers = list(itertools.product(range(0, side, prev), repeat=d))
+        # One encoding per level, with corner 0: the box [0, side + prev - 2]^d
+        # holds the tile and tile + box, so every shift below is exact.  Each
+        # translate c + box is the prev-box's mask shifted by raw(c).  It lies
+        # in the tile iff 0 <= c_j <= side - prev; a running AND proves the
+        # translates disjoint, and the popcount side^d that their union
+        # `used` is the tile's mask, which the invariance check erodes.
+        bits = _ZdBits([0] * d, [side + prev - 2] * d)
+        mbox, used = bits.box(prev), 0
+        for c in centers:
+            bc = bits.shifted(mbox, bits.raw(c))
+            if not all(0 <= x <= side - prev for x in c) or bc & used:
+                raise CheckFailed("grid tiling broken")
+            used |= bc
+        covered = used.bit_count()
+        tiled = covered == size
+        out.ledger.append(
+            (f"level {n}: {prev}-boxes tile the {side}-box, |covered| = |tile|",
+             covered, size, tiled)
+        )
+        if not tiled:
+            raise CheckFailed("grid tiling incomplete")
+        # The origin is the corner, so the box's set bits are its raw offsets.
+        ok, t = _Window(bits, used, list(_set_bits(mbox))).invariance(eps_seq[n - 1])
+        out.ledger.append(
+            (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
+             size - t, eps_seq[n - 1] * size, ok)
+        )
+        if not ok:
+            raise CheckFailed(f"level {n} fails ({prev}-box, eps) invariance")
         out.levels.append(HierarchyLevel(side, eps_seq[n], centers))
     return out

@@ -22,7 +22,8 @@ every T-set is one slot with
 
 idx(c) the position of c in [identity, *other centers].  A stage is therefore
 stored as pi_n, a dict element -> slot index, and checked by one integer
-identity: its keys are the tile and its values are range(size).  Maps,
+identity: its keys are the tile (side^d keys with every coordinate in
+[0, side)) and its values are range(size).  Maps,
 agreement and defect are slot counts; `IntervalSet`, `IntervalMap` and
 `Fraction` appear only at the boundary (`TowerStage.targets`, `.base`,
 `materialize_map` and the measures of `StageReport`).  A stage keeps one
@@ -34,6 +35,7 @@ check is `TowerStage.covered`, a count of slot indices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -99,7 +101,7 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
     follows from stage n by the closed form in the module docstring.  Each
     stage must pass the partition identity, which raises AssertionError
     whatever the interpreter flags: a hierarchy whose centers do not tile
-    the box exactly fails it.
+    the box exactly fails it.  Only the slot values are sorted.
     """
     if stages < 1 or stages > len(hier.levels):
         raise TileError(f"stages must be in 1..{len(hier.levels)}")
@@ -108,7 +110,6 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
     group = hier.group
     tower = Tower(group, [])
     slots = {group.identity: 0}
-    elems = [group.identity]
     for n in range(stages):
         lvl = hier.levels[n]
         if n > 0:
@@ -117,12 +118,16 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
             idx = {c: i for i, c in enumerate(order)}
             k = len(centers)
             slots = {
-                group.op(h, c): k * slots[h] + idx[c] for h in elems for c in centers
+                group.op(h, c): k * p + idx[c] for h, p in slots.items() for c in centers
             }
-            elems = sorted(group.box(lvl.side))
-        if sorted(slots) != elems or sorted(slots.values()) != list(range(len(elems))):
+        side = lvl.side
+        if (
+            len(slots) != side**group.d
+            or not set(itertools.chain.from_iterable(slots)) <= set(range(side))
+            or sorted(slots.values()) != list(range(len(slots)))
+        ):
             raise AssertionError(f"stage {n} slots do not partition [0,1)")
-        tower.stages.append(TowerStage(lvl.side, lvl.eps, slots))
+        tower.stages.append(TowerStage(side, lvl.eps, slots))
     return tower
 
 
@@ -137,7 +142,7 @@ def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
     )
 
 
-def _box_overlap(group: ZdGroup, side: int, g: tuple) -> int:
+def _box_overlap(side: int, g: tuple) -> int:
     """|B ∩ g^{-1}B| for the side-length box, exactly."""
     out = 1
     for x in g:
@@ -149,16 +154,16 @@ def _box_overlap(group: ZdGroup, side: int, g: tuple) -> int:
 class StageReport:
     pair: tuple[int, int]
     g: tuple
-    agreement: Fraction | None
+    agreement: Fraction
     agreement_bound: Fraction
     agreement_premise: bool
-    defect_domain: Fraction | None
+    defect_domain: Fraction
     defect_bound: Fraction
     defect_premise: bool
     notes: list[str] = field(default_factory=list)
 
 
-def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> StageReport:
+def stage_report(tower: Tower, n: int, g: tuple, h: tuple) -> StageReport:
     """Agreement of phi^n_g with phi^{n+1}_g, and the action defect of the
     pair (g, h) at stage n+1, with the premises that license each bound.
 
@@ -173,10 +178,8 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
     group = tower.group
     st, st1 = tower.stages[n], tower.stages[n + 1]
     eps = st.eps  # transition n -> n+1 modulus
-    side = st.side
-    b_size = side**group.d
-    overlap = _box_overlap(group, side, g)
-    premise = b_size - overlap <= eps * b_size
+    b_size = st.side**group.d
+    premise = b_size - _box_overlap(st.side, g) <= eps * b_size
     op = group.op
     pi, pi1 = st.slots, st1.slots
     k = st1.size // st.size
@@ -190,35 +193,26 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple | None = None) -> Stag
             hits += 1
     agree = Fraction(hits, st1.size)
     bound = (1 - eps) * (1 - 3 * eps)
-    rep = StageReport((n, n + 1), g, agree, bound, premise, None, Fraction(0), False)
+    eps1 = st1.eps
+    b1 = st1.side**group.d
+    gh = op(g, h)
+    defect_premise = all(b1 - _box_overlap(st1.side, x) <= eps1 * b1 for x in (h, gh))
+    # phi_g . phi_h and phi_{g+h} both send slot pi(x) to slot pi(g+h+x)
+    # wherever they are defined: where h+x and g+h+x are in the tile.  So
+    # the locus is those slots.
+    locus = sum(1 for x in pi1 if op(h, x) in pi1 and op(gh, x) in pi1)
+    rep = StageReport((n, n + 1), g, agree, bound, premise,
+                      Fraction(locus, st1.size), 1 - 2 * eps1, defect_premise)
     if premise:
         if agree < bound:
-            raise CheckFailed(
-                f"agreement {agree} below bound {bound} despite deepness"
-            )
+            raise CheckFailed(f"agreement {agree} below bound {bound} despite deepness")
     else:
         rep.notes.append("agreement premise fails: g is not eps-deep; bound not claimed")
-    if h is not None:
-        eps1 = st1.eps
-        side1 = st1.side
-        b1 = side1**group.d
-        gh = group.op(g, h)
-        p_h = b1 - _box_overlap(group, side1, h) <= eps1 * b1
-        p_gh = b1 - _box_overlap(group, side1, gh) <= eps1 * b1
-        rep.defect_premise = p_h and p_gh
-        # phi_g . phi_h and phi_{g+h} both send slot pi(x) to slot
-        # pi(g+h+x) wherever they are defined: where h+x and g+h+x are in
-        # the tile.  So the locus is those slots.
-        hits = sum(1 for x in pi1 if op(h, x) in pi1 and op(gh, x) in pi1)
-        rep.defect_domain = Fraction(hits, st1.size)
-        rep.defect_bound = 1 - 2 * eps1
-        if rep.defect_premise:
-            if rep.defect_domain < rep.defect_bound:
-                raise CheckFailed(
-                    f"action defect {rep.defect_domain} below {rep.defect_bound}"
-                )
-        else:
-            rep.notes.append("defect premise fails: h or g+h not eps-deep; bound not claimed")
+    if defect_premise:
+        if rep.defect_domain < rep.defect_bound:
+            raise CheckFailed(f"action defect {rep.defect_domain} below {rep.defect_bound}")
+    else:
+        rep.notes.append("defect premise fails: h or g+h not eps-deep; bound not claimed")
     return rep
 
 

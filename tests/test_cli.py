@@ -90,6 +90,39 @@ def test_verify_link_pass_and_fail(tmp_path, capsys):
         assert json.loads(out)["outcome"] == "fail"
 
 
+# Class data for verify-link's "L", as a function of the instance size n.
+MALFORMED_L = {
+    "not a list": lambda n: 5,
+    "str point": lambda n: [["a"]],
+    "float point": lambda n: [[0.0, *range(1, n)]],
+    "list point": lambda n: [[[0]]],
+    # a full class, so True cannot pass as the point 1
+    "bool point": lambda n: [[0, True, *range(2, n)]],
+}
+
+
+@pytest.mark.parametrize("l_classes", MALFORMED_L.values(), ids=MALFORMED_L.keys())
+def test_verify_link_malformed_classes_are_input_error(tmp_path, capsys, l_classes):
+    """Class data that is not lists of int points is rejected where
+    partitions are validated; it used to end in a TypeError traceback."""
+    raw = json.loads(gen_instance(3).to_json())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(raw, L=l_classes(raw["n"]))))
+    assert main(["verify-link", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error")
+
+
+@pytest.mark.parametrize("index", ["0", "-2"])
+def test_gen_index_below_one_is_input_error(capsys, index):
+    # It used to reach randrange and exit with "empty range for randrange()".
+    assert main(["gen", "--index", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: index bound must be at least 1, got {index}\n"
+
+
 def test_missing_field_is_input_error(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(gen_instance(1).to_json())
@@ -143,7 +176,7 @@ def test_nonpositive_hierarchy_eps_is_input_error():
 def test_hierarchy_failed_invariance_exits_1(monkeypatch, capsys):
     """A failed invariance recheck is a verified property failing, not
     malformed input."""
-    monkeypatch.setattr(quasitile, "is_invariant", lambda *args: (False, 0))
+    monkeypatch.setattr(quasitile._Window, "invariance", lambda self, eps: (False, 0))
     code = main(["hierarchy", "--levels", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -172,6 +205,16 @@ def test_hierarchy_ledger_is_the_real_check(capsys):
     ]
     assert all(c["verdict"] is True for c in rep["ledger"])
     assert not any(v is True for c in rep["ledger"] for v in (c["lhs"], c["rhs"]))
+
+
+def test_z2_hierarchy_report_frozen(capsys):
+    """The canonical ℤ² hierarchy report, byte for byte: each level's grid
+    tiling and invariance counts, read off the level's one encoding."""
+    code, out = run(capsys, "hierarchy", "--group", "z2", "--eps", "1/8,1/16,1/32", "--levels", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9a76c36af5fde24d2b9a494ca0b8ca35c0c10487f3b13c249b86cadc7cd861a3"
+    )
 
 
 @pytest.mark.parametrize("depth", ["0", "-5"])

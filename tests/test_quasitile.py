@@ -17,7 +17,6 @@ from cberlab.quasitile import (
     check_tiling,
     covering_family,
     greedy_disjoint_translates,
-    is_invariant,
     quasi_tile,
     tiling_constants,
 )
@@ -25,7 +24,7 @@ from cberlab.quasitile import (
 
 def t_set(g, a, b):
     """T(A, B) decoded from the erosion mask the kernels share."""
-    win = quasitile._Window(g, a, b)
+    win = quasitile._Window.of(g, a, b)
     return frozenset(win.bits.elements(win.interior))
 
 
@@ -40,8 +39,9 @@ def test_invariance_threshold():
     g = ZdGroup(1)
     a = frozenset((x,) for x in range(100))
     b = g.segment(5)
-    assert is_invariant(g, a, b, Fraction(1, 25))[0]
-    assert not is_invariant(g, a, b, Fraction(1, 50))[0]
+    win = quasitile._Window.of(g, a, b)
+    assert win.invariance(Fraction(1, 25))[0]
+    assert not win.invariance(Fraction(1, 50))[0]
 
 
 def test_cyclic_group_wraps():
@@ -49,7 +49,7 @@ def test_cyclic_group_wraps():
     a = frozenset(range(12))
     b = frozenset({0, 1, 2})
     # the whole group window is perfectly invariant
-    assert is_invariant(g, a, b, Fraction(0))[0]
+    assert quasitile._Window.of(g, a, b).invariance(Fraction(0))[0]
 
 
 def test_greedy_family_eps_disjoint_and_maximal():
@@ -121,9 +121,14 @@ def test_hierarchy_sides_and_cap():
 
 def _least_side(g, prev, eps_inv, eps_depth):
     """Least multiple of prev whose box is (prev-box, eps_inv)-invariant by
-    is_invariant and eps_depth-deep for the generators, found by search."""
+    the set-based T(A, B) of ref_t_set and eps_depth-deep for the
+    generators, found by search."""
+
+    def invariant(a, b):
+        return len(a) - len(ref_t_set(g, a, b)) <= eps_inv * len(a)
+
     side = prev
-    while not (is_invariant(g, g.box(side), g.box(prev), eps_inv)[0] and 1 <= eps_depth * side):
+    while not (invariant(g.box(side), g.box(prev)) and 1 <= eps_depth * side):
         side += prev
     return side
 
@@ -210,7 +215,7 @@ def test_cyclic_elements_outside_the_group_are_rejected():
     for a, b in ((frozenset({0, 5}), frozenset({0})), (frozenset({-1, 0}), frozenset({0})),
                  (frozenset({0, 1}), frozenset({0, 5}))):
         with pytest.raises(TileError):
-            is_invariant(g, a, b, Fraction(0))
+            quasitile._Window.of(g, a, b).invariance(Fraction(0))
         with pytest.raises(TileError):
             greedy_disjoint_translates(g, a, b, Fraction(0))
 
@@ -296,7 +301,7 @@ def ref_greedy(g, a, b, eps):
 def assert_matches_reference(g, a, b, eps):
     t = ref_t_set(g, a, b)
     assert t_set(g, a, b) == t
-    assert is_invariant(g, a, b, eps) == (len(a) - len(t) <= eps * len(a), len(t))
+    assert quasitile._Window.of(g, a, b).invariance(eps) == (len(a) - len(t) <= eps * len(a), len(t))
     fam = greedy_disjoint_translates(g, a, b, eps)
     assert (fam.centers, fam.witnesses, fam.covered) == ref_greedy(g, a, b, eps)
 
@@ -384,9 +389,9 @@ def test_greedy_order_is_lexicographic_on_holed_z2(a, b, eps):
 
 def assert_ledger_matches_public_calls(g, a, b, eps):
     """quasi_tile's stage-0 invariance and greedy-coverage entries, read off
-    its one shared encoding, against separate calls to is_invariant and
-    greedy_disjoint_translates.  Each entry is recorded as it is logged, so
-    the entries before a failing check are compared too."""
+    its one shared encoding, against a separate window's invariance and a
+    separate greedy_disjoint_translates.  Each entry is recorded as it is
+    logged, so the entries before a failing check are compared too."""
     assume(len(a) > 3)  # quasi_tile needs |A| > 3^k
     (k, *_), entries, log = tiling_constants(eps), {}, quasitile.QuasiTiling.log
 
@@ -399,7 +404,7 @@ def assert_ledger_matches_public_calls(g, a, b, eps):
             quasi_tile(g, a, [b], eps)
         except AssertionError:
             pass
-    ok, _ = is_invariant(g, a, b, Fraction(1, 3**k))
+    ok, _ = quasitile._Window.of(g, a, b).invariance(Fraction(1, 3**k))
     assert entries["stage0:residue-invariance"] == (1, ok)
     if ok:
         n = len(greedy_disjoint_translates(g, a, b, eps).covered)
@@ -446,7 +451,7 @@ def test_kernels_shift_once_per_point_of_b(monkeypatch):
     g = ZdGroup(1)
     a = frozenset((x,) for x in range(10**5))
     b = g.segment(50)
-    assert is_invariant(g, a, b, Fraction(1, 100)) == (True, 10**5 - 49)
+    assert quasitile._Window.of(g, a, b).invariance(Fraction(1, 100)) == (True, 10**5 - 49)
     assert len(calls) <= 2 * len(b) + 2
     calls.clear()
     fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))

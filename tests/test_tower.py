@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -102,11 +104,12 @@ def test_identity_report_trivial():
 
 def test_shallow_element_is_skipped_not_asserted():
     tw = small_tower(2)
-    r = stage_report(tw, 0, (0,), None)
+    r = stage_report(tw, 0, (0,), (1,))
     assert r.agreement_premise  # identity is always deep
     # a report for a non-represented element is an informative skip
-    r2 = stage_report(small_tower(3), 1, (40,), None)
-    assert not r2.agreement_premise and r2.notes
+    r2 = stage_report(small_tower(3), 1, (40,), (1,))
+    assert not r2.agreement_premise
+    assert "agreement premise fails: g is not eps-deep; bound not claimed" in r2.notes
 
 
 def test_stage_bounds_validation():
@@ -141,6 +144,16 @@ def test_partition_check_raises_under_optimize():
     )
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 1 slots")
+
+
+@pytest.mark.parametrize("center", [(32,), (-1,)])
+def test_partition_check_rejects_a_center_outside_the_box(center):
+    """A center moved past either end of the 32-box still gives 32 distinct
+    keys with values range(32): the coordinate range rejects it."""
+    hier = build_hierarchy(ZdGroup(1), EPS[:2], 2)
+    hier.levels[1].centers[1] = center
+    with pytest.raises(AssertionError, match="^stage 1 slots do not partition"):
+        build_tower(hier, 2)
 
 
 FORGED_TOWERS = {
@@ -220,3 +233,51 @@ def test_slot_tower_matches_interval_algebra(group, eps, elems):
                 composite = m_hi.compose(materialize_map(tw, n + 1, h))
                 mgh = materialize_map(tw, n + 1, group.op(g, h))
                 assert r.defect_domain == mgh.agreement_with(composite).measure
+
+
+# build_hierarchy's ledger and build_tower's slots, recorded when both still
+# enumerated each level's box: the ledger as it is, the slots as the sha256
+# of repr([sorted(st.slots.items()) for st in tower.stages]).
+BOX_FREE = [
+    (
+        ZdGroup(1), EPS[:3],
+        [
+            ("level 1: 1-boxes tile the 32-box, |covered| = |tile|", 32, 32, True),
+            ("level 1: (1-box, eps) invariance, |A \\ T| <= eps|A|", 0, F(2), True),
+            ("level 2: 32-boxes tile the 992-box, |covered| = |tile|", 992, 992, True),
+            ("level 2: (32-box, eps) invariance, |A \\ T| <= eps|A|", 31, F(31), True),
+        ],
+        "5d484fe2ae558b171f957998159981c7bb729b333a1817e9a8a416705c6f696c",
+    ),
+    (
+        ZdGroup(2), [F(1, 4)] * 3,
+        [
+            ("level 1: 1-boxes tile the 4-box, |covered| = |tile|", 16, 16, True),
+            ("level 1: (1-box, eps) invariance, |A \\ T| <= eps|A|", 0, F(4), True),
+            ("level 2: 4-boxes tile the 24-box, |covered| = |tile|", 576, 576, True),
+            ("level 2: (4-box, eps) invariance, |A \\ T| <= eps|A|", 135, F(144), True),
+        ],
+        "740b0a5f45f5f7a44daa49b0cfbbddcc914a202d197d575a57908dac7c2d77a3",
+    ),
+]
+
+
+@pytest.mark.parametrize("group, eps, ledger, slots_digest", BOX_FREE, ids=["Z", "Z2"])
+def test_hierarchy_and_tower_never_enumerate_a_level_box(monkeypatch, group, eps, ledger, slots_digest):
+    """Each level's tile is read off its verified grid mask and each stage is
+    built from the previous stage's slots, so neither needs the points of
+    any level's box, and both give the values they gave when they did."""
+    sides = {1, 4, 24, 32, 992}
+
+    def box(self, side):
+        if side in sides:
+            pytest.fail(f"enumerated the {side}-box")
+        return frozenset(itertools.product(range(side), repeat=self.d))
+
+    monkeypatch.setattr(ZdGroup, "box", box)
+    hier = build_hierarchy(group, eps, 3)
+    tw = build_tower(hier, 3)
+    assert {lv.side for lv in hier.levels} <= sides
+    assert hier.ledger == ledger
+    slots = repr([sorted(st.slots.items()) for st in tw.stages])
+    assert hashlib.sha256(slots.encode()).hexdigest() == slots_digest
