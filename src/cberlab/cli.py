@@ -235,7 +235,7 @@ def cmd_lift_sim(args) -> int:
                 "side": st.side,
                 "eps": st.eps,
                 "base": [[ends[0], ends[1]]],
-                "targets": {str(g): [[ends[p], ends[p + 1]]] for g, p in st.slots.items()},
+                "targets": {str(g): [[ends[p], ends[p + 1]]] for g, p in st.items()},
             }
         )
     gen = tuple([1] + [0] * (tower.group.d - 1))

@@ -43,6 +43,9 @@ class Instance:
             wit = tuple(tuple(p) for p in payload["witness"])
         except (KeyError, TypeError, ValueError) as exc:
             raise EqrelError(f"malformed instance: {exc}") from exc
+        kinds = set(map(type, itertools.chain.from_iterable(wit))) - {int}
+        if kinds:  # as eqrel._canon does for classes; a bool is not an int point
+            raise EqrelError(f"witness entries must be ints, got {sorted(t.__name__ for t in kinds)}")
         return Instance(e, f, wit)
 
 

@@ -133,13 +133,14 @@ class _ZdBits:
             return _mask_at(map(zero.__add__, map(operator.itemgetter(0), s)), self.size)
         return _mask_at((sum(map(operator.mul, v, strides)) + zero for v in s), self.size)
 
-    def box(self, side: int) -> int:
-        """The mask of [0, side)^d in an encoding with corner 0 that holds
-        it: a run of `side` ones, repeated `side` times at stride s_j for each
-        earlier coordinate j by one product with sum_{i < side} 2^(i s_j)."""
-        m = (1 << side) - 1
-        for s in self.strides[-2::-1]:
-            m *= ((1 << side * s) - 1) // ((1 << s) - 1)
+    def box(self, extents: Sequence[int]) -> int:
+        """The mask of the box of the extents e_j >= 0 at the origin, in an
+        encoding with corner 0 that holds it: a run of e_{d-1} ones, repeated
+        e_j times at stride s_j for each earlier coordinate j by one product
+        with sum_{i < e_j} 2^(i s_j)."""
+        m = (1 << extents[-1]) - 1
+        for s, e in zip(self.strides[-2::-1], extents[-2::-1]):
+            m *= ((1 << e * s) - 1) // ((1 << s) - 1)
         return m
 
     def shifted(self, base_mask: int, r: int) -> int:
@@ -672,18 +673,20 @@ def build_hierarchy(
         size = side**d
         centers = list(itertools.product(range(0, side, prev), repeat=d))
         # One encoding per level, with corner 0: the box [0, side + prev - 2]^d
-        # holds the tile and tile + box, so every shift below is exact.  Each
-        # translate c + box is the prev-box's mask shifted by raw(c).  It lies
-        # in the tile iff 0 <= c_j <= side - prev; a running AND proves the
-        # translates disjoint, and the popcount side^d that their union
-        # `used` is the tile's mask, which the invariance check erodes.
+        # holds the tile and tile + box, so every shift below is exact.  The
+        # sum of the translates c + box is one product, comb * box, comb with
+        # a bit at raw(c) per center.  As popcount(a + b) = popcount(a) +
+        # popcount(b) - (number of carries), its popcount is len(centers) *
+        # prev^d iff the centers are distinct and their translates disjoint;
+        # then it is their union `used`, the tile's mask, which the invariance
+        # check erodes.  Positions alias points outside the box, so the
+        # containment 0 <= c_j <= side - prev is checked on the coordinates.
         bits = _ZdBits([0] * d, [side + prev - 2] * d)
-        mbox, used = bits.box(prev), 0
-        for c in centers:
-            bc = bits.shifted(mbox, bits.raw(c))
-            if not all(0 <= x <= side - prev for x in c) or bc & used:
-                raise CheckFailed("grid tiling broken")
-            used |= bc
+        mbox = bits.box([prev] * d)
+        contained = all(0 <= x <= side - prev for c in centers for x in c)
+        used = contained and _mask_at(map(bits.raw, centers), bits.size) * mbox
+        if not contained or used.bit_count() != len(centers) * prev**d:
+            raise CheckFailed("grid tiling broken")
         covered = used.bit_count()
         tiled = covered == size
         out.ledger.append(

@@ -21,12 +21,16 @@ every T-set is one slot with
     pi_{n+1}(h + c) = k * pi_n(h) + idx(c),
 
 idx(c) the position of c in [identity, *other centers].  A stage is therefore
-stored as pi_n, a dict element -> slot index, and checked by one integer
-identity: its keys are the tile (side^d keys with every coordinate in
-[0, side)) and its values are range(size).  Maps,
-agreement and defect are slot counts; `IntervalSet`, `IntervalMap` and
-`Fraction` appear only at the boundary (`TowerStage.targets`, `.base`,
-`materialize_map` and the measures of `StageReport`).  A stage keeps one
+stored as pi_n, a list of slot indices by the row-major position of g in
+[0, side)^d (`_ZdBits` with corner 0, so pos(h + c) = pos(h) + raw(c)), and
+checked by one integer identity: the list is a permutation of
+range(k * size_n).  Positions alias points outside the box ((0, side) has the
+position of (1, 0)), so the centers' containment 0 <= c_j <= side - side_n is
+checked on their coordinates.  Maps, agreement and defect are slot counts
+over sub-box positions (`TowerStage.inside`).  Tuples appear only in
+`TowerStage.items`; `IntervalSet`, `IntervalMap` and `Fraction` only at the
+boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
+of `StageReport`).  A stage keeps one
 table of endpoint Fractions, `TowerStage.ends`; its T-sets share it as their
 memoized `intervals` views, and `lift-sim` emits each slot straight from pi_n
 as the pair ends[p], ends[p + 1] without building a T-set.  Its partition
@@ -39,17 +43,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .eqrel import CheckFailed
 from .intervals import IntervalMap, IntervalSet
-from .quasitile import TileError, TilingHierarchy, ZdGroup
+from .quasitile import TileError, TilingHierarchy, ZdGroup, _set_bits, _ZdBits
 
 
 @dataclass
 class TowerStage:
     side: int
     eps: Fraction
-    slots: dict[tuple, int]  # pi_n: element g of the tile -> index of the slot T_g
+    d: int
+    slots: list[int]  # pi_n: row-major position of g in [0, side)^d -> index of the slot T_g
 
     @property
     def size(self) -> int:
@@ -59,7 +65,32 @@ class TowerStage:
     def covered(self) -> Fraction:
         """mu of the union of the T-sets, on ints: the distinct slot indices
         in range(size), over size."""
-        return Fraction(len(set(self.slots.values()).intersection(range(self.size))), self.size)
+        return Fraction(len(set(self.slots).intersection(range(self.size))), self.size)
+
+    @cached_property
+    def bits(self) -> _ZdBits:
+        return _ZdBits([0] * self.d, [self.side - 1] * self.d)
+
+    def items(self) -> Iterator[tuple[tuple, int]]:
+        """(g, pi_n(g)) in row-major order: the one place elements are tuples."""
+        return zip(itertools.product(range(self.side), repeat=self.d), self.slots)
+
+    def inside(self, *gs: tuple) -> int:
+        """The mask of the positions x with x + g in the box for every g:
+        the sub-box with corner max(0, -g_j) and extent side - max(0, g_j)
+        - max(0, -g_j), over the g."""
+        cols = list(zip(*gs))
+        los = [max(0, -min(c)) for c in cols]
+        ext = [max(0, self.side - max(0, max(c)) - lo) for c, lo in zip(cols, los)]
+        return self.bits.box(ext) << self.bits.raw(los)
+
+    def image(self, g: tuple) -> list[int]:
+        """phi_g by slot: out[pi(x)] = pi(g + x) where g + x is in the box,
+        -1 elsewhere."""
+        out, r = [-1] * self.size, self.bits.raw(g)
+        for x in _set_bits(self.inside(g)):
+            out[self.slots[x]] = self.slots[x + r]
+        return out
 
     def _slot(self, p: int, view: tuple | None = None) -> IntervalSet:
         # build_tower's partition identity has proven that the slot indices
@@ -85,7 +116,7 @@ class TowerStage:
         the Fraction of their common endpoint, from `ends`, in their
         `intervals` views."""
         ends = self.ends
-        return {g: self._slot(p, ((ends[p], ends[p + 1]),)) for g, p in self.slots.items()}
+        return {g: self._slot(p, ((ends[p], ends[p + 1]),)) for g, p in self.items()}
 
 
 @dataclass
@@ -101,53 +132,36 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
     follows from stage n by the closed form in the module docstring.  Each
     stage must pass the partition identity, which raises AssertionError
     whatever the interpreter flags: a hierarchy whose centers do not tile
-    the box exactly fails it.  Only the slot values are sorted.
+    the box exactly fails it.
     """
     if stages < 1 or stages > len(hier.levels):
         raise TileError(f"stages must be in 1..{len(hier.levels)}")
     if hier.levels[0].side != 1:
         raise TileError("hierarchy must start with the singleton tile")
-    group = hier.group
-    tower = Tower(group, [])
-    slots = {group.identity: 0}
-    for n in range(stages):
-        lvl = hier.levels[n]
-        if n > 0:
-            centers = lvl.centers
-            order = [group.identity] + [c for c in centers if c != group.identity]
-            idx = {c: i for i, c in enumerate(order)}
-            k = len(centers)
-            slots = {
-                group.op(h, c): k * p + idx[c] for h, p in slots.items() for c in centers
-            }
-        side = lvl.side
-        if (
-            len(slots) != side**group.d
-            or not set(itertools.chain.from_iterable(slots)) <= set(range(side))
-            or sorted(slots.values()) != list(range(len(slots)))
-        ):
+    group, d = hier.group, hier.group.d
+    tower = Tower(group, [TowerStage(1, hier.levels[0].eps, d, [0])])
+    for n in range(1, stages):
+        lvl, st = hier.levels[n], tower.stages[-1]
+        centers, side = lvl.centers, lvl.side
+        idx = {c: i for i, c in enumerate([group.identity] + [c for c in centers if c != group.identity])}
+        k = len(centers)
+        nxt = TowerStage(side, lvl.eps, d, [-1] * side**d)
+        if all(0 <= x <= side - st.side for c in centers for x in c):
+            offs = [(nxt.bits.raw(c), idx[c]) for c in centers]
+            for h, p in zip(_set_bits(nxt.bits.box([st.side] * d)), st.slots):
+                for r, i in offs:
+                    nxt.slots[h + r] = k * p + i
+        if sorted(nxt.slots) != list(range(k * st.size)):
             raise AssertionError(f"stage {n} slots do not partition [0,1)")
-        tower.stages.append(TowerStage(side, lvl.eps, slots))
+        tower.stages.append(nxt)
     return tower
 
 
 def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
     """phi^n_g as a full piecewise translation: on each T_h with g+h in the
     tile, the translation of slot pi(h) onto slot pi(g+h)."""
-    st = tower.stages[n]
-    pi = st.slots
-    op = tower.group.op
-    return IntervalMap._from_ints(
-        st.size, ((p, p + 1, pi[gh] - p) for h, p in pi.items() if (gh := op(g, h)) in pi)
-    )
-
-
-def _box_overlap(side: int, g: tuple) -> int:
-    """|B ∩ g^{-1}B| for the side-length box, exactly."""
-    out = 1
-    for x in g:
-        out *= max(0, side - abs(x))
-    return out
+    img = tower.stages[n].image(g)
+    return IntervalMap._from_ints(len(img), ((p, p + 1, q - p) for p, q in enumerate(img) if q >= 0))
 
 
 @dataclass
@@ -175,32 +189,22 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple) -> StageReport:
     """
     if not 0 <= n < len(tower.stages) - 1:
         raise TileError("need two consecutive stages")
-    group = tower.group
     st, st1 = tower.stages[n], tower.stages[n + 1]
     eps = st.eps  # transition n -> n+1 modulus
-    b_size = st.side**group.d
-    premise = b_size - _box_overlap(st.side, g) <= eps * b_size
-    op = group.op
-    pi, pi1 = st.slots, st1.slots
-    k = st1.size // st.size
-    coarse = sorted(pi, key=pi.__getitem__)  # slot index -> element, stage n
+    premise = st.size - st.inside(g).bit_count() <= eps * st.size
+    k, img = st1.size // st.size, st.image(g)
     # Fine slot j lies in coarse slot j // k at position j % k, so phi^n_g
-    # sends it to k * pi(g + coarse[j // k]) + j % k.
-    hits = 0
-    for x, j in pi1.items():
-        gx, gy = op(g, x), op(g, coarse[j // k])
-        if gx in pi1 and gy in pi and pi1[gx] == k * pi[gy] + j % k:
-            hits += 1
+    # sends it to k * img[j // k] + j % k, negative where it is undefined.
+    hits = sum(q >= 0 and q == k * img[j // k] + j % k for j, q in enumerate(st1.image(g)))
     agree = Fraction(hits, st1.size)
     bound = (1 - eps) * (1 - 3 * eps)
     eps1 = st1.eps
-    b1 = st1.side**group.d
-    gh = op(g, h)
-    defect_premise = all(b1 - _box_overlap(st1.side, x) <= eps1 * b1 for x in (h, gh))
+    gh = tower.group.op(g, h)
+    defect_premise = all(st1.size - st1.inside(x).bit_count() <= eps1 * st1.size for x in (h, gh))
     # phi_g . phi_h and phi_{g+h} both send slot pi(x) to slot pi(g+h+x)
     # wherever they are defined: where h+x and g+h+x are in the tile.  So
     # the locus is those slots.
-    locus = sum(1 for x in pi1 if op(h, x) in pi1 and op(gh, x) in pi1)
+    locus = st1.inside(h, gh).bit_count()
     rep = StageReport((n, n + 1), g, agree, bound, premise,
                       Fraction(locus, st1.size), 1 - 2 * eps1, defect_premise)
     if premise:

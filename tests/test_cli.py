@@ -114,6 +114,19 @@ def test_verify_link_malformed_classes_are_input_error(tmp_path, capsys, l_class
     assert captured.err.startswith("input error")
 
 
+@pytest.mark.parametrize("command", ["link", "lift"])
+@pytest.mark.parametrize("witness", [[[1.0, 0.0]], [[True, 0]]], ids=["float", "bool"])
+def test_malformed_witness_is_input_error(tmp_path, capsys, command, witness):
+    """A witness of float points used to end in a TypeError traceback, and
+    one holding true for 1 used to pass; both are rejected as input."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "E": [[0], [1]], "F": [[0, 1]], "witness": witness}))
+    assert main([command, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: witness entries must be ints")
+
+
 @pytest.mark.parametrize("index", ["0", "-2"])
 def test_gen_index_below_one_is_input_error(capsys, index):
     # It used to reach randrange and exit with "empty range for randrange()".
@@ -295,6 +308,18 @@ def test_z2_lift_sim_report_frozen(capsys):
     )
     payload = json.loads(out, parse_float=lambda s: pytest.fail(f"float {s}"))
     assert payload["outcome"] == "pass"
+
+
+def test_z2_lift_sim_nonzero_pair_report_frozen(capsys):
+    """The canonical report of a 3-stage tower over Z^2, byte for byte: its
+    pair (1, 2) report is taken at g = (1, 0), with agreement 3/4."""
+    code, out = run(capsys, "lift-sim", "--group", "z2", "--eps", "1/2,1/4,1/8",
+                    "--stages", "3", "--seed", "0")
+    assert code == 0
+    assert len(out.encode()) == 34439
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "350fc4f1e0a8e3810fcb0fcf2ceabdce0eb0e1c3bf0b5792d312be15b91553d8"
+    )
 
 
 def test_choice_link_reports_frozen(capsys):

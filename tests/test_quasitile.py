@@ -145,12 +145,27 @@ def test_hierarchy_sides_in_z2_meet_the_box_invariance():
         build_hierarchy(g, [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], 3)
 
 
+# raw(32,) read one position early, at 31: the level-2 32-box there
+# overlaps the one at 0.  Level 1's centers are 0..31, so it still tiles.
+FORGED_OVERLAP = (
+    "from fractions import Fraction as F\n"
+    "from cberlab import quasitile\n"
+    "raw = quasitile._ZdBits.raw\n"
+    "quasitile._ZdBits.raw = lambda self, v: raw(self, v) - (v == (32,))\n"
+    "quasitile.build_hierarchy(quasitile.ZdGroup(1), [F(1, 16), F(1, 32), F(1, 64)], 3)\n"
+)
+
+
 def test_grid_tiling_check_rejects_overlapping_translates(monkeypatch):
-    """With every shift pinned to 0 the translates all land on the first
-    box, and the running AND of the grid-tiling check raises."""
-    monkeypatch.setattr(quasitile._ZdBits, "shifted", lambda self, m, r: m)
-    with pytest.raises(CheckFailed, match="grid tiling broken"):
-        build_hierarchy(ZdGroup(2), [Fraction(1, 4)] * 2, 2)
+    """The carry-free product of the grid check rejects a forged overlap,
+    also under python -O, and a center read at the position of another."""
+    proc = run_optimized(FORGED_OVERLAP)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == "cberlab.eqrel.CheckFailed: grid tiling broken"
+    raw = quasitile._ZdBits.raw
+    monkeypatch.setattr(quasitile._ZdBits, "raw", lambda self, v: raw(self, v) - (v == (1,)))
+    with pytest.raises(CheckFailed, match="grid tiling broken"):  # (1,) at the position of (0,)
+        build_hierarchy(ZdGroup(1), [Fraction(1, 16), Fraction(1, 32)], 2)
 
 
 def test_hierarchy_rejects_nonpositive_eps():

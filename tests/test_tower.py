@@ -48,13 +48,12 @@ def test_stage_covered_and_slot_views():
         n = st.size
         assert st.covered == sum(t.measure for t in st.targets.values()) == 1
         assert st.base.intervals == IntervalSet([(0, F(1, n))]).intervals
-        for g, t in st.targets.items():
-            p = st.slots[g]
+        for g, p in st.items():
+            t = st.targets[g]
             assert t == IntervalSet([(F(p, n), F(p + 1, n))])
             assert t.intervals == IntervalSet([(F(p, n), F(p + 1, n))]).intervals
     st = tw.stages[1]
-    g, h = list(st.slots)[:2]
-    broken = dataclasses.replace(st, slots={**st.slots, g: st.slots[h]})  # two share a slot
+    broken = dataclasses.replace(st, slots=[st.slots[1], *st.slots[1:]])  # two share a slot
     assert broken.covered == F(st.size - 1, st.size)
 
 
@@ -146,29 +145,32 @@ def test_partition_check_raises_under_optimize():
     assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 1 slots")
 
 
-@pytest.mark.parametrize("center", [(32,), (-1,)])
+@pytest.mark.parametrize("center", [(32,), (-1,), (3, 24)])
 def test_partition_check_rejects_a_center_outside_the_box(center):
-    """A center moved past either end of the 32-box still gives 32 distinct
-    keys with values range(32): the coordinate range rejects it."""
-    hier = build_hierarchy(ZdGroup(1), EPS[:2], 2)
-    hier.levels[1].centers[1] = center
-    with pytest.raises(AssertionError, match="^stage 1 slots do not partition"):
-        build_tower(hier, 2)
+    """A center moved past either end of the 32-box, or (3, 24) in place of
+    (4, 0) of the 24-box, whose row-major position 96 it shares: only the
+    coordinate range rejects it."""
+    d = len(center)
+    eps = EPS[:2] if d == 1 else [F(1, 4)] * 3
+    hier = build_hierarchy(ZdGroup(d), eps, len(eps))
+    centers = hier.levels[-1].centers
+    centers[centers.index((1,) if d == 1 else (4, 0))] = center
+    with pytest.raises(AssertionError, match=f"^stage {len(eps) - 1} slots do not partition"):
+        build_tower(hier, len(eps))
 
 
 FORGED_TOWERS = {
-    # stage 2's slots reversed: phi^1_g and phi^2_g now disagree almost
+    # stage 2's slot list reversed: phi^1_g and phi^2_g now disagree almost
     # everywhere, though g = 1 is deep in the 32-box.
     "agreement": (
-        "st = tw.stages[2]\n"
-        "st.slots.update({x: st.size - 1 - p for x, p in st.slots.items()})\n"
+        "tw.stages[2].slots.reverse()\n"
         "stage_report(tw, 1, (1,), (1,))\n"
     ),
-    # stage 1's tile spread over the even points: h = 1 is still deep by the
-    # side, but no x has x + h in the tile.  g = 0 keeps the agreement.
+    # the locus's sub-box shortened by two positions, to 29 of 32: h = 1 is
+    # still deep by its own sub-box, and g = 0 keeps the agreement.
     "action defect": (
-        "st = tw.stages[1]\n"
-        "st.slots = {(2 * x,): p for (x,), p in st.slots.items()}\n"
+        "inside = TowerStage.inside\n"
+        "TowerStage.inside = lambda st, *gs: inside(st, *gs) >> 2 * (len(gs) > 1)\n"
         "stage_report(tw, 0, (0,), (1,))\n"
     ),
 }
@@ -181,7 +183,7 @@ def test_stage_report_bounds_raise_under_optimize(check):
     code = (
         "from fractions import Fraction as F\n"
         "from cberlab.quasitile import ZdGroup, build_hierarchy\n"
-        "from cberlab.tower import build_tower, stage_report\n"
+        "from cberlab.tower import TowerStage, build_tower, stage_report\n"
         "tw = build_tower(build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32), F(1, 64)], 3), 3)\n"
     ) + FORGED_TOWERS[check]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -237,7 +239,8 @@ def test_slot_tower_matches_interval_algebra(group, eps, elems):
 
 # build_hierarchy's ledger and build_tower's slots, recorded when both still
 # enumerated each level's box: the ledger as it is, the slots as the sha256
-# of repr([sorted(st.slots.items()) for st in tower.stages]).
+# of repr([sorted(st.slots.items()) for st in tower.stages]) over the then
+# tuple-keyed slots, which the row-major `items()` view reproduces.
 BOX_FREE = [
     (
         ZdGroup(1), EPS[:3],
@@ -279,5 +282,5 @@ def test_hierarchy_and_tower_never_enumerate_a_level_box(monkeypatch, group, eps
     tw = build_tower(hier, 3)
     assert {lv.side for lv in hier.levels} <= sides
     assert hier.ledger == ledger
-    slots = repr([sorted(st.slots.items()) for st in tw.stages])
+    slots = repr([list(st.items()) for st in tw.stages])
     assert hashlib.sha256(slots.encode()).hexdigest() == slots_digest
