@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a property assertion fails, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -43,8 +44,14 @@ def _read_instance(args) -> tuple[Instance, dict]:
                 text = fh.read()
         raw = json.loads(text)
         return Instance.from_json(text), raw
-    inst = gen_instance(args.seed)
-    return inst, json.loads(inst.to_json())
+    # a generated instance has no L, A or B field
+    return gen_instance(args.seed), {}
+
+
+def _output(text: str, args) -> None:
+    """Write text and a newline to --out, or to stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        print(text, file=fh)
 
 
 def _emit(report: Report, args) -> int:
@@ -52,12 +59,7 @@ def _emit(report: Report, args) -> int:
     exit 0, iff every verdict holds."""
     ok = all(v for *_, v in report.ledger)
     report.outcome = "pass" if ok else "fail"
-    text = report.to_json()
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _output(report.to_json(), args)
     return 0 if ok else 1
 
 
@@ -66,13 +68,7 @@ def _fracs(text: str) -> list[Fraction]:
 
 
 def cmd_gen(args) -> int:
-    inst = gen_instance(args.seed, args.size, args.index)
-    text = inst.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _output(gen_instance(args.seed, args.size, args.index).to_json(), args)
     return 0
 
 
@@ -198,10 +194,10 @@ def cmd_tile(args) -> int:
     rep.metrics["budget_raw_ok"] = chk.budget_raw_ok
     for key, value, relation, verdict in qt.ledger:
         rep.add_constraint(f"{key} [{relation}]", value, relation, verdict)
-    rep.add_constraint("eps-disjointness (recheck)", "centers", ">= (1-eps)|B| new points",
-                       chk.eps_disjoint)
+    rep.add_constraint("eps-disjointness (recheck): centers leaving A or adding"
+                       " < (1-eps)|B| new points = 0", chk.bad_centers, 0, chk.eps_disjoint)
     rep.add_constraint("coverage >= 1-eps (recheck)", chk.coverage, 1 - eps, chk.coverage_ok)
-    rep.add_constraint("normalized budgets |B_i||C_i| <= p_i|A| (recheck)", "-", "-",
+    rep.add_constraint("normalized budget |B||C| <= p|A| (recheck)", *chk.budget,
                        chk.budget_scaled_ok)
     return _emit(rep, args)
 

@@ -17,9 +17,12 @@ class GroupError(ValueError):
 
 
 def perm_of(seq: Sequence[int], n: int | None = None) -> Perm:
-    """Validate a one-line-form permutation."""
+    """Validate a one-line-form permutation of ints; floats and bools would
+    pass the sorted-range test (1.0 == True == 1) but are not points."""
     p = tuple(seq)
     size = len(p) if n is None else n
+    if not set(map(type, p)) <= {int}:
+        raise GroupError(f"permutation entries must be ints: {seq}")
     if len(p) != size or sorted(p) != list(range(size)):
         raise GroupError(f"not a permutation of {size} points: {seq}")
     return p

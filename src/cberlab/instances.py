@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .eqrel import EqrelError, FinEqrel, build_partition
+from .groups import perm_of
+from .report import canonical_json
 
 MAX_GEN_SIZE = 64
 
@@ -25,28 +27,19 @@ class Instance:
     witness: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.e.n,
-            "E": [list(c) for c in self.e.classes],
-            "F": [list(c) for c in self.f.classes],
-            "witness": [list(p) for p in self.witness],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(
+            {"n": self.e.n, "E": self.e.classes, "F": self.f.classes, "witness": self.witness}
+        )
 
     @staticmethod
     def from_json(text: str) -> "Instance":
         try:
             payload = json.loads(text)
             n = payload["n"]
-            e = build_partition(n, payload["E"])
-            f = build_partition(n, payload["F"])
-            wit = tuple(tuple(p) for p in payload["witness"])
+            return Instance(build_partition(n, payload["E"]), build_partition(n, payload["F"]),
+                            tuple(perm_of(p, n) for p in payload["witness"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise EqrelError(f"malformed instance: {exc}") from exc
-        kinds = set(map(type, itertools.chain.from_iterable(wit))) - {int}
-        if kinds:  # as eqrel._canon does for classes; a bool is not an int point
-            raise EqrelError(f"witness entries must be ints, got {sorted(t.__name__ for t in kinds)}")
-        return Instance(e, f, wit)
 
 
 def _block_shapes(rng: random.Random, max_size: int, max_index: int) -> list[tuple[int, int]]:

@@ -490,7 +490,6 @@ class QuasiTiling:
     eps: Fraction
     shapes: list[frozenset]
     centers: list[list]  # centers[i] for shape i
-    witnesses: list[list[int]]
     budgets_raw: list[Fraction]
     budgets_scaled: list[Fraction]
     coverage: Fraction
@@ -548,7 +547,7 @@ def quasi_tile(
         raise TileError("window too small for the chosen eps")
 
     # One shape: its budget is p_0 = eps, and p_0 / sum(p) = 1 normalized.
-    qt = QuasiTiling(eps, [b], [], [], [eps], [Fraction(1)], Fraction(0))
+    qt = QuasiTiling(eps, [b], [], [eps], [Fraction(1)], Fraction(0))
     fam = greedy_disjoint_translates(group, a, b, eps)
     win = fam.window
     ok, _ = win.invariance(Fraction(1, 3))
@@ -559,10 +558,9 @@ def quasi_tile(
     cap = min(eps / (1 - eps), 1 - (1 - eps) ** 2)
     # count <= budget iff count <= floor(budget), for an int count.
     count = min(_trim(fam.witnesses, n, cap), n // len(b))
-    centers, witnesses = fam.centers[:count], fam.witnesses[:count]
     cov = win.union(fam.positions[:count])
     covered = cov.bit_count()
-    if covered != sum(witnesses):
+    if covered != sum(fam.witnesses[:count]):
         raise CheckFailed("witness bookkeeping is off")
     ratio = Fraction(covered, n)
     low = ratio >= eps * (1 - eps)
@@ -571,8 +569,7 @@ def quasi_tile(
     qt.log("stage0:absolute-band-low", ratio, ">= eps(1-eps)^(0+1/1)", low)
     qt.log("stage0:absolute-band-high", ratio, "<= eps(1-eps)^(0-1/1)", ratio <= eps / (1 - eps))
     qt.log("stage0:budget-scaled", Fraction(len(b) * count, n), "<= 1", len(b) * count <= n)
-    qt.centers.append(centers)
-    qt.witnesses.append(witnesses)
+    qt.centers.append(fam.centers[:count])
     left = (win.mask & ~cov).bit_count()
     res_ratio = Fraction(left, n)
     qt.log("stage0:residue-band-low", res_ratio, ">= (1-eps)^(1+1/1)", res_ratio >= (1 - eps) ** 2)
@@ -584,36 +581,37 @@ def quasi_tile(
 
 @dataclass
 class TilingCheck:
-    eps_disjoint: bool
+    bad_centers: int  # centers whose translate leaves A or adds < (1-eps)|B| new points
+    coverage: Fraction
     coverage_ok: bool
     budget_raw_ok: bool
-    budget_scaled_ok: bool
-    coverage: Fraction
+    budget: tuple[int, Fraction]  # |B||C| and p|A| under the scaled budget p
+
+    @property
+    def eps_disjoint(self) -> bool:
+        return self.bad_centers == 0
+
+    @property
+    def budget_scaled_ok(self) -> bool:
+        return self.budget[0] <= self.budget[1]
 
 
 def check_tiling(group: ZdGroup | CyclicGroup, a: frozenset, qt: QuasiTiling) -> TilingCheck:
-    """Independent re-verification of a quasi-tiling from its centers alone."""
+    """Independent re-verification of a quasi-tiling from its centers C
+    alone, for the one shape B that quasi_tile takes."""
     eps = qt.eps
+    (b,), (centers,) = qt.shapes, qt.centers
     used: set = set()
-    disjoint = True
-    for b, centers in zip(qt.shapes, qt.centers):
-        for c in centers:
-            bc = translate(group, b, c)
-            if not bc <= a:
-                disjoint = False
-            if len(bc - used) < (1 - eps) * len(b):
-                disjoint = False
-            used |= bc
+    bad = 0
+    for c in centers:
+        bc = translate(group, b, c)
+        if not bc <= a or len(bc - used) < (1 - eps) * len(b):
+            bad += 1
+        used |= bc
     coverage = Fraction(len(used), len(a))
-    raw_ok = all(
-        len(b) * len(cs) <= pb * len(a)
-        for b, cs, pb in zip(qt.shapes, qt.centers, qt.budgets_raw)
-    )
-    scaled_ok = all(
-        len(b) * len(cs) <= pb * len(a)
-        for b, cs, pb in zip(qt.shapes, qt.centers, qt.budgets_scaled)
-    )
-    return TilingCheck(disjoint, coverage >= 1 - eps, raw_ok, scaled_ok, coverage)
+    load = len(b) * len(centers)
+    return TilingCheck(bad, coverage, coverage >= 1 - eps, load <= qt.budgets_raw[0] * len(a),
+                       (load, qt.budgets_scaled[0] * len(a)))
 
 
 # --- hierarchies of exact tilings ------------------------------------------

@@ -1,44 +1,59 @@
-"""Canonical JSON reports with exact rational payloads."""
+"""Canonical JSON reports with exact rational payloads; `canonical_json`
+is the one writer of the format, for reports and instances alike."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-# Exact leaf types, returned as they are.  bool is listed for itself: `type`
-# does not see it as int.
-_LEAVES = frozenset({int, str, bool, type(None)})
+_int_repr = int.__repr__  # what the json module writes for an int
 
 
-def _encode(x: Any) -> Any:
-    """x as a fresh JSON tree: Fractions as {"num", "den"}, tuples and lists
-    as lists, sets and frozensets as sorted lists, dict keys as str.  The
-    dispatch is on exact types; any other type raises TypeError, a float
-    (anywhere but in a dict key) with its own message."""
+def _write(x: Any, out: list[str]) -> None:
+    """Append the canonical JSON text of x to out, in one pass: no spaces,
+    Fractions as {"den", "num"}, tuples and lists as lists, sets and
+    frozensets as sorted lists, dict keys as str() and sorted, strings
+    escaped to ASCII by the json module's default escaper.  When two keys
+    of a dict collide after str(), the later value wins.  The dispatch is on
+    exact types, the most frequent first; any other type raises TypeError,
+    a float (anywhere but in a dict key) with its own message."""
     t = type(x)
-    if t in _LEAVES:
-        return x
-    if t is Fraction:
-        return {"num": x.numerator, "den": x.denominator}
-    # Lists inline their Fractions and dicts their exact leaves: one call fewer
-    # for each of the ~10^5 slot endpoints of a tower report.
-    if t is tuple or t is list:
-        return [
-            {"num": v.numerator, "den": v.denominator} if type(v) is Fraction else _encode(v)
-            for v in x
-        ]
-    if t is dict:
-        return {
-            k if type(k) is str else str(k): v if type(v) in _LEAVES else _encode(v)
-            for k, v in x.items()
-        }
-    if t is set or t is frozenset:
-        return [_encode(v) for v in sorted(x)]
-    if t is float:
-        raise TypeError("no floats cross the interface; use Fraction")
-    raise TypeError(f"cannot encode {t.__name__} in a report")
+    if t is int:
+        out.append(_int_repr(x))
+    elif t is Fraction:
+        out.append(f'{{"den":{x.denominator!r},"num":{x.numerator!r}}}')
+    elif t is str:
+        out.append(encode_basestring_ascii(x))
+    elif t is list or t is tuple or t is set or t is frozenset:
+        out.append("[")
+        for v in sorted(x) if t is set or t is frozenset else x:
+            _write(v, out)
+            out.append(",")
+        out[-1] = "]" if x else "[]"  # over the last comma, or the "[" of []
+    elif t is dict:
+        out.append("{")
+        for k, v in sorted(dict(zip(map(str, x), x.values())).items()):
+            out.append(encode_basestring_ascii(k))
+            out.append(":")
+            _write(v, out)
+            out.append(",")
+        out[-1] = "}" if x else "{}"
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    else:
+        raise TypeError("no floats cross the interface; use Fraction" if t is float
+                        else f"cannot encode {t.__name__} in a report")
+
+
+def canonical_json(x: Any) -> str:
+    """x as canonical JSON text (see `_write`)."""
+    out: list[str] = []
+    _write(x, out)
+    return "".join(out)
 
 
 @dataclass
@@ -57,17 +72,12 @@ class Report:
         return all(v for *_, v in self.ledger) and self.outcome == "pass"
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": _encode(self.scenario),
+        return canonical_json({
+            "scenario": self.scenario,
             "outcome": self.outcome,
-            "metrics": _encode(self.metrics),
+            "metrics": self.metrics,
             "ledger": [
-                {"key": k, "lhs": _encode(l), "rhs": _encode(r), "verdict": v}
-                for k, l, r, v in self.ledger
+                {"key": k, "lhs": l, "rhs": r, "verdict": v} for k, l, r, v in self.ledger
             ],
             "seed": self.seed,
-        }
-        # _encode builds a fresh tree with no cycles, so the check is moot
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), check_circular=False
-        )
+        })

@@ -254,7 +254,7 @@ def criterion_9() -> CriterionResult:
     def run():
         eps = [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64), Fraction(1, 128)]
         summ = summability_report(eps)
-        if not summ["summable"]:
+        if not summ["halving"]:
             return False, "eps sequence not summable"
         hier = build_hierarchy(ZdGroup(1), eps, 4)
         tower = build_tower(hier, 4)  # partition + disjointness asserted exactly

@@ -223,12 +223,8 @@ def stage_report(tower: Tower, n: int, g: tuple, h: tuple) -> StageReport:
 def summability_report(eps_seq: list[Fraction]) -> dict:
     """Exact prefix sum of the per-stage disagreement allowances 4 eps_n,
     the halving check eps_{n+1} <= eps_n / 2, and the geometric tail bound."""
-    halving = all(b <= a / 2 for a, b in zip(eps_seq, eps_seq[1:]))
-    prefix = sum((4 * e for e in eps_seq), Fraction(0))
-    tail = 4 * eps_seq[-1] if eps_seq else Fraction(0)
     return {
-        "halving": halving,
-        "prefix_sum": prefix,
-        "tail_bound": tail,
-        "summable": halving,
+        "halving": all(b <= a / 2 for a, b in zip(eps_seq, eps_seq[1:])),
+        "prefix_sum": sum((4 * e for e in eps_seq), Fraction(0)),
+        "tail_bound": 4 * eps_seq[-1] if eps_seq else Fraction(0),
     }

@@ -114,17 +114,23 @@ def test_verify_link_malformed_classes_are_input_error(tmp_path, capsys, l_class
     assert captured.err.startswith("input error")
 
 
-@pytest.mark.parametrize("command", ["link", "lift"])
-@pytest.mark.parametrize("witness", [[[1.0, 0.0]], [[True, 0]]], ids=["float", "bool"])
-def test_malformed_witness_is_input_error(tmp_path, capsys, command, witness):
+@pytest.mark.parametrize(
+    "command", ["link", "lift", "verify-link", "equidecompose", "choice-link"])
+@pytest.mark.parametrize("witness, message", [
+    pytest.param([[1.0, 0.0]], "permutation entries must be ints", id="float"),
+    pytest.param([[True, 0]], "permutation entries must be ints", id="bool"),
+    pytest.param([[0, 0]], "not a permutation of 2 points", id="repeat"),
+])
+def test_malformed_witness_is_input_error(tmp_path, capsys, command, witness, message):
     """A witness of float points used to end in a TypeError traceback, and
-    one holding true for 1 used to pass; both are rejected as input."""
+    one holding true for 1 used to pass; Instance.from_json rejects both,
+    and any other non-permutation, as input."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "E": [[0], [1]], "F": [[0, 1]], "witness": witness}))
     assert main([command, "--instance", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("input error: witness entries must be ints")
+    assert captured.err.startswith(f"input error: malformed instance: {message}")
 
 
 @pytest.mark.parametrize("index", ["0", "-2"])
@@ -361,3 +367,24 @@ def test_equidecompose_point_outside_ground_set_is_input_error(tmp_path, capsys)
     for a in ([99], [-1], [[1]], 5, [True]):
         code, out = _equidecompose(tmp_path, capsys, a, [7])
         assert code == 2 and out == ""
+
+
+def test_gen_report_frozen(capsys):
+    code, out = run(capsys, "gen", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ca494bf8db11cc2c8657ddeb0edc25505aac1373c7f5a6bd7210270965eb437"
+    )
+
+
+def test_tile_rechecks_are_exact_comparisons(capsys):
+    """The eps-disjointness recheck compares the count of bad centers with
+    0, and the budget recheck |B||C| with p|A| (p = 1 for the one shape):
+    40 centers of the 5-segment on 200 points."""
+    code, out = run(capsys, "tile", "--size", "200", "--eps", "2/5", "--chain", "5")
+    assert code == 0
+    ledger = {e["key"]: (e["lhs"], e["rhs"], e["verdict"]) for e in json.loads(out)["ledger"]}
+    assert ledger["eps-disjointness (recheck): centers leaving A or adding"
+                  " < (1-eps)|B| new points = 0"] == (0, 0, True)
+    assert ledger["normalized budget |B||C| <= p|A| (recheck)"] == (
+        200, {"den": 1, "num": 200}, True)

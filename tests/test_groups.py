@@ -14,6 +14,7 @@ from cberlab.groups import (
     invert,
     is_automorphism,
     orbit_eqrel,
+    perm_of,
     shortlex_closure,
 )
 
@@ -22,6 +23,17 @@ def test_perm_basics():
     p = (1, 2, 0, 3)  # the 3-cycle (0 1 2)
     assert compose(p, p) == (2, 0, 1, 3)
     assert compose(p, invert(p)) == identity_perm(4)
+
+
+@pytest.mark.parametrize("seq", [[1.0, 0.0], [True, 0], [1, 0.0], [False, 1, 2]],
+                         ids=["floats", "bools", "mixed", "false"])
+def test_perm_of_rejects_non_int_entries(seq):
+    """Floats and bools pass the sorted-range test (1.0 == 1, True == 1),
+    so perm_of checks the entry types themselves."""
+    with pytest.raises(GroupError, match="entries must be ints"):
+        perm_of(seq)
+    with pytest.raises(GroupError, match="entries must be ints"):
+        perm_of(seq, len(seq))
 
 
 def test_shortlex_closure_s3():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cberlab.eqrel import EqrelError, build_partition, full
@@ -22,6 +24,20 @@ def test_gen_instance_witness_valid_by_construction():
             assert is_automorphism(inst.e, g)
         f, witnessed = extend_by_group(inst.e, inst.witness)
         assert f == inst.f and witnessed
+
+
+def test_instance_to_json_matches_json_dumps():
+    """The one canonical writer gives the bytes json.dumps gave for every
+    generated instance."""
+    for seed in range(200):
+        inst = gen_instance(seed)
+        payload = {
+            "n": inst.e.n,
+            "E": [list(c) for c in inst.e.classes],
+            "F": [list(c) for c in inst.f.classes],
+            "witness": [list(p) for p in inst.witness],
+        }
+        assert inst.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_gen_instance_deterministic_bytes():

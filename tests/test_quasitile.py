@@ -92,6 +92,20 @@ def test_quasi_tile_z_small():
     assert all(v for *_, v in qt.ledger)
 
 
+def test_check_tiling_counts_bad_centers():
+    """A repeated center adds no new point and a center near the end leaves
+    A; check_tiling counts each, and the budget load grows with them."""
+    g = ZdGroup(1)
+    a = frozenset((x,) for x in range(2000))
+    qt = quasi_tile(g, a, [g.segment(10)], Fraction(2, 5))
+    chk = check_tiling(g, a, qt)
+    assert chk.bad_centers == 0 and chk.budget == (10 * len(qt.centers[0]), 2000)
+    qt.centers[0] += [qt.centers[0][0], (1995,)]
+    chk = check_tiling(g, a, qt)
+    assert chk.bad_centers == 2 and not chk.eps_disjoint
+    assert chk.budget == (10 * len(qt.centers[0]), 2000)
+
+
 def test_quasi_tile_wrong_chain_length():
     g = ZdGroup(1)
     a = frozenset((x,) for x in range(2000))

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cberlab.report import Report
+from cberlab.report import Report, canonical_json
 
 
 def oracle_encode(x):
-    """`report._encode` as it was before its exact-type fast paths: the
-    reference the fast encoder must match byte for byte."""
+    """A generic tree encoder, dumped below by json.dumps: the reference
+    that the one-pass writer `report._write` must match byte for byte."""
     t = type(x)
     if t is Fraction:
         return {"num": x.numerator, "den": x.denominator}
@@ -121,3 +121,15 @@ def test_floats_rejected_at_every_depth(wrap):
             setattr(r, place, {"x": wrap(0.5)})
         with pytest.raises(TypeError):
             r.to_json()
+
+
+@pytest.mark.parametrize("value, text", [
+    ({1: "a", "1": "b"}, '{"1":"b"}'),
+    ({"1": "b", 1: "a"}, '{"1":"a"}'),
+    ({(0, 1): 2, "(0, 1)": 3, 0: None}, '{"(0, 1)":3,"0":null}'),
+])
+def test_colliding_dict_keys_keep_the_last_value(value, text):
+    """Keys are written as their str(), and of keys that collide there the
+    last one in the dict's order wins, as a dict of str() keys keeps it."""
+    assert canonical_json(value) == text
+

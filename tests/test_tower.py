@@ -119,10 +119,10 @@ def test_stage_bounds_validation():
 
 def test_summability():
     rep = summability_report(EPS)
-    assert rep["summable"]
+    assert rep["halving"]
     assert rep["prefix_sum"] == F(15, 32)
     assert rep["tail_bound"] == F(1, 32)
-    assert not summability_report([F(1, 4), F(1, 5)])["summable"]
+    assert not summability_report([F(1, 4), F(1, 5)])["halving"]
 
 
 def test_partition_check_raises_under_optimize():
