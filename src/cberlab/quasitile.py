@@ -133,14 +133,14 @@ class _ZdBits:
             return _mask_at(map(zero.__add__, map(operator.itemgetter(0), s)), self.size)
         return _mask_at((sum(map(operator.mul, v, strides)) + zero for v in s), self.size)
 
-    def box(self, extents: Sequence[int]) -> int:
-        """The mask of the box of the extents e_j >= 0 at the origin, in an
-        encoding with corner 0 that holds it: a run of e_{d-1} ones, repeated
-        e_j times at stride s_j for each earlier coordinate j by one product
-        with sum_{i < e_j} 2^(i s_j)."""
-        m = (1 << extents[-1]) - 1
-        for s, e in zip(self.strides[-2::-1], extents[-2::-1]):
-            m *= ((1 << e * s) - 1) // ((1 << s) - 1)
+    def box(self, extents: Sequence[int], step: int = 1) -> int:
+        """The mask of the grid {step * i : 0 <= i_j < e_j} at the origin, in
+        an encoding with corner 0 that holds it (step 1: the box of the
+        extents): one product over the coordinates j of the geometric series
+        sum_{i < e_j} 2^(i step s_j).  Its set bits ascend in row-major order."""
+        m = 1
+        for s, e in zip(self.strides, extents):
+            m *= ((1 << e * step * s) - 1) // ((1 << step * s) - 1)
         return m
 
     def shifted(self, base_mask: int, r: int) -> int:
@@ -621,9 +621,8 @@ FOLNER_CAP = 10**6
 
 @dataclass
 class HierarchyLevel:
-    side: int
+    side: int  # the tile [0, side)^d, tiled by the previous level's grid range(0, side, prev)^d
     eps: Fraction
-    centers: list  # tiling of this tile by the previous level's tile
 
 
 @dataclass
@@ -645,11 +644,13 @@ def build_hierarchy(
     search passes it.  For each level above the first, the ledger records
     the grid tiling (|covered| = |tile|) and the invariance
     (|A \\ T(A, B)| <= eps|A|, from `_Window.invariance`'s count).
+    Each eps must lie in (0, 1), or TileError: for eps > 1 the tower's
+    agreement bound (1 - eps)(1 - 3 eps) exceeds 1, so no tower meets it.
     """
     if levels < 1:
         raise TileError("need at least one level")
-    if len(eps_seq) < levels or min(eps_seq[:levels]) <= 0:
-        raise TileError("need one positive eps per level")
+    if len(eps_seq) < levels or not all(0 < e < 1 for e in eps_seq[:levels]):
+        raise TileError("need one eps in (0, 1) per level")
     d = group.d
     sides = [1]
     for n in range(1, levels):
@@ -665,26 +666,21 @@ def build_hierarchy(
         if lo**d > FOLNER_CAP:
             raise TileError(f"level {n} needs side >= {lo} (|tile| = {lo**d} > cap {FOLNER_CAP})")
         sides.append(lo)
-    out = TilingHierarchy(group, [HierarchyLevel(1, eps_seq[0], [])])
+    out = TilingHierarchy(group, [HierarchyLevel(1, eps_seq[0])])
     for n in range(1, levels):
         prev, side = sides[n - 1], sides[n]
         size = side**d
-        centers = list(itertools.product(range(0, side, prev), repeat=d))
         # One encoding per level, with corner 0: the box [0, side + prev - 2]^d
         # holds the tile and tile + box, so every shift below is exact.  The
-        # sum of the translates c + box is one product, comb * box, comb with
-        # a bit at raw(c) per center.  As popcount(a + b) = popcount(a) +
-        # popcount(b) - (number of carries), its popcount is len(centers) *
-        # prev^d iff the centers are distinct and their translates disjoint;
-        # then it is their union `used`, the tile's mask, which the invariance
-        # check erodes.  Positions alias points outside the box, so the
-        # containment 0 <= c_j <= side - prev is checked on the coordinates.
+        # sum of the translates c + box over the grid range(0, side, prev)^d is
+        # one product, comb * box, comb = box([k]*d, prev) with k = side // prev.
+        # As popcount(a + b) = popcount(a) + popcount(b) - (number of carries)
+        # (Warren, Hacker's Delight, ch. 5), its popcount is k^d prev^d iff the
+        # translates are disjoint, and that is |tile| iff side = k prev; then
+        # it is their union `used`, the tile's mask, which the invariance erodes.
         bits = _ZdBits([0] * d, [side + prev - 2] * d)
         mbox = bits.box([prev] * d)
-        contained = all(0 <= x <= side - prev for c in centers for x in c)
-        used = contained and _mask_at(map(bits.raw, centers), bits.size) * mbox
-        if not contained or used.bit_count() != len(centers) * prev**d:
-            raise CheckFailed("grid tiling broken")
+        used = bits.box([side // prev] * d, prev) * mbox
         covered = used.bit_count()
         tiled = covered == size
         out.ledger.append(
@@ -692,7 +688,7 @@ def build_hierarchy(
              covered, size, tiled)
         )
         if not tiled:
-            raise CheckFailed("grid tiling incomplete")
+            raise CheckFailed("grid tiling broken")
         # The origin is the corner, so the box's set bits are its raw offsets.
         ok, t = _Window(bits, used, list(_set_bits(mbox))).invariance(eps_seq[n - 1])
         out.ledger.append(
@@ -701,5 +697,5 @@ def build_hierarchy(
         )
         if not ok:
             raise CheckFailed(f"level {n} fails ({prev}-box, eps) invariance")
-        out.levels.append(HierarchyLevel(side, eps_seq[n], centers))
+        out.levels.append(HierarchyLevel(side, eps_seq[n]))
     return out

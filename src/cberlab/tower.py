@@ -13,21 +13,22 @@ order) and carries the subset for c onto T_{h+c} by phi^n_h.  Over the nested
 box tilings of `build_hierarchy` this general interval construction collapses
 to a slot permutation.  Stage 0 is T_0 = [0,1), one slot.  If every T-set of
 stage n is a single slot [pi_n(g)/size_n, (pi_n(g)+1)/size_n), with
-pi_n(identity) = 0, then the base is the first slot, its k = |centers| cuts
-of measure 1/size_{n+1} are the slots idx(c) = 0..k-1 of the finer grid, and
+pi_n(identity) = 0, then the base is the first slot, its k = |grid| cuts of
+measure 1/size_{n+1} are the slots idx(c) = 0..k-1 of the finer grid, and
 phi^n_h translates the base onto T_h by pi_n(h)/size_n.  So, by induction,
 every T-set is one slot with
 
     pi_{n+1}(h + c) = k * pi_n(h) + idx(c),
 
-idx(c) the position of c in [identity, *other centers].  A stage is therefore
-stored as pi_n, a list of slot indices by the row-major position of g in
-[0, side)^d (`_ZdBits` with corner 0, so pos(h + c) = pos(h) + raw(c)), and
-checked by one integer identity: the list is a permutation of
-range(k * size_n).  Positions alias points outside the box ((0, side) has the
-position of (1, 0)), so the centers' containment 0 <= c_j <= side - side_n is
-checked on their coordinates.  Maps, agreement and defect are slot counts
-over sub-box positions (`TowerStage.inside`).  Tuples appear only in
+c ranging over the grid range(0, side, side_n)^d of level n+1.  A stage is
+therefore stored as pi_n, a list of slot indices by the row-major position
+of g in [0, side)^d (`_ZdBits` with corner 0, so pos(h + c) = pos(h) +
+raw(c)).  The grid's positions are the set bits of `_ZdBits.box` with step
+side_n, ascending in row-major order, so the i-th has idx(c) = i and the
+identity comes first.  A stage is checked by one integer identity: the list
+is a permutation of range(k * size_n), which a side that is not a multiple of
+side_n fails.  Maps, agreement and defect are slot counts over
+sub-box positions (`TowerStage.inside`).  Tuples appear only in
 `TowerStage.items`; `IntervalSet`, `IntervalMap` and `Fraction` only at the
 boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
 of `StageReport`).  A stage keeps one
@@ -131,26 +132,24 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
     Stage 0 is the trivial stage (tile = {identity}, T = [0,1)); stage n+1
     follows from stage n by the closed form in the module docstring.  Each
     stage must pass the partition identity, which raises AssertionError
-    whatever the interpreter flags: a hierarchy whose centers do not tile
-    the box exactly fails it.
+    whatever the interpreter flags: a level whose side is not a multiple of
+    the previous level's fails it.
     """
     if stages < 1 or stages > len(hier.levels):
         raise TileError(f"stages must be in 1..{len(hier.levels)}")
     if hier.levels[0].side != 1:
         raise TileError("hierarchy must start with the singleton tile")
-    group, d = hier.group, hier.group.d
-    tower = Tower(group, [TowerStage(1, hier.levels[0].eps, d, [0])])
+    d = hier.group.d
+    tower = Tower(hier.group, [TowerStage(1, hier.levels[0].eps, d, [0])])
     for n in range(1, stages):
         lvl, st = hier.levels[n], tower.stages[-1]
-        centers, side = lvl.centers, lvl.side
-        idx = {c: i for i, c in enumerate([group.identity] + [c for c in centers if c != group.identity])}
-        k = len(centers)
-        nxt = TowerStage(side, lvl.eps, d, [-1] * side**d)
-        if all(0 <= x <= side - st.side for c in centers for x in c):
-            offs = [(nxt.bits.raw(c), idx[c]) for c in centers]
-            for h, p in zip(_set_bits(nxt.bits.box([st.side] * d)), st.slots):
-                for r, i in offs:
-                    nxt.slots[h + r] = k * p + i
+        nxt = TowerStage(lvl.side, lvl.eps, d, [-1] * lvl.side**d)
+        # The grid's positions raw(c), ascending: i = idx(c).
+        offs = list(_set_bits(nxt.bits.box([lvl.side // st.side] * d, st.side)))
+        k = len(offs)
+        for h, p in zip(_set_bits(nxt.bits.box([st.side] * d)), st.slots):
+            for i, r in enumerate(offs):
+                nxt.slots[h + r] = k * p + i
         if sorted(nxt.slots) != list(range(k * st.size)):
             raise AssertionError(f"stage {n} slots do not partition [0,1)")
         tower.stages.append(nxt)

@@ -1,0 +1,51 @@
+"""The benchmark's contract with the library: one seed-1 pass of each
+perfbench workload, run through `perfbench/workloads.py` and hashed as
+`perfbench/run.py` hashes a pass, must give its recorded digest.  The
+workloads read library APIs (fields, return shapes, report text) that no
+other test pins, so a change that breaks the benchmark fails here first."""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+from collections import Counter
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SEED = 1
+
+
+def _load(name: str):
+    """Import a perfbench module from its file, writing no bytecode there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+workloads = _load("workloads")
+Tracer = _load("tracing").Tracer
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_one_pass_gives_the_recorded_digest(workload):
+    tr = Tracer(False)
+    digests, failures = [], Counter()
+    for item in workloads.make_items(workload, SEED, tr):
+        text, passed, error = workloads.run_item(item, SEED, tr)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        if not passed:
+            failures[error or "CheckFailed"] += 1
+    digest = hashlib.sha256("".join(digests).encode()).hexdigest()
+    with open(os.path.join(PERFBENCH, "digests.json")) as fh:
+        recorded = json.load(fh)[workload][str(SEED)]
+    assert digest == recorded, f"failures: {failures}"

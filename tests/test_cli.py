@@ -192,6 +192,20 @@ def test_nonpositive_hierarchy_eps_is_input_error():
     assert main(["hierarchy", "--eps", "0,0", "--levels", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hierarchy", "--eps", "2,3", "--levels", "2"],
+    ["hierarchy", "--eps", "1/2,1", "--levels", "2"],
+    ["lift-sim", "--eps", "3/2,1/4", "--stages", "2"],
+], ids=["hierarchy", "hierarchy-eps-1", "lift-sim"])
+def test_eps_outside_the_unit_interval_is_input_error(capsys, argv):
+    """eps >= 1 asks no invariance of a level, and for eps > 1 the agreement
+    bound (1 - eps)(1 - 3 eps) exceeds 1: input error, not a failed check."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: need one eps in (0, 1) per level")
+
+
 def test_hierarchy_failed_invariance_exits_1(monkeypatch, capsys):
     """A failed invariance recheck is a verified property failing, not
     malformed input."""

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -159,27 +160,41 @@ def test_hierarchy_sides_in_z2_meet_the_box_invariance():
         build_hierarchy(g, [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], 3)
 
 
-# raw(32,) read one position early, at 31: the level-2 32-box there
-# overlaps the one at 0.  Level 1's centers are 0..31, so it still tiles.
+# The level-2 comb of 32-boxes with bit 31 ORed in: the 32-box there
+# overlaps the ones at 0 and 32.  Level 1's comb has step 1, so it still tiles.
 FORGED_OVERLAP = (
     "from fractions import Fraction as F\n"
     "from cberlab import quasitile\n"
-    "raw = quasitile._ZdBits.raw\n"
-    "quasitile._ZdBits.raw = lambda self, v: raw(self, v) - (v == (32,))\n"
+    "box = quasitile._ZdBits.box\n"
+    "quasitile._ZdBits.box = lambda self, e, step=1: box(self, e, step) | (step == 32) << 31\n"
     "quasitile.build_hierarchy(quasitile.ZdGroup(1), [F(1, 16), F(1, 32), F(1, 64)], 3)\n"
 )
 
 
 def test_grid_tiling_check_rejects_overlapping_translates(monkeypatch):
     """The carry-free product of the grid check rejects a forged overlap,
-    also under python -O, and a center read at the position of another."""
+    also under python -O, and a comb that lost a center's bit."""
     proc = run_optimized(FORGED_OVERLAP)
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines()[-1] == "cberlab.eqrel.CheckFailed: grid tiling broken"
-    raw = quasitile._ZdBits.raw
-    monkeypatch.setattr(quasitile._ZdBits, "raw", lambda self, v: raw(self, v) - (v == (1,)))
-    with pytest.raises(CheckFailed, match="grid tiling broken"):  # (1,) at the position of (0,)
+    box = quasitile._ZdBits.box
+
+    def comb_without_1(self, e, step=1):  # level 1's comb of 32 unit boxes loses bit 1
+        return box(self, e, step) & ~((e == [32]) << 1)
+
+    monkeypatch.setattr(quasitile._ZdBits, "box", comb_without_1)
+    with pytest.raises(CheckFailed, match="grid tiling broken"):
         build_hierarchy(ZdGroup(1), [Fraction(1, 16), Fraction(1, 32)], 2)
+
+
+@pytest.mark.parametrize("d, side, prev", [(1, 992, 32), (2, 24, 4), (2, 1000, 4), (3, 12, 3)])
+def test_grid_comb_is_the_listed_grid(d, side, prev):
+    """box([k]*d, prev) is the mask of the grid range(0, side, prev)^d,
+    set position by position, in the hierarchy's level encoding."""
+    bits = quasitile._ZdBits([0] * d, [side + prev - 2] * d)
+    grid = itertools.product(range(0, side, prev), repeat=d)
+    listed = quasitile._mask_at(map(bits.raw, grid), bits.size)
+    assert bits.box([side // prev] * d, prev) == listed
 
 
 def test_hierarchy_rejects_nonpositive_eps():

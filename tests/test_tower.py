@@ -127,14 +127,15 @@ def test_summability():
 
 def test_partition_check_raises_under_optimize():
     """build_tower's partition identity is an explicit raise, so python -O
-    keeps it: a hierarchy with a duplicate center is reported, not built."""
+    keeps it: a level whose side is not a multiple of the previous side is
+    reported, not built."""
     code = (
         "from fractions import Fraction as F\n"
         "from cberlab.quasitile import ZdGroup, build_hierarchy\n"
         "from cberlab.tower import build_tower\n"
-        "hier = build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32)], 2)\n"
-        "hier.levels[1].centers[1] = hier.levels[1].centers[0]\n"
-        "build_tower(hier, 2)\n"
+        "hier = build_hierarchy(ZdGroup(1), [F(1, 16), F(1, 32), F(1, 64)], 3)\n"
+        "hier.levels[2].side = 993\n"
+        "build_tower(hier, 3)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -142,21 +143,19 @@ def test_partition_check_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 1 slots")
+    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 2 slots")
 
 
-@pytest.mark.parametrize("center", [(32,), (-1,), (3, 24)])
-def test_partition_check_rejects_a_center_outside_the_box(center):
-    """A center moved past either end of the 32-box, or (3, 24) in place of
-    (4, 0) of the 24-box, whose row-major position 96 it shares: only the
-    coordinate range rejects it."""
-    d = len(center)
-    eps = EPS[:2] if d == 1 else [F(1, 4)] * 3
-    hier = build_hierarchy(ZdGroup(d), eps, len(eps))
-    centers = hier.levels[-1].centers
-    centers[centers.index((1,) if d == 1 else (4, 0))] = center
-    with pytest.raises(AssertionError, match=f"^stage {len(eps) - 1} slots do not partition"):
-        build_tower(hier, len(eps))
+@pytest.mark.parametrize("group, side", [(ZdGroup(1), 993), (ZdGroup(2), 25)], ids=["Z", "Z2"])
+def test_partition_check_rejects_a_non_multiple_side(group, side):
+    """The top level's side set one past the multiple 992 of 32 on Z, or
+    24 of 4 on Z^2: its grid of previous-level boxes leaves a strip of
+    slots unassigned."""
+    eps = EPS[:3] if group.d == 1 else [F(1, 4)] * 3
+    hier = build_hierarchy(group, eps, 3)
+    hier.levels[2].side = side
+    with pytest.raises(AssertionError, match="^stage 2 slots do not partition"):
+        build_tower(hier, 3)
 
 
 FORGED_TOWERS = {
@@ -209,13 +208,14 @@ def test_slot_tower_matches_interval_algebra(group, eps, elems):
     tw = build_tower(hier, 3)
     for n in (0, 1):
         st, st1 = tw.stages[n], tw.stages[n + 1]
+        grid = list(itertools.product(range(0, st1.side, st.side), repeat=group.d))
         cuts = IntervalSet()
-        for c in hier.levels[n + 1].centers:
+        for c in grid:
             cuts = cuts.union(st1.targets[c])
         assert cuts == st.base
         for h, th in st.targets.items():
             m = partial_bijection_between(st.base, th)
-            for c in hier.levels[n + 1].centers:
+            for c in grid:
                 assert st1.targets[group.op(h, c)] == m.apply_set(st1.targets[c])
     for n, st in enumerate(tw.stages):
         for g in elems:
