@@ -32,7 +32,6 @@ coarser operand's ints by one factor.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -196,6 +195,7 @@ class IntervalSet(_OnGrid):
         den, x, y = _common(self, other)
         return IntervalSet._from_ints(den, ((lo, hi) for lo, hi, _, _ in _overlaps(x, y)))
 
+
 def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
     """Sorted non-empty pieces; raises IntervalError unless the sources and
     the targets are each disjoint and inside [0,1)."""
@@ -203,15 +203,6 @@ def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
     _normalize(den, ((a, b) for a, b, _ in pieces))
     _normalize(den, ((a + o, b + o) for a, b, o in pieces))
     return pieces
-
-
-def _overlapping(ps: tuple, lo: int, hi: int):
-    """Pieces whose source meets [lo, hi), via bisect on the sorted list."""
-    i = max(0, bisect.bisect_left(ps, (lo,)) - 1)
-    while i < len(ps) and ps[i][0] < hi:
-        if ps[i][1] > lo:
-            yield ps[i]
-        i += 1
 
 
 class IntervalMap(_OnGrid):
@@ -259,15 +250,14 @@ class IntervalMap(_OnGrid):
         return IntervalMap._from_ints(*self._meet(s))
 
     def compose(self, inner: "IntervalMap") -> "IntervalMap":
-        """self after inner, on the points where the composite is defined."""
+        """self after inner, on the points where the composite is defined:
+        inner's targets, sorted (they are disjoint), met with self's sources
+        in one merge."""
         den, outer, inner_ps = _common(self, inner)
-        out = []
-        for a, b, o in inner_ps:
-            for c, d, p in _overlapping(outer, a + o, b + o):
-                lo, hi = max(a + o, c), min(b + o, d)
-                if lo < hi:
-                    out.append((lo - o, hi - o, o + p))
-        return IntervalMap._from_ints(den, out)
+        targets = sorted((a + o, b + o, o) for a, b, o in inner_ps)
+        return IntervalMap._from_ints(
+            den, ((lo - o, hi - o, o + q[2]) for lo, hi, (_, _, o), q in _overlaps(targets, outer))
+        )
 
     def agreement_with(self, other: "IntervalMap") -> IntervalSet:
         """Subset of the common domain where the two maps coincide."""

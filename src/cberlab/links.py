@@ -344,21 +344,25 @@ def lift_through_finite_normal(
     the r-th point of S in each F-class, the minimum of its r-th N-orbit,
     into row r, and joined with L that is `_rows(L, F, F′)`.  N's class maps
     need no count against its elements: if p, q ∈ N induce one class map,
-    q⁻¹p fixes every class, so by the pointwise check it is the identity.
+    q⁻¹p fixes every class, so by class-bijectivity it is the identity.
+
+    Class-bijectivity (p ∈ N and p(x) E x imply p(x) = x) is checked as the
+    link condition of L over E ⊆ F.  N acts by E-automorphisms, so the
+    N-images of an E-class C make up its F-class, and the orbit Nx of
+    x ∈ C meets each image p(C) in p(x): every incidence is ≥ 1.  If Nx
+    meets an E-class twice, in p(x) and q(x), then q⁻¹p(x) E x with
+    q⁻¹p(x) ≠ x; and a p with p(x) E x, p(x) ≠ x puts two points of Nx in
+    [x]_E.  So every incidence is ≤ 1 iff the action is class-bijective.
     """
     n_perms = [perm_of(p, e.n) for p in n_gens]
     for p in n_perms:
         if not is_automorphism(e, p):
             raise LinkError(f"normal-subgroup generator {p} is not an automorphism")
-    # Class-bijectivity of the N-action, element by element.
     n_elems = FinGroup.generated([identity_perm(e.n), *n_perms]).elems
-    for p in n_elems:
-        for x in range(e.n):
-            if e.related(p[x], x) and p[x] != x:
-                raise LinkError("N-action is not class-bijective")
     l_rel = orbit_eqrel_of_perms(e.n, n_perms)
     f = join(e, l_rel)
-    Link(e, f, l_rel)
+    if not verify_link(e, f, l_rel)[0]:
+        raise LinkError("N-action is not class-bijective")
 
     k = len(e.classes)
     n_cls = [class_perm_of(e, p) for p in n_elems]

@@ -14,7 +14,9 @@ run on int masks as whole-mask algebra:
 - `_Window.invariance` reads |T| and |BA| as popcounts.
 - greedy_disjoint_translates walks the set bits of T in ascending order.
   Bit order is the canonical order: row-major positions order a Z^d box
-  lexicographically, and Z/n positions are its integers.
+  lexicographically, and Z/n positions are its integers.  The walk holds U
+  only in a span(B)-bit window that slides with the center
+  (`_Window.walk`), one loop for Z^d and Z/n.
 - Its maximality recheck counts at every position at once: the |B| shifts
   of the free mask ~U by -v, v in B, are summed into bit-sliced counters
   (slice j holds bit j of |(B + c) \\ U| for every c), which are compared
@@ -26,13 +28,12 @@ run on int masks as whole-mask algebra:
   offsets and T once per (A, B), and the invariance count and the greedy
   walk both read it.  quasi_tile and covering_family take the invariance
   from the greedy family's window instead of encoding A again.
-- The greedy family's covered mask U must equal a mask set position by
-  position, p + raw(v) (mod n in Z/n) for each accepted position p and v
-  in B.  It shares only the accepted positions and B's offsets with the
-  blocks that built U, none of their block words, shifts or wrap split, so
-  the two agree only if the blocks recorded exactly the accepted
-  translates.  quasi_tile's trimmed prefix is set the same way, and its
-  popcount must equal the prefix's witness sum.
+- The greedy family's covered mask U is set position by position,
+  p + raw(v) (mod n in Z/n) for each accepted position p and v in B, from
+  the accepted positions alone, none of the walk's window words, shifts or
+  wrap reads.  Its popcount must equal the sum of the walk's counts
+  |(B + c) \\ U|, which telescope to |U| when each is right
+  (`_Window.cover`).  quasi_tile's trimmed prefix is checked the same way.
 - The centers, the covered set and the residue are decoded from set bits,
   streamed, so no list of their positions is held beside the elements.
 
@@ -114,7 +115,9 @@ class _ZdBits:
     whose digits are the coordinates minus the box's corner; `zero` is the
     position of the origin, which need not lie in the box.  Digit order is
     coordinate order, so bit order is the lexicographic order of the points
-    of the box."""
+    of the box.  Nothing wraps: the box holds A + B."""
+
+    wrap = None
 
     def __init__(self, los: Sequence[int], his: Sequence[int]):
         self.los, self.his = list(los), list(his)
@@ -166,12 +169,12 @@ class _ZdBits:
 
 class _CyclicBits:
     """Subsets of Z/n as n-bit masks over 0..n-1; a translate is a rotation,
-    and bit order is the integer order of Z/n."""
+    and bit order is the integer order of Z/n, whose positions wrap at n."""
 
     zero = 0
 
     def __init__(self, group: CyclicGroup):
-        self.n = self.size = group.n
+        self.n = self.size = self.wrap = group.n
         self.full = (1 << group.n) - 1
 
     def raw(self, v: int) -> int:
@@ -293,10 +296,51 @@ class _Window:
                 raise CheckFailed("growth bound violated")
         return ok, t
 
-    def union(self, ps: Iterable[int]) -> int:
-        """The mask of the union of B + c over the centers c at positions
-        ps, set position by position from p + raw(v)."""
-        return _mask_at(self.bits.translates(ps, self.offs), self.bits.size)
+    def walk(self, need: int) -> tuple[list[int], list[int]]:
+        """The greedy pass: for the centers c at the set bits p of T, in
+        order, accept c and add B + c to U when k = |(B + c) \\ U| >= need.
+        Returns the accepted positions and their counts k.
+
+        B + c lies in the w = span(B) positions from p + lo, lo = min(offs),
+        where it is the w-bit `tile`.  `near` holds U's bits there.  Centers
+        ascend and each writes only its own window, so U at or past the
+        window is what earlier centers wrote into it: moving on is one right
+        shift of near.  In Z^d nothing wraps, since the box holds A + B.  In
+        Z/n the window's positions are unreduced, lo >= 0, and those from
+        n + lo on are the positions lo.. again, mod n; below lo, every
+        position has one name.  The window reaches n + lo iff p + w > n.
+        Only centers with p < w wrote positions lo..lo + w - 1, and `head`
+        keeps their bits there, so that read ORs in head, shifted up by
+        n - p.  That read is the one step particular to Z/n."""
+        offs, bits = self.offs, self.bits
+        lo = min(offs)
+        w = max(offs) - lo + 1
+        tile = sum(1 << (r - lo) for r in offs)
+        n = bits.wrap
+        edge = bits.size if n is None else n - w  # the last center whose window does not wrap
+        near = head = at = 0
+        accepted, counts = [], []
+        for p in _set_bits(self.interior):
+            near >>= p - at
+            at = p
+            seen = near if p <= edge else near | head << (n - p)
+            if (k := (tile & ~seen).bit_count()) >= need:
+                near |= tile
+                if p < w:
+                    head |= tile << p
+                accepted.append(p)
+                counts.append(k)
+        return accepted, counts
+
+    def cover(self, ps: Sequence[int], counts: Sequence[int]) -> int:
+        """The mask of U, the union of B + c over the centers c at positions
+        ps, set position by position from p + raw(v).  counts are the walk's
+        |(B + c) \\ U| at each acceptance: they telescope to |U| when each
+        one is right, so CheckFailed unless U's popcount is their sum."""
+        u = _mask_at(self.bits.translates(ps, self.offs), self.bits.size)
+        if u.bit_count() != sum(counts):
+            raise CheckFailed("witness counts disagree with the translate union")
+        return u
 
 
 # --- greedy epsilon-disjoint families --------------------------------------
@@ -315,76 +359,6 @@ class DisjointFamily:
         """U as elements, decoded on first read: quasi_tile needs only its
         popcount."""
         return frozenset(self.window.bits.elements(self.covered_mask))
-
-
-class _Blocks:
-    """The covered set U over the positions 0..size-1, kept in blocks of
-    w = span(B) bits.  A translate of B starts at the position of its center
-    plus the least offset of B and spans at most w bits, so it meets at most
-    two consecutive blocks: each center tests and ORs two small ints, not a
-    whole window.  A Z/n translate that crosses n - 1 -> 0 is split in two
-    pieces; in Z^d the box holds A + B, so no translate of a center wraps."""
-
-    def __init__(self, bits, offs: Sequence[int]):
-        self.lo = min(offs)
-        self.tile = sum(1 << (r - self.lo) for r in offs)
-        self.w = max(offs) - self.lo + 1
-        self.size = bits.size
-        self.low = (1 << self.w) - 1
-        self.blocks = [0] * (self.size // self.w + 2)
-
-    def _pieces(self, p: int):
-        s = (p + self.lo) % self.size
-        cut = self.size - s
-        if cut >= self.w:
-            return ((s, self.tile),)
-        return (s, self.tile & ((1 << cut) - 1)), (0, self.tile >> cut)
-
-    def fresh(self, p: int) -> int:
-        """|(B + c) \\ U| for the center c at position p."""
-        new = 0
-        for s, m in self._pieces(p):
-            q, off = divmod(s, self.w)
-            u = self.blocks[q] | self.blocks[q + 1] << self.w
-            new += (m << off & ~u).bit_count()
-        return new
-
-    def add(self, p: int) -> None:
-        for s, m in self._pieces(p):
-            q, off = divmod(s, self.w)
-            m <<= off
-            self.blocks[q] |= m & self.low
-            self.blocks[q + 1] |= m >> self.w
-
-    def walk(self, centers: Iterable[int], need: int) -> tuple[list[int], list[int]]:
-        """The greedy pass: in order, accept the center at position p and add
-        its translate to U when |(B + c) \\ U| >= need.  Returns the accepted
-        positions and their counts.  A translate that ends before position
-        size (every Z^d one) reads and ORs its two blocks inline; one that
-        wraps goes through fresh and add."""
-        blocks, tile, lo, w, low, size = self.blocks, self.tile, self.lo, self.w, self.low, self.size
-        accepted, witnesses = [], []
-        for p in centers:
-            s = p + lo
-            if s + w <= size:
-                q, off = divmod(s, w)
-                m = tile << off
-                new = (m & ~(blocks[q] | blocks[q + 1] << w)).bit_count()
-                if new >= need:
-                    blocks[q] |= m & low
-                    blocks[q + 1] |= m >> w
-                    accepted.append(p)
-                    witnesses.append(new)
-            elif (new := self.fresh(p)) >= need:
-                self.add(p)
-                accepted.append(p)
-                witnesses.append(new)
-        return accepted, witnesses
-
-    def mask(self) -> int:
-        """U as one int: the blocks as w-digit binary strings, most
-        significant first, converted once."""
-        return int("".join(format(x, f"0{self.w}b") for x in reversed(self.blocks)), 2)
 
 
 def _check_maximal(bits, offs: Sequence[int], covered: int, rejected: int, need: int) -> None:
@@ -431,22 +405,21 @@ def greedy_disjoint_translates(
     A center c in T(A,B) is accepted when the new part Bc \\ U keeps at least
     (1 - eps)|B| points.  The centers are the set bits of the erosion mask,
     walked in ascending bit order, which is the canonical order: the
-    lexicographic order in a Z^d box, the integer order in Z/n.  The final U
-    must equal the union of the accepted translates, set from their positions
-    apart from the blocks; then every rejected center is rechecked against
-    it by _check_maximal.  Centers and covered points are decoded from the
-    set bits of their masks.
+    lexicographic order in a Z^d box, the integer order in Z/n.  The walk
+    (`_Window.walk`) reads U through a sliding span(B)-bit window and
+    returns the accepted positions and counts.  U is then set from those
+    positions alone, and its popcount must be the sum of the counts
+    (`_Window.cover`); every rejected center is rechecked against it by
+    _check_maximal.  Centers and covered points are decoded from the set
+    bits of their masks.
     """
     if not b:
         raise TileError("empty tile")
     need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
     win = _Window.of(group, a, b)
     bits = win.bits
-    u = _Blocks(bits, win.offs)
-    accepted, witnesses = u.walk(_set_bits(win.interior), need)
-    covered = u.mask()
-    if win.union(accepted) != covered:
-        raise CheckFailed("covered bits disagree with the translate union")
+    accepted, witnesses = win.walk(need)
+    covered = win.cover(accepted, witnesses)
     chosen = _mask_at(accepted, bits.size)
     _check_maximal(bits, win.offs, covered, win.interior ^ chosen, need)
     return DisjointFamily(list(bits.elements(chosen)), witnesses, win, accepted, covered)
@@ -558,10 +531,8 @@ def quasi_tile(
     cap = min(eps / (1 - eps), 1 - (1 - eps) ** 2)
     # count <= budget iff count <= floor(budget), for an int count.
     count = min(_trim(fam.witnesses, n, cap), n // len(b))
-    cov = win.union(fam.positions[:count])
+    cov = win.cover(fam.positions[:count], fam.witnesses[:count])
     covered = cov.bit_count()
-    if covered != sum(fam.witnesses[:count]):
-        raise CheckFailed("witness bookkeeping is off")
     ratio = Fraction(covered, n)
     low = ratio >= eps * (1 - eps)
     qt.log("stage0:band-low", ratio, ">= max(eps(1-eps)^(1/1), 1-(1-eps)^(1-1/1))", low)

@@ -79,7 +79,10 @@ class TowerStage:
     def inside(self, *gs: tuple) -> int:
         """The mask of the positions x with x + g in the box for every g:
         the sub-box with corner max(0, -g_j) and extent side - max(0, g_j)
-        - max(0, -g_j), over the g."""
+        - max(0, -g_j), over the g.  Every g passes through here, so a g
+        that is not a point of Z^d, d the stage's dimension, raises TileError."""
+        if any(len(g) != self.d for g in gs):
+            raise TileError(f"group elements must have {self.d} coordinates")
         cols = list(zip(*gs))
         los = [max(0, -min(c)) for c in cols]
         ext = [max(0, self.side - max(0, max(c)) - lo) for c, lo in zip(cols, los)]

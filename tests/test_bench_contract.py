@@ -1,8 +1,9 @@
 """The benchmark's contract with the library: one seed-1 pass of each
-perfbench workload, run through `perfbench/workloads.py` and hashed as
-`perfbench/run.py` hashes a pass, must give its recorded digest.  The
-workloads read library APIs (fields, return shapes, report text) that no
-other test pins, so a change that breaks the benchmark fails here first."""
+perfbench workload, and seed-0 and seed-7 passes of `tiling`, run through
+`perfbench/workloads.py` and hashed as `perfbench/run.py` hashes a pass,
+must give its recorded digest.  The workloads read library APIs (fields,
+return shapes, report text) that no other test pins, so a change that
+breaks the benchmark fails here first."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from collections import Counter
 import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-SEED = 1
 
 
 def _load(name: str):
@@ -36,16 +36,21 @@ workloads = _load("workloads")
 Tracer = _load("tracing").Tracer
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_one_pass_gives_the_recorded_digest(workload):
+PASSES = [pytest.param(w, 1, id=w) for w in workloads.WORKLOADS] + [
+    pytest.param("tiling", seed, id=f"tiling-seed{seed}") for seed in (0, 7)
+]
+
+
+@pytest.mark.parametrize("workload, seed", PASSES)
+def test_one_pass_gives_the_recorded_digest(workload, seed):
     tr = Tracer(False)
     digests, failures = [], Counter()
-    for item in workloads.make_items(workload, SEED, tr):
-        text, passed, error = workloads.run_item(item, SEED, tr)
+    for item in workloads.make_items(workload, seed, tr):
+        text, passed, error = workloads.run_item(item, seed, tr)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
         if not passed:
             failures[error or "CheckFailed"] += 1
     digest = hashlib.sha256("".join(digests).encode()).hexdigest()
     with open(os.path.join(PERFBENCH, "digests.json")) as fh:
-        recorded = json.load(fh)[workload][str(SEED)]
+        recorded = json.load(fh)[workload][str(seed)]
     assert digest == recorded, f"failures: {failures}"

@@ -205,6 +205,12 @@ def test_lift_through_finite_normal_rejects_non_normal():
         lift_through_finite_normal(e, [[1, 0, 2]], [(1, 2, 0)])
 
 
+def test_lift_through_finite_normal_rejects_a_move_inside_a_class():
+    # N swaps the two points of the one class: its orbit meets the class twice.
+    with pytest.raises(LinkError, match="not class-bijective"):
+        lift_through_finite_normal(build_partition(2, [[0, 1]]), [[1, 0]], [])
+
+
 def test_outer_action_rejects_a_move_between_sizes():
     # Class 0 has one point and class 1 two: no lift can swap them.
     e = build_partition(3, [[0], [1, 2]])

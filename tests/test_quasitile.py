@@ -290,35 +290,65 @@ FORGED_WINDOWS = [
     (ZdGroup(1), frozenset((x,) for x in range(100)), ZdGroup(1).segment(10), Fraction(1, 5)),
     (CyclicGroup(200), frozenset(range(200)) - {3, 4}, frozenset(range(7)), Fraction(2, 5)),
 ]
-FORGES = {
-    "bit dropped": lambda m: m & (m - 1),
-    # same popcount, so a count comparison would pass it
-    "bit moved": lambda m: m & (m - 1) | ~m & (m + 1),
+
+
+def without(i):
+    """The walk's accepted positions and counts without the i-th center."""
+    def forge(ps, ks):
+        del ps[i], ks[i]
+        return ps, ks
+    return forge
+
+
+# Each forge of the walk's result, with the check that rejects it.
+WALK_FORGES = {
+    "count up": (lambda ps, ks: (ps, [ks[0] + 1, *ks[1:]]), "witness counts"),
+    "count down": (lambda ps, ks: (ps, [*ks[:-1], ks[-1] - 1]), "witness counts"),
+    "middle center dropped": (without(3), "witness counts"),
+    "last center dropped": (without(-1), "not maximal"),
 }
 
 
-@pytest.mark.parametrize("forge", FORGES.values(), ids=FORGES.keys())
+@pytest.mark.parametrize("forge, message", WALK_FORGES.values(), ids=WALK_FORGES.keys())
 @pytest.mark.parametrize("g, a, b, eps", FORGED_WINDOWS, ids=["Z", "Z/200"])
-def test_union_mask_check_rejects_forged_blocks(monkeypatch, g, a, b, eps, forge):
-    """The covered mask the blocks hand back, forged: the union of the
-    accepted translates, set from their positions, no longer equals it."""
-    mask = quasitile._Blocks.mask
-    monkeypatch.setattr(quasitile._Blocks, "mask", lambda self: forge(mask(self)))
-    with pytest.raises(CheckFailed, match="disagree with the translate union"):
+def test_cover_check_rejects_a_forged_walk(monkeypatch, g, a, b, eps, forge, message):
+    """A count off by one, or a middle translate dropped, breaks the sum of
+    the counts against the popcount of the union set from the positions;
+    the last translate dropped leaves a center that the maximality recheck
+    finds still free."""
+    walk = quasitile._Window.walk
+    monkeypatch.setattr(quasitile._Window, "walk", lambda self, need: forge(*walk(self, need)))
+    with pytest.raises(CheckFailed, match=message):
         greedy_disjoint_translates(g, a, b, eps)
 
 
-def test_union_mask_check_raises_under_optimize():
+def test_cover_check_raises_under_optimize():
     proc = run_optimized(
         "from fractions import Fraction\n"
         "from cberlab import quasitile as q\n"
-        "mask = q._Blocks.mask\n"
-        "q._Blocks.mask = lambda self: (m := mask(self)) & (m - 1)\n"
+        "walk = q._Window.walk\n"
+        "q._Window.walk = lambda self, need: (lambda ps, ks: (ps, [ks[0] + 1, *ks[1:]]))(*walk(self, need))\n"
         "q.greedy_disjoint_translates(q.CyclicGroup(200), frozenset(range(200)) - {3, 4},\n"
         "                             frozenset(range(7)), Fraction(2, 5))\n"
     )
     assert proc.returncode == 1
-    assert "CheckFailed: covered bits disagree with the translate union" in proc.stderr
+    assert "CheckFailed: witness counts disagree with the translate union" in proc.stderr
+
+
+def test_trimmed_prefix_cover_check_rejects_a_forged_count(monkeypatch):
+    """quasi_tile rechecks the trimmed prefix of the family by the same
+    count: a first witness raised after the greedy's own check fails it."""
+    greedy = quasitile.greedy_disjoint_translates
+
+    def forged(*args):
+        fam = greedy(*args)
+        fam.witnesses[0] += 1
+        return fam
+
+    monkeypatch.setattr(quasitile, "greedy_disjoint_translates", forged)
+    g = ZdGroup(1)
+    with pytest.raises(CheckFailed, match="witness counts"):
+        quasi_tile(g, frozenset((x,) for x in range(2000)), [g.segment(10)], Fraction(2, 5))
 
 
 # --- the bitset path against plain sets --------------------------------------
@@ -391,9 +421,12 @@ def cyclic_windows(draw):
 @example(nab=(7, frozenset({5, 6, 0, 1}), frozenset({0, 1})), eps=Fraction(0))  # wraps at 6
 @example(nab=(9, frozenset(range(9)) - {4}, frozenset({0, 2, 3})), eps=Fraction(1, 5))
 @example(nab=(1, frozenset({0}), frozenset({0})), eps=Fraction(0))  # only the c = 0 rotation
-# blocks of span(B) = 6 bits: the translates by 11..15 cross 15 -> 0 and are split,
-# and the piece at 11 straddles two blocks
+# span(B) = 6: the windows of the centers 11..15 cross 15 -> 0 and read head
 @example(nab=(16, frozenset(range(16)) - {7}, frozenset({0, 1, 5})), eps=Fraction(1, 3))
+# head's bit 0, from the center 0, is read by the wrapped window of 7 and rejects it
+@example(nab=(10, frozenset(range(10)), frozenset({0, 3})), eps=Fraction(0))
+# span(B) = n: every window past the center 0 wraps
+@example(nab=(6, frozenset(range(6)), frozenset({0, 5})), eps=Fraction(0))
 def test_bitset_path_matches_sets_on_zn(nab, eps):
     n, a, b = nab
     assert_matches_reference(CyclicGroup(n), a, b, eps)

@@ -117,6 +117,22 @@ def test_stage_bounds_validation():
         stage_report(tw, 1, (1,), (1,))  # no stage 2 exists
 
 
+def test_elements_of_the_wrong_dimension_are_rejected():
+    """Every g passes through TowerStage.inside, which rejects a g with
+    another number of coordinates than the tower's group: on a Z^2 tower,
+    (1,) is not read as a partial point (a map of domain 3/16), nor
+    (1, 0, 5) truncated to (1, 0)."""
+    tw = build_tower(build_hierarchy(ZdGroup(2), [F(1, 4)] * 3, 3), 3)
+    for g in ((1,), (1, 0, 5)):
+        with pytest.raises(TileError, match="must have 2 coordinates"):
+            materialize_map(tw, 1, g)
+        with pytest.raises(TileError, match="must have 2 coordinates"):
+            stage_report(tw, 1, g, (1, 0))
+        with pytest.raises(TileError, match="must have 2 coordinates"):
+            stage_report(tw, 1, (1, 0), g)
+    assert materialize_map(tw, 1, (1, 0)).domain().measure == F(3, 4)
+
+
 def test_summability():
     rep = summability_report(EPS)
     assert rep["halving"]
