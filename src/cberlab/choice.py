@@ -4,8 +4,8 @@ For a finite-index pair E ⊆ F with constant index N, a choice sequence picks
 one point of each E-class inside every F-class.  On an amplified space
 (points x paired with copy indices) the sequence is made injective, then a
 complete section, then a family of bijections, and finally yields a link for
-the amplified pair.  Everything is evaluated lazily on a window of copies;
-only fully-materialized link classes are emitted.
+the amplified pair.  It is evaluated on a window of copies, listed in closed
+form, and only fully-materialized link classes are emitted.
 """
 
 from __future__ import annotations
@@ -85,10 +85,14 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     and copies are injectivized through the pairing function, so
     h_i(x, m) = (f_j(x), cantor(m2, t)*N + k) with j = (i+k) % N and
     t = exps[j][x].  The bijectivized map φ_i sends the point whose h_i-image
-    has rank r (by copy, then base) among the images in its E-class to the
-    r-th point of that class's window.  A link class is emitted only when all
-    N members land inside the window.  A depth below N is malformed input and
-    raises EqrelError.
+    has rank r (by copy, then base) among the images in its E-class C to the
+    r-th point of C's window, (C[r mod |C|], r div |C|).  A link class is
+    emitted only when all N members land inside the window.  A depth below N
+    is malformed input and raises EqrelError.
+
+    Preimages are ints, (x, m) -> m*|X| + x.  A candidate is key*span + its
+    preimage, where its h_i-image (y, copy) gives key copy*|X| + y, unique as
+    h_i is injective.  φ_i lists per window preimage (y, mq*N + i), or None.
     """
     cs = choice_sequence(e, f)
     n = cs.index
@@ -101,45 +105,46 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     bound = max(
         cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1) * n, depth_q
     )
-    windows = [[(x, m) for m in range(depth_q) for x in c] for c in e.classes]
+    size, window = e.n, e.n * depth_q
+    span = bound * size  # keys and preimages are below it, as m <= copy < bound
 
-    phi: list[dict[Point, Point]] = []
+    phi: list[list[Point | None]] = []
     for i in range(n):
-        by_class: list[list[tuple[int, int, int, int]]] = [[] for _ in e.classes]
-        for x in range(e.n):
+        by_class: list[list[int]] = [[] for _ in e.classes]
+        for x in range(size):
             for k in range(n):
                 j = (i + k) % n
                 y, t = cs.images[j][x], cs.exps[j][x]
                 group = by_class[e.class_index(y)]
                 m2 = 0
                 while (copy := cantor_pair(m2, t) * n + k) < bound:
-                    group.append((copy, y, x, m2 * n + k))
+                    group.append((copy * size + y) * span + (m2 * n + k) * size + x)
                     m2 += 1
-        table: dict[Point, Point] = {}
-        for group, win in zip(by_class, windows):
+        table: list[Point | None] = [None] * window
+        for group, c in zip(by_class, e.classes):
             group.sort()
-            for (_, _, x, m), q in zip(group, win):
-                table[x, m] = q
+            for r, cand in enumerate(group[: len(c) * depth_q]):
+                if (pre := cand % span) < window:
+                    table[pre] = (c[r % len(c)], r // len(c) * n + i)
         phi.append(table)
 
-    classes: list[tuple[Point, ...]] = []
-    for x in range(e.n):
-        for m in range(depth_q):
-            qs = [table.get((x, m)) for table in phi]
-            if None not in qs:
-                members = ((y, mq * n + i) for i, (y, mq) in enumerate(qs))
-                classes.append(tuple(sorted(members)))
+    classes = [
+        tuple(sorted(qs))
+        for x in range(size)
+        for qs in zip(*(table[x::size] for table in phi))
+        if None not in qs
+    ]
 
-    seen: set[Point] = set()
+    hit = bytearray(size * depth)
     for c in classes:
-        for p in c:
-            if p in seen:  # pragma: no cover - injectivity guarantees this
-                raise CheckFailed(f"emitted classes collide at {p}")
-            seen.add(p)
+        for y, m in c:
+            if hit[m * size + y]:  # pragma: no cover - injectivity guarantees this
+                raise CheckFailed(f"emitted classes collide at {(y, m)}")
+            hit[m * size + y] = 1
 
     blocks = _f_block_eclasses(e, f)
     wl = WindowedLink(e, f, depth, classes)
-    wl.flags["maps_injective"] = len(seen) == sum(map(len, classes))
+    wl.flags["maps_injective"] = hit.count(1) == sum(map(len, classes))
     wl.flags["complete_section"] = all(
         set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
         for c in classes
@@ -167,34 +172,28 @@ class IncidenceReport:
 
 
 def verify_windowed_link(wl: WindowedLink) -> IncidenceReport:
-    """Check all-ones incidence on the emitted classes.
+    """Check all-ones incidence on the emitted classes, in one pass.
 
     Each emitted class must pick exactly one point from each amplified E-class
     of its amplified F-class; incidence is exact on emitted classes and
-    reported as consistent (not refuted) for truncated window points.
+    reported as consistent (not refuted) for truncated window points.  A class
+    whose sorted E-class indices equal those of the F-class of its first point
+    lies in that F-class: E refines F, so each of those E-classes lies in it.
+    The classes are disjoint iff |support| = Σ|c|.
     """
     e, f = wl.e, wl.f
-    all_ones = True
     blocks = _f_block_eclasses(e, f)
+    incident = True
+    support: set[Point] = set()
     for c in wl.classes:
-        block = blocks[f.class_index(c[0][0])]
-        hits = [e.class_index(p[0]) for p in c]
-        if sorted(hits) != block:
-            all_ones = False
-            break
-        if any(p[1] >= wl.depth or p[1] < 0 for p in c):
-            all_ones = False
-            break
-        if len({f.class_index(p[0]) for p in c}) != 1:
-            all_ones = False
-            break
-    support = wl.support
-    window_total = e.n * wl.depth
-    truncated = window_total - len(support)
+        support.update(c)
+        hits = sorted(e.class_index(x) for x, _ in c)
+        if hits != blocks[f.class_index(c[0][0])] or not all(0 <= m < wl.depth for _, m in c):
+            incident = False
+    truncated = e.n * wl.depth - len(support)
     return IncidenceReport(
         verified_classes=len(wl.classes),
         truncated_points=truncated,
-        all_ones=all_ones,
+        all_ones=incident and len(support) == sum(map(len, wl.classes)),
         exact=truncated == 0,
     )
-

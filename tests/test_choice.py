@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from cberlab.eqrel import EqrelError, build_partition, delta, full
+from cberlab.eqrel import CheckFailed, EqrelError, build_partition, delta, full
 from cberlab.choice import (
+    WindowedLink,
     cantor_pair,
     choice_sequence,
     choice_sequence_link,
@@ -87,3 +90,113 @@ def test_three_class_instance():
     assert rep.all_ones
     for c in wl.classes:
         assert sorted(e.class_index(p[0]) for p in c) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("forge", ["class twice", "shared point"])
+def test_verifier_rejects_overlapping_classes(forge):
+    e = build_partition(4, [[0, 1], [2, 3]])
+    wl = choice_sequence_link(e, full(4), 40)
+    assert verify_windowed_link(wl).all_ones
+    c0, c1, *rest = wl.classes
+    if forge == "class twice":
+        classes = [c0, c1, *rest, c0]
+    else:  # c1 keeps one point per E-class but takes c0's point in E-class 0
+        shared = next(p for p in c0 if e.class_index(p[0]) == 0)
+        other = next(p for p in c1 if e.class_index(p[0]) == 1)
+        classes = [c0, tuple(sorted((shared, other))), *rest]
+    rep = verify_windowed_link(WindowedLink(e, wl.f, wl.depth, classes))
+    assert not rep.all_ones and rep.verdict() == "incidence violated"
+
+
+def _reference_link(e, f, depth):
+    """Test oracle: the construction from the definition, with the window
+    listed point by point and each φ_i a dict keyed by (x, m)."""
+    cs = choice_sequence(e, f)
+    n = cs.index
+    if depth < n:
+        raise EqrelError(f"window depth {depth} below index {n}")
+    depth_q = depth // n
+    bound = max(
+        cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1) * n, depth_q
+    )
+    windows = [[(x, m) for m in range(depth_q) for x in c] for c in e.classes]
+
+    phi = []
+    for i in range(n):
+        by_class = [[] for _ in e.classes]
+        for x in range(e.n):
+            for k in range(n):
+                j = (i + k) % n
+                y, t = cs.images[j][x], cs.exps[j][x]
+                group = by_class[e.class_index(y)]
+                m2 = 0
+                while (copy := cantor_pair(m2, t) * n + k) < bound:
+                    group.append((copy, y, x, m2 * n + k))
+                    m2 += 1
+        table = {}
+        for group, win in zip(by_class, windows):
+            group.sort()
+            for (_, _, x, m), q in zip(group, win):
+                table[x, m] = q
+        phi.append(table)
+
+    classes = []
+    for x in range(e.n):
+        for m in range(depth_q):
+            qs = [table.get((x, m)) for table in phi]
+            if None not in qs:
+                members = ((y, mq * n + i) for i, (y, mq) in enumerate(qs))
+                classes.append(tuple(sorted(members)))
+
+    seen = set()
+    for c in classes:
+        for p in c:
+            if p in seen:
+                raise CheckFailed(f"emitted classes collide at {p}")
+            seen.add(p)
+
+    blocks = [sorted({e.class_index(y) for y in c}) for c in f.classes]
+    flags = {
+        "maps_injective": len(seen) == sum(map(len, classes)),
+        "complete_section": all(
+            set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
+            for c in classes
+        ),
+    }
+    return classes, flags
+
+
+def _random_constant_index_pair(rng):
+    """1-3 F-classes, each of `index` E-classes of 1-3 points, labels shuffled."""
+    index = rng.randint(1, 6)
+    f_blocks = [[rng.randint(1, 3) for _ in range(index)] for _ in range(rng.randint(1, 3))]
+    labels = list(range(sum(map(sum, f_blocks))))
+    rng.shuffle(labels)
+    e_classes, f_classes = [], []
+    for sizes in f_blocks:
+        block = []
+        for m in sizes:
+            e_classes.append(labels[:m])
+            block += labels[:m]
+            del labels[:m]
+        f_classes.append(block)
+    n = sum(map(len, e_classes))
+    return build_partition(n, e_classes), build_partition(n, f_classes), index
+
+
+def test_link_matches_the_reference_construction():
+    rng = random.Random(20)
+    off_multiple = 0
+    for j in range(300):
+        e, f, index = _random_constant_index_pair(rng)
+        if j % 3 == 0:  # below 2N
+            depth = rng.randint(index, 2 * index - 1)
+        elif j % 3 == 1:  # a multiple of N
+            depth = index * rng.randint(1, 300 // index)
+        else:
+            depth = rng.randint(index, 300)
+        off_multiple += depth % index != 0
+        classes, flags = _reference_link(e, f, depth)
+        wl = choice_sequence_link(e, f, depth)
+        assert (wl.classes, wl.flags) == (classes, flags), (e.classes, f.classes, depth)
+    assert off_multiple >= 100
