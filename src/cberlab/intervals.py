@@ -13,7 +13,8 @@ appears only at the public boundary -- ``intervals``, ``pieces`` and
 ``measure`` build exactly the Fractions the rational form has -- and in the
 raw values the constructors accept.  ``intervals`` and ``pieces`` are built
 once per object, on the first read, with one Fraction per distinct value,
-and every later read returns the same tuple.
+and every later read returns the same tuple; a caller that already holds
+the endpoint Fractions, as a tower stage does, hands them in instead.
 
 The tower is built without this algebra, as a slot permutation (see
 `cberlab.tower`).  Sets and maps are its exact boundary form, and
@@ -217,8 +218,17 @@ class IntervalMap(_OnGrid):
         self._fill(den, _check_pieces(den, (tuple(_on(den, v) for v in t) for t in triples)))
 
     @classmethod
-    def _from_ints(cls, den: int, raw: Iterable[tuple[int, int, int]]) -> "IntervalMap":
-        return cls._new(den, _check_pieces(den, raw))
+    def _from_ints(cls, den: int, raw: Iterable[tuple[int, int, int]],
+                   ends: list[Fraction] | None = None) -> "IntervalMap":
+        """The checked map of the int pieces raw.  A caller that holds the
+        endpoint table ends[q] = Fraction(q, den), q = 0..den, passes it to
+        have the `pieces` view built now with those very endpoints, and one
+        new Fraction per distinct offset."""
+        pieces = _check_pieces(den, raw)
+        if ends is None:
+            return cls._new(den, pieces)
+        offs = {o: Fraction(o, den) for o in {o for _, _, o in pieces}}
+        return cls._new(den, pieces, tuple((ends[a], ends[b], offs[o]) for a, b, o in pieces))
 
     @property
     def pieces(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:

@@ -11,25 +11,38 @@ from typing import Any
 _int_repr = int.__repr__  # what the json module writes for an int
 
 
-def _write(x: Any, out: list[str]) -> None:
+def _write(x: Any, out: list[str], texts: dict[int, str]) -> None:
     """Append the canonical JSON text of x to out, in one pass: no spaces,
     Fractions as {"den", "num"}, tuples and lists as lists, sets and
     frozensets as sorted lists, dict keys as str() and sorted, strings
     escaped to ASCII by the json module's default escaper.  When two keys
     of a dict collide after str(), the later value wins.  The dispatch is on
     exact types, the most frequent first; any other type raises TypeError,
-    a float (anywhere but in a dict key) with its own message."""
+    a float (anywhere but in a dict key) with its own message.  A list,
+    tuple or set writes its int and Fraction items itself, without a call.
+
+    texts maps id(f) to the text of each Fraction f written so far, so a
+    Fraction object that occurs many times (a tower stage's endpoints are
+    shared by its T-sets and maps) is formatted once.  The ids are safe keys
+    because `canonical_json` holds its whole payload, and so every Fraction
+    in it, until the text is done: no id can be reused within one call."""
     t = type(x)
     if t is int:
         out.append(_int_repr(x))
     elif t is Fraction:
-        out.append(f'{{"den":{x.denominator!r},"num":{x.numerator!r}}}')
+        out.append(texts.get(id(x)) or _fraction_text(x, texts))
     elif t is str:
         out.append(encode_basestring_ascii(x))
     elif t is list or t is tuple or t is set or t is frozenset:
         out.append("[")
         for v in sorted(x) if t is set or t is frozenset else x:
-            _write(v, out)
+            tv = type(v)
+            if tv is int:
+                out.append(_int_repr(v))
+            elif tv is Fraction:
+                out.append(texts.get(id(v)) or _fraction_text(v, texts))
+            else:
+                _write(v, out, texts)
             out.append(",")
         out[-1] = "]" if x else "[]"  # over the last comma, or the "[" of []
     elif t is dict:
@@ -37,7 +50,7 @@ def _write(x: Any, out: list[str]) -> None:
         for k, v in sorted(dict(zip(map(str, x), x.values())).items()):
             out.append(encode_basestring_ascii(k))
             out.append(":")
-            _write(v, out)
+            _write(v, out, texts)
             out.append(",")
         out[-1] = "}" if x else "{}"
     elif t is bool:
@@ -49,10 +62,16 @@ def _write(x: Any, out: list[str]) -> None:
                         else f"cannot encode {t.__name__} in a report")
 
 
+def _fraction_text(f: Fraction, texts: dict[int, str]) -> str:
+    """The text of f, formatted and recorded under id(f) (see `_write`)."""
+    text = texts[id(f)] = f'{{"den":{f.denominator!r},"num":{f.numerator!r}}}'
+    return text
+
+
 def canonical_json(x: Any) -> str:
     """x as canonical JSON text (see `_write`)."""
     out: list[str] = []
-    _write(x, out)
+    _write(x, out, {})
     return "".join(out)
 
 

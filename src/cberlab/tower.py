@@ -31,11 +31,13 @@ side_n fails.  Maps, agreement and defect are slot counts over
 sub-box positions (`TowerStage.inside`).  Tuples appear only in
 `TowerStage.items`; `IntervalSet`, `IntervalMap` and `Fraction` only at the
 boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
-of `StageReport`).  A stage keeps one
-table of endpoint Fractions, `TowerStage.ends`; its T-sets share it as their
-memoized `intervals` views, and `lift-sim` emits each slot straight from pi_n
-as the pair ends[p], ends[p + 1] without building a T-set.  Its partition
-check is `TowerStage.covered`, a count of slot indices.
+of `StageReport`).  A stage keeps one table of endpoint Fractions,
+`TowerStage.ends`.  Its T-sets share it as their memoized `intervals` views
+and its maps as their `pieces` views, so every endpoint handed out is an
+object of the table and the report writer formats each once; `lift-sim`
+emits each slot straight from pi_n as the pair ends[p], ends[p + 1] without
+building a T-set.  Its partition check is `TowerStage.covered`, a count of
+slot indices.
 """
 
 from __future__ import annotations
@@ -96,16 +98,14 @@ class TowerStage:
             out[self.slots[x]] = self.slots[x + r]
         return out
 
-    def _slot(self, p: int, view: tuple | None = None) -> IntervalSet:
-        # build_tower's partition identity has proven that the slot indices
-        # are exactly range(size), so [p, p + 1) needs no _normalize: it is
-        # already a sorted, non-empty interval inside [0, size).
-        return IntervalSet._new(self.size, ((p, p + 1),), view)
-
+    # build_tower's partition identity has proven that the slot indices are
+    # exactly range(size), so a slot [p, p + 1) needs no _normalize: it is
+    # already a sorted, non-empty interval inside [0, size), and `base` and
+    # `targets` build it with IntervalSet._new.
     @cached_property
     def base(self) -> IntervalSet:
         """X = T_identity, the first slot: the set the next stage is cut from."""
-        return self._slot(0)
+        return IntervalSet._new(self.size, ((0, 1),))
 
     @cached_property
     def ends(self) -> list[Fraction]:
@@ -119,8 +119,9 @@ class TowerStage:
         """element -> T_g, a partition of [0,1).  Neighbouring slots share
         the Fraction of their common endpoint, from `ends`, in their
         `intervals` views."""
-        ends = self.ends
-        return {g: self._slot(p, ((ends[p], ends[p + 1]),)) for g, p in self.items()}
+        size, ends = self.size, self.ends
+        return {g: IntervalSet._new(size, ((p, p + 1),), ((ends[p], ends[p + 1]),))
+                for g, p in self.items()}
 
 
 @dataclass
@@ -161,9 +162,14 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
 
 def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
     """phi^n_g as a full piecewise translation: on each T_h with g+h in the
-    tile, the translation of slot pi(h) onto slot pi(g+h)."""
-    img = tower.stages[n].image(g)
-    return IntervalMap._from_ints(len(img), ((p, p + 1, q - p) for p, q in enumerate(img) if q >= 0))
+    tile, the translation of slot pi(h) onto slot pi(g+h).  Its `pieces`
+    take their endpoints from the stage's `ends`; the pieces are checked
+    like those of any other map."""
+    st = tower.stages[n]
+    img = st.image(g)
+    return IntervalMap._from_ints(
+        st.size, ((p, p + 1, q - p) for p, q in enumerate(img) if q >= 0), st.ends
+    )
 
 
 @dataclass

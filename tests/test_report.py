@@ -63,6 +63,45 @@ payloads = st.recursive(
 )
 
 
+# A few Fraction objects that a payload repeats, as a tower's T-sets and maps
+# repeat their stage's endpoints, beside equal but distinct objects: the
+# writer formats one text per object and must print the same text for each.
+SHARED = [Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2), Fraction(5), Fraction(0), Fraction(7, 12)]
+TWINS = [Fraction(f.numerator, f.denominator) for f in SHARED]
+shared_fractions = st.sampled_from(SHARED + TWINS)
+shared_leaves = st.one_of(shared_fractions, st.integers(-3, 3), st.booleans(), st.none())
+shared_sortable = st.one_of(shared_fractions, st.integers(-3, 3))
+shared_payloads = st.recursive(
+    shared_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.tuples(st.tuples(inner, inner), inner),
+        st.sets(shared_sortable, max_size=4),
+        st.frozensets(shared_sortable, max_size=4),
+        st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_payloads, shared_payloads, shared_payloads)
+def test_shared_fractions_match_the_generic_encoder(scenario, metric, lhs):
+    assert all(f == t and f is not t for f, t in zip(SHARED, TWINS))
+    r = Report({"s": scenario, "again": scenario}, "pass", metrics={"m": metric, "m2": (metric, lhs)})
+    r.add_constraint("c", lhs, SHARED[0], True)
+    assert r.to_json() == oracle_to_json(r)
+
+
+def test_leaves_written_inline_keep_their_exact_type():
+    """A list writes its int and Fraction items itself: a bool, which is an
+    int subclass, still prints as true."""
+    r = Report({}, "pass", metrics={"x": [True, 1, Fraction(1, 2)]})
+    assert canonical_json([True, 1, Fraction(1, 2)]) == '[true,1,{"den":2,"num":1}]'
+    assert r.to_json() == oracle_to_json(r)
+
+
 def test_floats_rejected():
     r = Report(scenario={}, outcome="pass", metrics={"x": 0.5})
     with pytest.raises(TypeError):
@@ -111,6 +150,7 @@ def test_to_json_matches_the_generic_encoder(scenario, metric, lhs):
     lambda f: {(1, 2): [{"k": (f,)}]},
     lambda f: {f},
     lambda f: frozenset({1.5, f}),
+    lambda f: (SHARED[0], SHARED[0], TWINS[0], f),
 ])
 def test_floats_rejected_at_every_depth(wrap):
     for place in ("metrics", "scenario", "lhs"):

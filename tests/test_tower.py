@@ -8,9 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from cberlab.intervals import IntervalSet, partial_bijection_between
+from cberlab.intervals import IntervalError, IntervalSet, _fractions, partial_bijection_between
 from cberlab.quasitile import TileError, ZdGroup, build_hierarchy
 from cberlab.tower import (
+    Tower,
     build_tower,
     materialize_map,
     stage_report,
@@ -131,6 +132,44 @@ def test_elements_of_the_wrong_dimension_are_rejected():
         with pytest.raises(TileError, match="must have 2 coordinates"):
             stage_report(tw, 1, (1, 0), g)
     assert materialize_map(tw, 1, (1, 0)).domain().measure == F(3, 4)
+
+
+SHARED_ENDS = [
+    # criterion 9's Z tower (sides 1, 32, 992, 63488) and a Z^2 tower (sides
+    # 1, 4, 24); the g have both signs, and the last leaves every box.
+    (ZdGroup(1), EPS, [(7,), (-40,), (-70000,)]),
+    (ZdGroup(2), [F(1, 4)] * 3, [(1, 0), (-1, 2), (3, -3), (0, -5), (25, 0), (-1, -30)]),
+]
+
+
+@pytest.mark.parametrize("group, eps, elems", SHARED_ENDS, ids=["Z", "Z2"])
+def test_map_pieces_share_the_stage_endpoints(group, eps, elems):
+    """Every endpoint of a materialized map is an entry of its stage's
+    `ends` table, the very object, and the view equals, in values and
+    types, the one `_fractions` builds from the same ints."""
+    tw = build_tower(build_hierarchy(group, eps, len(eps)), len(eps))
+    for n, st in enumerate(tw.stages):
+        ends = {id(e) for e in st.ends}
+        for g in elems:
+            m = materialize_map(tw, n, g)
+            assert all(id(a) in ends and id(b) in ends for a, b, _ in m.pieces)
+            f = _fractions(m._den, m._items)
+            assert m.pieces == tuple((f[a], f[b], f[o]) for a, b, o in m._items)
+            assert {type(v) for piece in m.pieces for v in piece} <= {F}
+    top = tw.stages[-1]
+    assert materialize_map(tw, len(eps) - 1, tuple([top.side] * group.d)).pieces == ()
+
+
+def test_maps_on_a_forged_stage_are_still_checked():
+    """A stage whose slots repeat an index sends two slots onto one:
+    materialize_map's pieces still pass the map check, which raises."""
+    tw = small_tower(2)
+    st = tw.stages[1]
+    broken = dataclasses.replace(st, slots=[st.slots[1], *st.slots[1:]])
+    forged = Tower(tw.group, [tw.stages[0], broken])
+    materialize_map(tw, 1, (-1,))
+    with pytest.raises(IntervalError, match="overlapping"):
+        materialize_map(forged, 1, (-1,))
 
 
 def test_summability():
