@@ -191,7 +191,6 @@ def cmd_tile(args) -> int:
     rep = Report({"task": "tile", "group": args.group, "eps": str(eps)}, seed=args.seed)
     rep.metrics["coverage"] = qt.coverage
     rep.metrics["centers"] = [len(c) for c in qt.centers]
-    rep.metrics["budget_raw_ok"] = chk.budget_raw_ok
     for key, value, relation, verdict in qt.ledger:
         rep.add_constraint(f"{key} [{relation}]", value, relation, verdict)
     rep.add_constraint("eps-disjointness (recheck): centers leaving A or adding"
@@ -224,16 +223,7 @@ def cmd_lift_sim(args) -> int:
     for st in tower.stages:
         total = st.covered
         rep.add_constraint(f"stage side {st.side}: sum |A| mu(X_A) = 1", total, 1, total == 1)
-        # T_g is the single slot [ends[p], ends[p + 1]) with p = pi_n(g).
-        ends = st.ends
-        stages_out.append(
-            {
-                "side": st.side,
-                "eps": st.eps,
-                "base": [[ends[0], ends[1]]],
-                "targets": {str(g): [[ends[p], ends[p + 1]]] for g, p in st.items()},
-            }
-        )
+        stages_out.append({"side": st.side, "eps": st.eps, "slots": st.slots})
     gen = tuple([1] + [0] * (tower.group.d - 1))
     for n in range(len(tower.stages) - 1):
         g = gen if n > 0 else tuple([0] * tower.group.d)
@@ -317,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-sim")
     common(p, instance=False)
     p.add_argument("--group", default="z")
-    p.add_argument("--eps", "--eps-seq", dest="eps", default="1/16,1/32,1/64,1/128")
+    p.add_argument("--eps", default="1/16,1/32,1/64,1/128")
     p.add_argument("--stages", type=int, default=3)
     p.set_defaults(fn=cmd_lift_sim)
 

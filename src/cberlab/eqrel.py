@@ -43,25 +43,18 @@ class FinEqrel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", _canon(self.classes))
-        seen: set[int] = set()
-        for c in self.classes:
+        idx = [-1] * self.n  # class of each point; -1 until a class claims it
+        for i, c in enumerate(self.classes):
             for x in c:
                 if not (0 <= x < self.n):
                     raise EqrelError(f"point {x} outside ground set of size {self.n}")
-                if x in seen:
+                if idx[x] >= 0:
                     raise EqrelError(f"point {x} appears in two classes")
-                seen.add(x)
-        if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise EqrelError(f"points {missing} not covered by any class")
-        object.__setattr__(self, "_cls_of", self._build_index())
-
-    def _build_index(self) -> tuple[int, ...]:
-        idx = [0] * self.n
-        for i, c in enumerate(self.classes):
-            for x in c:
                 idx[x] = i
-        return tuple(idx)
+        if len(idx) != self.n or -1 in idx:  # n < 0 leaves idx shorter than n
+            missing = [x for x, i in enumerate(idx) if i < 0]
+            raise EqrelError(f"points {missing} not covered by any class")
+        object.__setattr__(self, "_cls_of", tuple(idx))
 
     # --- queries ---------------------------------------------------------
 

@@ -73,14 +73,13 @@ class Link:
             raise CheckFailed(f"incidence condition fails: {bad}")
 
 
-def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -> list[Perm]:
+def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -> None:
     perms = [perm_of(g, e.n) for g in gens]
     for i, p in enumerate(perms):
         if not is_automorphism(e, p):
             raise LinkError(f"witness generator {i} ({p}) is not an automorphism of E")
     if join(e, orbit_eqrel_of_perms(e.n, perms)) != f:
         raise LinkError("witness does not generate F over E")
-    return perms
 
 
 def _rows(l_classes: Iterable[Sequence[int]], f: FinEqrel, f_prime: FinEqrel) -> FinEqrel:

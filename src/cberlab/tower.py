@@ -31,13 +31,13 @@ side_n fails.  Maps, agreement and defect are slot counts over
 sub-box positions (`TowerStage.inside`).  Tuples appear only in
 `TowerStage.items`; `IntervalSet`, `IntervalMap` and `Fraction` only at the
 boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
-of `StageReport`).  A stage keeps one table of endpoint Fractions,
-`TowerStage.ends`.  Its T-sets share it as their memoized `intervals` views
-and its maps as their `pieces` views, so every endpoint handed out is an
-object of the table and the report writer formats each once; `lift-sim`
-emits each slot straight from pi_n as the pair ends[p], ends[p + 1] without
-building a T-set.  Its partition check is `TowerStage.covered`, a count of
-slot indices.
+of `StageReport`).  `lift-sim` emits pi_n itself, each stage's `slots`, from
+which T_g = [p/size, (p+1)/size) with p the entry at g's row-major position.
+A stage keeps one table of endpoint Fractions, `TowerStage.ends`, for
+`targets` and the maps: its T-sets share it as their memoized `intervals`
+views and its maps as their `pieces` views, so every endpoint handed out is
+an object of the table and the report writer formats each once.  Its
+partition check is `TowerStage.covered`, a count of slot indices.
 """
 
 from __future__ import annotations

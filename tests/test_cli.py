@@ -1,14 +1,19 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from cberlab import quasitile
 from cberlab.cli import _nearest_root, main
 from cberlab.instances import build_block_instance, gen_instance
+from cberlab.quasitile import ZdGroup, build_hierarchy
+from cberlab.report import canonical_json
+from cberlab.tower import build_tower
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -306,24 +311,54 @@ def test_extend_and_hf_and_smooth(capsys):
         assert code == 0, (argv, out)
 
 
+def _old_stage_payload(out: str, d: int) -> str:
+    """The report with each stage {side, eps, slots} spelled out as the
+    interval payload it replaced: T_g = [[p/size, (p + 1)/size]] under str(g)
+    for p = pi_n(g), g in row-major order over [0, side)^d, and base
+    [[0, 1/size]].  So the old report is a function of the new one."""
+    payload = json.loads(out)
+    stages = []
+    for st in payload["metrics"]["stages"]:
+        side, slots = st["side"], st["slots"]
+        size = len(slots)
+        stages.append({
+            "side": side,
+            "eps": st["eps"],
+            "base": [[Fraction(0), Fraction(1, size)]],
+            "targets": {
+                str(g): [[Fraction(p, size), Fraction(p + 1, size)]]
+                for g, p in zip(itertools.product(range(side), repeat=d), slots)
+            },
+        })
+    payload["metrics"]["stages"] = stages
+    return canonical_json(payload) + "\n"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_lift_sim_report_frozen(capsys):
-    """The canonical report of a 3-stage tower, byte for byte: the interval
-    algebra's exact values and Fraction types at the report boundary."""
+    """The canonical report of a 3-stage tower, byte for byte, and the
+    interval payload it replaced, rebuilt from its slot lists."""
     code, out = run(capsys, "lift-sim", "--stages", "3", "--seed", "0")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert len(out.encode()) == 5037
+    assert _digest(out) == "8521ca0e4823c2efdbb939c85f03fd82671c7124639ea6765623e67cfeb502a9"
+    assert _digest(_old_stage_payload(out, 1)) == (
         "c65348d98eeedfbcede8f7626877c7f5da23ff01a58d9b788fbed78f726071c4"
     )
 
 
 def test_z2_lift_sim_report_frozen(capsys):
-    """The canonical report of a 2-stage tower over Z^2, byte for byte: its
-    slots are emitted straight from the slot permutation, with no floats."""
+    """The canonical report of a 2-stage tower over Z^2, byte for byte, with
+    no floats, and the interval payload it replaced."""
     code, out = run(capsys, "lift-sim", "--group", "z2", "--eps", "1/8,1/16",
                     "--stages", "2", "--seed", "0")
     assert code == 0
-    assert len(out.encode()) == 15106
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert len(out.encode()) == 1627
+    assert _digest(out) == "f4c23c8fd3ef8fc2d8858cae44f8d8b75b0fb7a26033851f8067217e28e2ee97"
+    assert _digest(_old_stage_payload(out, 2)) == (
         "52084f3c5d471dca840e16d084335be26814e761470fee2c07f3555afe6c5976"
     )
     payload = json.loads(out, parse_float=lambda s: pytest.fail(f"float {s}"))
@@ -336,10 +371,30 @@ def test_z2_lift_sim_nonzero_pair_report_frozen(capsys):
     code, out = run(capsys, "lift-sim", "--group", "z2", "--eps", "1/2,1/4,1/8",
                     "--stages", "3", "--seed", "0")
     assert code == 0
-    assert len(out.encode()) == 34439
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert len(out.encode()) == 3300
+    assert _digest(out) == "1ef5cb8eee42b462789ddaf49eb6d09e42f135be20d874efc8242438ca4f2b45"
+    assert _digest(_old_stage_payload(out, 2)) == (
         "350fc4f1e0a8e3810fcb0fcf2ceabdce0eb0e1c3bf0b5792d312be15b91553d8"
     )
+
+
+@pytest.mark.parametrize("group,d,eps", [
+    ("z", 1, "1/16,1/32,1/64"),
+    ("z2", 2, "1/2,1/4,1/8"),
+], ids=["z", "z2"])
+def test_lift_sim_slots_are_the_tower_permutations(capsys, group, d, eps):
+    """Each emitted stage is pi_n itself: the tower's slot list, a
+    permutation of range(side^d) that sends the identity to slot 0."""
+    code, out = run(capsys, "lift-sim", "--group", group, "--eps", eps, "--stages", "3")
+    assert code == 0
+    fracs = [Fraction(x) for x in eps.split(",")]
+    tower = build_tower(build_hierarchy(ZdGroup(d), fracs, 3), 3)
+    emitted = json.loads(out)["metrics"]["stages"]
+    assert len(emitted) == len(tower.stages)
+    for st, tst in zip(emitted, tower.stages):
+        assert st["slots"] == tst.slots
+        assert sorted(st["slots"]) == list(range(st["side"] ** d))
+        assert st["slots"][0] == 0
 
 
 def test_choice_link_reports_frozen(capsys):
@@ -394,7 +449,8 @@ def test_gen_report_frozen(capsys):
 def test_tile_rechecks_are_exact_comparisons(capsys):
     """The eps-disjointness recheck compares the count of bad centers with
     0, and the budget recheck |B||C| with p|A| (p = 1 for the one shape):
-    40 centers of the 5-segment on 200 points."""
+    40 centers of the 5-segment on 200 points.  The raw budget |B||C| <= eps|A|
+    fails on every passing run, so it is not a metric."""
     code, out = run(capsys, "tile", "--size", "200", "--eps", "2/5", "--chain", "5")
     assert code == 0
     ledger = {e["key"]: (e["lhs"], e["rhs"], e["verdict"]) for e in json.loads(out)["ledger"]}
@@ -402,3 +458,4 @@ def test_tile_rechecks_are_exact_comparisons(capsys):
                   " < (1-eps)|B| new points = 0"] == (0, 0, True)
     assert ledger["normalized budget |B||C| <= p|A| (recheck)"] == (
         200, {"den": 1, "num": 200}, True)
+    assert set(json.loads(out)["metrics"]) == {"centers", "coverage"}

@@ -21,12 +21,14 @@ def test_build_and_canonical_form():
 
 
 def test_validation_errors():
-    with pytest.raises(EqrelError):
+    with pytest.raises(EqrelError, match=r"points \[2\] not covered by any class"):
         build_partition(3, [[0, 1]])  # missing point
-    with pytest.raises(EqrelError):
+    with pytest.raises(EqrelError, match="point 1 appears in two classes"):
         build_partition(3, [[0, 1], [1, 2]])  # overlap
-    with pytest.raises(EqrelError):
+    with pytest.raises(EqrelError, match="point 3 outside ground set of size 3"):
         build_partition(3, [[0, 1], [2, 3]])  # out of range
+    with pytest.raises(EqrelError, match=r"points \[\] not covered by any class"):
+        build_partition(-3, [])  # negative ground set
 
 
 def test_join_and_from_pairs():
