@@ -30,6 +30,22 @@ def _canon(classes: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# The classes must list all n points, so a ground set larger than the points
+# they list by more than this is malformed on its face.
+UNLISTED_SLACK = 64
+
+
+def _unlisted(n: int, classes: Sequence[Sequence[int]], listed: int) -> str:
+    """The error for classes that list far fewer than n points: the first
+    few points no class lists, and the count of the rest.  Nothing here is
+    sized by n."""
+    points = set(itertools.chain.from_iterable(classes))
+    first = list(itertools.islice(itertools.filterfalse(points.__contains__, itertools.count()), 8))
+    rest = n - sum(0 <= x < n for x in points) - len(first)
+    return (f"points {first} and {rest} more not covered by any class: "
+            f"the classes list {listed} points for a ground set of size {n}")
+
+
 @dataclass(frozen=True)
 class FinEqrel:
     """An equivalence relation on {0..n-1}, stored as its partition.
@@ -43,6 +59,9 @@ class FinEqrel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", _canon(self.classes))
+        listed = sum(map(len, self.classes))
+        if self.n > listed + UNLISTED_SLACK:  # checked before n slots are allocated
+            raise EqrelError(_unlisted(self.n, self.classes, listed))
         idx = [-1] * self.n  # class of each point; -1 until a class claims it
         for i, c in enumerate(self.classes):
             for x in c:

@@ -8,9 +8,11 @@ encoding (a linear shift in a Z^d box, a rotation in Z/n), and the kernels
 run on int masks as whole-mask algebra:
 
 - T(A, B) = {c in A : B + c <= A} is the erosion A & AND_{v in B} (A - v),
-  and |BA| is the popcount of the dilation OR_{v in B} (A + v): |B| shifts
-  each.  Both are exact because the Z^d box holds A + B (no c + v with c in
-  A leaves it or aliases) and Z/n rotates (-v is the rotation by n - v).
+  |B| shifts, and |BA| is the popcount of the dilation OR_{v in B} (A + v).
+  A dilation runs over B's offsets as maximal runs start + [0, L), with
+  about log2 L + 2 shifts per run by doubling (`_dilate`).  Both are exact
+  because the Z^d box holds A + B (no c + v with c in A leaves it or
+  aliases) and Z/n rotates (-v is the rotation by n - v).
 - `_Window.invariance` reads |T| and |BA| as popcounts.
 - greedy_disjoint_translates walks the set bits of T in ascending order.
   Bit order is the canonical order: row-major positions order a Z^d box
@@ -22,18 +24,20 @@ run on int masks as whole-mask algebra:
   (slice j holds bit j of |(B + c) \\ U| for every c), which are compared
   with the acceptance threshold slice by slice.  The family is maximal iff
   no rejected center, T & ~accepted, reaches it.
-- A mask is built by setting one byte per point and converting the bytes
-  once, so every mask is linear in the window.
+- A mask is built by setting one byte per position and converting the
+  bytes once, so every mask is linear in the window.  A Z^d point set's
+  positions come from whole coordinate columns, one C-level map per
+  coordinate; a Z/n set is range-checked by its least and greatest element.
 - One encoding per window: `_Window` builds the encoding, A's mask, B's
   offsets and T once per (A, B), and the invariance count and the greedy
   walk both read it.  quasi_tile and covering_family take the invariance
   from the greedy family's window instead of encoding A again.
-- The greedy family's covered mask U is set position by position,
-  p + raw(v) (mod n in Z/n) for each accepted position p and v in B, from
-  the accepted positions alone, none of the walk's window words, shifts or
-  wrap reads.  Its popcount must equal the sum of the walk's counts
-  |(B + c) \\ U|, which telescope to |U| when each is right
-  (`_Window.cover`).  quasi_tile's trimmed prefix is checked the same way.
+- The greedy family's covered mask U is the dilation by B of the mask of
+  the accepted positions, from those positions alone, none of the walk's
+  window words, shifts or wrap reads.  Its popcount must equal the sum of
+  the walk's counts |(B + c) \\ U|, which telescope to |U| when each is
+  right (`_Window.cover`).  quasi_tile's trimmed prefix is checked the same
+  way.
 - The centers, the covered set and the residue are decoded from set bits,
   streamed, so no list of their positions is held beside the elements.
 
@@ -49,7 +53,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .eqrel import CheckFailed
 
@@ -130,11 +134,18 @@ class _ZdBits:
     def raw(self, v) -> int:
         return sum(map(operator.mul, v, self.strides))
 
-    def mask(self, s: Iterable) -> int:
-        strides, zero = self.strides, self.zero
-        if len(strides) == 1:  # Z: the position is the coordinate plus zero, no Python call per point
-            return _mask_at(map(zero.__add__, map(operator.itemgetter(0), s)), self.size)
-        return _mask_at((sum(map(operator.mul, v, strides)) + zero for v in s), self.size)
+    def mask(self, s: AbstractSet) -> int:
+        """The mask of the points of s.  The position zero + c_{d-1} +
+        sum_{j < d-1} s_j c_j is built from whole columns, c_j =
+        map(itemgetter(j), s), one C-level map per coordinate and none per
+        point (the last stride is 1).  s is iterated once per coordinate, so
+        it must be a set: one that yields its points in the same order on
+        every pass."""
+        *head, last = map(operator.itemgetter, range(len(self.strides)))
+        pos = map(self.zero.__add__, map(last, s))
+        for coord, stride in zip(head, self.strides):
+            pos = map(operator.add, pos, map(stride.__mul__, map(coord, s)))
+        return _mask_at(pos, self.size)
 
     def box(self, extents: Sequence[int], step: int = 1) -> int:
         """The mask of the grid {step * i : 0 <= i_j < e_j} at the origin, in
@@ -149,11 +160,6 @@ class _ZdBits:
     def shifted(self, base_mask: int, r: int) -> int:
         """The mask translated by the element of raw offset r."""
         return base_mask << r if r >= 0 else base_mask >> -r
-
-    def translates(self, ps: Iterable[int], offs: Sequence[int]) -> Iterator[int]:
-        """The positions p + r of B + c for the centers c at the positions
-        ps, r = raw(v) for v in B: exact, since the box holds A + B."""
-        return itertools.chain.from_iterable(map(r.__add__, ps) for r in offs)
 
     def elements(self, m: int) -> Iterator[tuple]:
         """The points at the set bits of m, ascending, streamed.  The box's
@@ -182,18 +188,18 @@ class _CyclicBits:
             raise TileError(f"{v!r} is not an element 0..{self.n - 1} of Z/{self.n}")
         return v
 
-    def mask(self, s: Iterable) -> int:
-        return _mask_at(map(self.raw, s), self.n)
+    def mask(self, s: AbstractSet) -> int:
+        """The mask of the elements of s, after one range check of its least
+        and greatest element; s is iterated three times, so it must be a set."""
+        lo, hi = min(s, default=0), max(s, default=0)
+        if lo < 0 or hi >= self.n:
+            self.raw(lo if lo < 0 else hi)  # raises TileError, naming the element
+        return _mask_at(s, self.n)
 
     def shifted(self, base_mask: int, r: int) -> int:
         """The mask rotated by r; -v is the rotation by n - v."""
         r %= self.n
         return ((base_mask << r) | (base_mask >> (self.n - r))) & self.full
-
-    def translates(self, ps: Iterable[int], offs: Sequence[int]) -> Iterator[int]:
-        """The positions (p + r) mod n of B + c for the centers c at the
-        positions ps, r = raw(v) for v in B."""
-        return itertools.chain.from_iterable(map(self.n.__rmod__, map(r.__add__, ps)) for r in offs)
 
     def elements(self, m: int) -> Iterator[int]:
         """The elements at the set bits of m, ascending, streamed."""
@@ -250,7 +256,7 @@ def _set_bits(m: int) -> Iterator[int]:
 
 
 def translate(group: ZdGroup | CyclicGroup, b: frozenset, c) -> frozenset:
-    return frozenset(group.op(v, c) for v in b)
+    return frozenset(map(group.op, b, itertools.repeat(c)))
 
 
 def _erode(bits, ma: int, offs: Sequence[int]) -> int:
@@ -264,13 +270,47 @@ def _erode(bits, ma: int, offs: Sequence[int]) -> int:
     return t
 
 
+def _runs(offs: Sequence[int]) -> list[tuple[int, int]]:
+    """The offsets, sorted, as maximal runs (start, L) of consecutive ints:
+    start + [0, L).  A segment is one run, a box at most one per row."""
+    runs: list[tuple[int, int]] = []
+    for r in sorted(offs):
+        if runs and r == sum(runs[-1]):
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((r, 1))
+    return runs
+
+
+def _dilate(bits, m: int, runs: Sequence[tuple[int, int]]) -> int:
+    """The dilation OR_{r in offs} shifted(m, r), for the offsets as runs
+    start + [0, L).  Per run, doubling d |= shifted(d, k) for k = 1, 2, 4,
+    ... while 2k <= L makes d the OR of the shifts by [0, k), 2k > L, one
+    shift by L - k < k extends that to [0, L), and one by the start places it:
+    about log2 L + 2 whole-mask shifts per run, not L (van den Boomgaard and
+    van Balen, CVGIP 1992).  Exact for the same reason as the erosion: in
+    Z^d every position p + r, p a set bit of m, lies in the box, which holds
+    A + B, so the partial shifts lose no bit; in Z/n rotations compose."""
+    out = 0
+    for start, length in runs:
+        d, k = m, 1
+        while 2 * k <= length:
+            d |= bits.shifted(d, k)
+            k *= 2
+        if length > k:
+            d |= bits.shifted(d, length - k)
+        out |= bits.shifted(d, start)
+    return out
+
+
 class _Window:
     """One window A and shape B in one encoding: the bitset encoding, A's
-    mask, B's raw offsets and the erosion T(A, B).  The invariance count and
-    the greedy walk both read this one build."""
+    mask, B's raw offsets, their runs and the erosion T(A, B).  The
+    invariance count and the greedy walk both read this one build."""
 
     def __init__(self, bits, mask: int, offs: Sequence[int]):
         self.bits, self.mask, self.offs = bits, mask, offs
+        self.runs = _runs(offs)
         self.interior = _erode(bits, mask, offs)
         self.points = mask.bit_count()
 
@@ -285,13 +325,11 @@ class _Window:
         popcount of the erosion.  When invariant, the growth consequence
         |BA| <= (1 + eps|B|)|A| is checked as a sanity check of the
         combinatorics; |BA| is the popcount of the dilation OR_{v in B} (A + v),
-        exact for the same reason as the erosion."""
+        exact for the same reason as the erosion (`_dilate`)."""
         t, na = self.interior.bit_count(), self.points
         ok = na - t <= eps * na
         if ok:
-            mba = 0
-            for r in self.offs:
-                mba |= self.bits.shifted(self.mask, r)
+            mba = _dilate(self.bits, self.mask, self.runs)
             if mba.bit_count() > (1 + eps * len(self.offs)) * na:
                 raise CheckFailed("growth bound violated")
         return ok, t
@@ -332,12 +370,13 @@ class _Window:
                 counts.append(k)
         return accepted, counts
 
-    def cover(self, ps: Sequence[int], counts: Sequence[int]) -> int:
-        """The mask of U, the union of B + c over the centers c at positions
-        ps, set position by position from p + raw(v).  counts are the walk's
-        |(B + c) \\ U| at each acceptance: they telescope to |U| when each
-        one is right, so CheckFailed unless U's popcount is their sum."""
-        u = _mask_at(self.bits.translates(ps, self.offs), self.bits.size)
+    def cover(self, chosen: int, counts: Sequence[int]) -> int:
+        """The mask of U, the union of B + c over the centers c at the set
+        bits of `chosen`: the dilation of `chosen` by B's runs (`_dilate`).
+        counts are the walk's |(B + c) \\ U| at each acceptance: they
+        telescope to |U| when each one is right, so CheckFailed unless U's
+        popcount is their sum."""
+        u = _dilate(self.bits, chosen, self.runs)
         if u.bit_count() != sum(counts):
             raise CheckFailed("witness counts disagree with the translate union")
         return u
@@ -407,8 +446,8 @@ def greedy_disjoint_translates(
     walked in ascending bit order, which is the canonical order: the
     lexicographic order in a Z^d box, the integer order in Z/n.  The walk
     (`_Window.walk`) reads U through a sliding span(B)-bit window and
-    returns the accepted positions and counts.  U is then set from those
-    positions alone, and its popcount must be the sum of the counts
+    returns the accepted positions and counts.  U is then dilated from
+    those positions alone, and its popcount must be the sum of the counts
     (`_Window.cover`); every rejected center is rechecked against it by
     _check_maximal.  Centers and covered points are decoded from the set
     bits of their masks.
@@ -419,8 +458,8 @@ def greedy_disjoint_translates(
     win = _Window.of(group, a, b)
     bits = win.bits
     accepted, witnesses = win.walk(need)
-    covered = win.cover(accepted, witnesses)
     chosen = _mask_at(accepted, bits.size)
+    covered = win.cover(chosen, witnesses)
     _check_maximal(bits, win.offs, covered, win.interior ^ chosen, need)
     return DisjointFamily(list(bits.elements(chosen)), witnesses, win, accepted, covered)
 
@@ -503,6 +542,12 @@ def quasi_tile(
     with their chain-descent and eta-invariance pre-checks, 2^i-root bands
     and budget split, served only inputs that cannot pass, and collapse.
 
+    A shape longer than the window, |B| > |A|, is rejected next, since it
+    cannot pass either: a translate B + c has |B| > |A| points, so none lies
+    inside A, T(A, B) is empty, the family has no member, and the coverage
+    is 0 < 1 - eps.  Without the gate the erosion alone costs |B| shifts of
+    a box that holds A + B.
+
     Stage 0's band exponents have q = 2^0 = 1, so each band is a plain
     Fraction comparison, and its residue is A, so each band and its absolute
     band compare one ratio.  The ledger keeps the keys and relation strings
@@ -513,6 +558,9 @@ def quasi_tile(
     if len(chain) != 1:
         raise TileError(f"need one shape for eps={eps}, got {len(chain)}")
     (b,) = chain
+    if len(b) > len(a):
+        raise TileError(f"shape of {len(b)} points is longer than the window of {len(a)}: "
+                        "no translate fits, so the coverage is 0")
     if group.identity not in b:
         raise TileError("every shape must contain the identity")
     n = len(a)
@@ -531,7 +579,7 @@ def quasi_tile(
     cap = min(eps / (1 - eps), 1 - (1 - eps) ** 2)
     # count <= budget iff count <= floor(budget), for an int count.
     count = min(_trim(fam.witnesses, n, cap), n // len(b))
-    cov = win.cover(fam.positions[:count], fam.witnesses[:count])
+    cov = win.cover(_mask_at(fam.positions[:count], win.bits.size), fam.witnesses[:count])
     covered = cov.bit_count()
     ratio = Fraction(covered, n)
     low = ratio >= eps * (1 - eps)
@@ -572,11 +620,12 @@ def check_tiling(group: ZdGroup | CyclicGroup, a: frozenset, qt: QuasiTiling) ->
     alone, for the one shape B that quasi_tile takes."""
     eps = qt.eps
     (b,), (centers,) = qt.shapes, qt.centers
+    fresh = (1 - eps) * len(b)
     used: set = set()
     bad = 0
     for c in centers:
         bc = translate(group, b, c)
-        if not bc <= a or len(bc - used) < (1 - eps) * len(b):
+        if not bc <= a or len(bc - used) < fresh:
             bad += 1
         used |= bc
     coverage = Fraction(len(used), len(a))

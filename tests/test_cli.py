@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,20 @@ def test_gen_roundtrips_through_link(tmp_path, capsys):
     assert code == 0
     assert rep["outcome"] == "pass"
     assert all(entry["verdict"] for entry in rep["ledger"])
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9])
+def test_link_rejects_a_ground_set_far_larger_than_its_classes_at_once(tmp_path, capsys, n):
+    """The 48-byte instance that made link allocate n slots and print every
+    missing point: now one short input error, before anything is sized by n."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "E": [[0]], "F": [[0]], "witness": []}))
+    start = time.perf_counter()
+    code = main(["link", "--instance", str(path)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("input error: ")
+    assert elapsed < 1 and len(err.encode()) < 1024
 
 
 def test_link_and_lift_on_a_wide_class(tmp_path, capsys):

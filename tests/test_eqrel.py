@@ -73,3 +73,16 @@ def test_eqrel_is_hashable_value_type():
     e2 = build_partition(3, [[1, 0], [2]])
     assert e1 == e2 and hash(e1) == hash(e2)
     assert len({e1, e2}) == 1
+
+
+def test_ground_set_far_larger_than_its_classes_is_rejected_before_allocating():
+    """n above the listed points plus the slack names the first missing
+    points and counts the rest, without n slots; at the slack, the old
+    path still lists every missing point."""
+    with pytest.raises(EqrelError, match=r"^points \[1, 2, 3, 4, 5, 6, 7, 8\] and 999999991 more "
+                                         r"not covered by any class: the classes list 1 points"):
+        build_partition(10**9, [[0]])
+    with pytest.raises(EqrelError, match=r"^points \[0, 2, 4, 5, 6, 7, 8, 9\] and 60 more "):
+        build_partition(70, [[1], [3]])  # 70 > 2 + 64
+    with pytest.raises(EqrelError, match=r"^points \[2, 3, .*, 65\] not covered by any class$"):
+        build_partition(66, [[0, 1]])  # 66 = 2 + 64: at the slack

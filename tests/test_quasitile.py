@@ -273,6 +273,19 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize("g, a, b", [
+    (ZdGroup(1), frozenset((x,) for x in range(100)), ZdGroup(1).segment(101)),
+    (ZdGroup(2), ZdGroup(2).box(3), ZdGroup(2).segment(10)),
+    (CyclicGroup(50), frozenset(range(0, 50, 2)), frozenset(range(26))),
+], ids=["Z", "Z2", "Z/50"])
+def test_shape_longer_than_the_window_is_rejected_before_the_walk(monkeypatch, g, a, b):
+    """|B| > |A| leaves no translate inside A, so coverage 0 < 1 - eps:
+    quasi_tile rejects it as input before it encodes anything."""
+    monkeypatch.setattr(quasitile._Window, "of", lambda *args: pytest.fail("window encoded"))
+    with pytest.raises(TileError, match=f"shape of {len(b)} points is longer than the window of {len(a)}"):
+        quasi_tile(g, a, [b], Fraction(2, 5))
+
+
 def test_failing_check_raises_under_optimize():
     """QuasiTiling.log raises explicitly, so python -O keeps the check: at
     eps = 1/3 the stage band caps coverage at 1/2 < 1 - eps."""
@@ -470,6 +483,7 @@ def assert_ledger_matches_public_calls(g, a, b, eps):
     separate greedy_disjoint_translates.  Each entry is recorded as it is
     logged, so the entries before a failing check are compared too."""
     assume(len(a) > 3)  # quasi_tile needs |A| > 3^k
+    assume(len(b) <= len(a))  # and rejects a shape longer than the window
     (k, *_), entries, log = tiling_constants(eps), {}, quasitile.QuasiTiling.log
 
     def record(qt, key, value, relation, ok):
@@ -513,10 +527,12 @@ def test_quasi_tile_ledger_matches_public_calls_on_zn(nab, eps):
 
 
 def test_kernels_shift_once_per_point_of_b(monkeypatch):
-    """Erosion and dilation cost |B| whole-window shifts each, not one per
-    point of A: a per-point loop would make 10^5 calls here.  The greedy
-    family shifts |B| times for the erosion and |B| times for the
-    maximality recheck's counters."""
+    """Erosion costs |B| whole-window shifts, not one per point of A: a
+    per-point loop would make 10^5 calls here.  Dilation doubles along each
+    run of B, and a segment is one run, so it costs about log2 |B| + 2
+    shifts.  The invariance check erodes and dilates; the greedy family
+    erodes, dilates the accepted centers into U and shifts |B| times for
+    the maximality recheck's counters."""
     calls = []
     shifted = quasitile._ZdBits.shifted
 
@@ -528,12 +544,13 @@ def test_kernels_shift_once_per_point_of_b(monkeypatch):
     g = ZdGroup(1)
     a = frozenset((x,) for x in range(10**5))
     b = g.segment(50)
+    doubling = 2 * len(b).bit_length() + 2
     assert quasitile._Window.of(g, a, b).invariance(Fraction(1, 100)) == (True, 10**5 - 49)
-    assert len(calls) <= 2 * len(b) + 2
+    assert len(calls) <= len(b) + doubling
     calls.clear()
     fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
     assert fam.centers[:2] == [(0,), (40,)] and len(fam.centers) == 2499
-    assert len(calls) <= 2 * len(b) + 2
+    assert len(calls) <= 2 * len(b) + doubling
 
 
 # --- linear masks, the log-time trim and the counter recheck ----------------
@@ -562,14 +579,68 @@ def test_zd_mask_matches_one_bit_per_point_on_z2(a, b):
 
 
 @PARITY
+@given(a=points(3, -3, 3, max_size=40), b=points(3, -2, 2, max_size=6))
+def test_zd_mask_matches_one_bit_per_point_on_z3(a, b):
+    """The column sum zero + c_2 + s_0 c_0 + s_1 c_1, with two strides."""
+    bits = quasitile._bits(ZdGroup(3), a, b)
+    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+
+
+@PARITY
 @given(n=st.integers(1, 40), s=st.frozensets(st.integers(-3, 45), max_size=20))
+@example(n=5, s=frozenset({0, 5}))  # the greatest element is n itself
 def test_cyclic_mask_matches_one_bit_per_point(n, s):
     bits = quasitile._CyclicBits(CyclicGroup(n))
     if all(0 <= v < n for v in s):
         assert bits.mask(s) == ref_mask(bits, s)
     else:
-        with pytest.raises(TileError):
+        bad = min(s) if min(s) < 0 else max(s)
+        with pytest.raises(TileError, match=f"^{bad} is not an element 0..{n - 1} of Z/{n}$"):
             bits.mask(s)
+
+
+def ref_dilate(bits, m, offs):
+    """One shift per offset: the loop the run-doubling dilation replaces."""
+    out = 0
+    for r in offs:
+        out |= bits.shifted(m, r)
+    return out
+
+
+def assert_dilation_matches(bits, m, offs):
+    runs = quasitile._runs(offs)
+    assert sorted(r for start, length in runs for r in range(start, start + length)) == sorted(offs)
+    assert all(s1 + l1 < s2 for (s1, l1), (s2, _) in zip(runs, runs[1:]))  # maximal runs
+    assert quasitile._dilate(bits, m, runs) == ref_dilate(bits, m, offs)
+
+
+@PARITY
+@given(a=points(1, -20, 20, max_size=30), b=points(1, -12, 12, max_size=20))
+@example(a=frozenset((x,) for x in range(10)), b=ZdGroup(1).segment(19))  # k = 16, L - k = 3
+def test_dilation_matches_one_shift_per_offset_on_z(a, b):
+    bits = quasitile._bits(ZdGroup(1), a, b)
+    assert_dilation_matches(bits, bits.mask(a), [bits.raw(v) for v in b])
+
+
+@PARITY
+@given(a=holed_z2_windows(), b=points(2, -4, 1, max_size=12))
+def test_dilation_matches_one_shift_per_offset_on_z2(a, b):
+    """B below the origin gives negative run starts.  Runs are taken on
+    positions, so one may cross from a row of the box into the next."""
+    bits = quasitile._bits(ZdGroup(2), a, b)
+    assert_dilation_matches(bits, bits.mask(a), [bits.raw(v) for v in b])
+
+
+@PARITY
+@given(nab=cyclic_windows())
+@example(nab=(10, frozenset({0, 9}), frozenset({7, 8, 9})))  # bits rotate past n - 1 to 0
+@example(nab=(12, frozenset({5, 11}), frozenset({10, 11, 0, 1})))  # one cyclic run, two runs of offsets
+@example(nab=(9, frozenset(range(9)), frozenset(range(9))))  # a run of length n
+def test_dilation_matches_one_shift_per_offset_on_zn(nab):
+    """Each doubling shift rotates the bits past n - 1 back to 0."""
+    n, a, b = nab
+    bits = quasitile._CyclicBits(CyclicGroup(n))
+    assert_dilation_matches(bits, bits.mask(a), sorted(b))
 
 
 def ref_trim(witnesses, n, le_hi):
