@@ -30,19 +30,15 @@ def _canon(classes: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# The classes must list all n points, so a ground set larger than the points
-# they list by more than this is malformed on its face.
-UNLISTED_SLACK = 64
-
-
 def _unlisted(n: int, classes: Sequence[Sequence[int]], listed: int) -> str:
-    """The error for classes that list far fewer than n points: the first
-    few points no class lists, and the count of the rest.  Nothing here is
-    sized by n."""
+    """The error for classes that list fewer than n points: the first few
+    points of [0, n) no class lists, and the count of the rest.  Nothing
+    here is sized by n."""
     points = set(itertools.chain.from_iterable(classes))
-    first = list(itertools.islice(itertools.filterfalse(points.__contains__, itertools.count()), 8))
+    first = list(itertools.islice(itertools.filterfalse(points.__contains__, range(n)), 8))
     rest = n - sum(0 <= x < n for x in points) - len(first)
-    return (f"points {first} and {rest} more not covered by any class: "
+    more = f" and {rest} more" if rest else ""
+    return (f"points {first}{more} not covered by any class: "
             f"the classes list {listed} points for a ground set of size {n}")
 
 
@@ -60,7 +56,11 @@ class FinEqrel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", _canon(self.classes))
         listed = sum(map(len, self.classes))
-        if self.n > listed + UNLISTED_SLACK:  # checked before n slots are allocated
+        # Fewer listed points than n cannot cover [0, n); checked before n
+        # slots are allocated.  Otherwise, once the loop below finds every
+        # point in range and in one class, the listed >= n points are
+        # distinct points of [0, n), so they are all of it.
+        if self.n > listed:
             raise EqrelError(_unlisted(self.n, self.classes, listed))
         idx = [-1] * self.n  # class of each point; -1 until a class claims it
         for i, c in enumerate(self.classes):
@@ -70,9 +70,8 @@ class FinEqrel:
                 if idx[x] >= 0:
                     raise EqrelError(f"point {x} appears in two classes")
                 idx[x] = i
-        if len(idx) != self.n or -1 in idx:  # n < 0 leaves idx shorter than n
-            missing = [x for x, i in enumerate(idx) if i < 0]
-            raise EqrelError(f"points {missing} not covered by any class")
+        if len(idx) != self.n:  # n < 0 leaves idx shorter than n
+            raise EqrelError("points [] not covered by any class")
         object.__setattr__(self, "_cls_of", tuple(idx))
 
     # --- queries ---------------------------------------------------------

@@ -75,14 +75,16 @@ def test_eqrel_is_hashable_value_type():
     assert len({e1, e2}) == 1
 
 
-def test_ground_set_far_larger_than_its_classes_is_rejected_before_allocating():
-    """n above the listed points plus the slack names the first missing
-    points and counts the rest, without n slots; at the slack, the old
-    path still lists every missing point."""
+def test_ground_set_larger_than_its_classes_is_rejected_before_allocating():
+    """n above the listed points names the first missing points and counts
+    the rest, without n slots, and it is checked before overlap or range."""
     with pytest.raises(EqrelError, match=r"^points \[1, 2, 3, 4, 5, 6, 7, 8\] and 999999991 more "
                                          r"not covered by any class: the classes list 1 points"):
         build_partition(10**9, [[0]])
     with pytest.raises(EqrelError, match=r"^points \[0, 2, 4, 5, 6, 7, 8, 9\] and 60 more "):
-        build_partition(70, [[1], [3]])  # 70 > 2 + 64
-    with pytest.raises(EqrelError, match=r"^points \[2, 3, .*, 65\] not covered by any class$"):
-        build_partition(66, [[0, 1]])  # 66 = 2 + 64: at the slack
+        build_partition(70, [[1], [3]])
+    with pytest.raises(EqrelError, match=r"^points \[2\] not covered by any class: "
+                                         r"the classes list 10 points for a ground set of size 11$"):
+        build_partition(11, [[0, 1], [3, 4, 5, 6, 7, 8, 9, 10]])  # n = listed + 1
+    with pytest.raises(EqrelError, match=r"^points \[2, 3\] not covered by any class: "):
+        build_partition(4, [[0, 1], [1]])  # 3 listed < 4, though 1 is in two classes
