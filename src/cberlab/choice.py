@@ -5,14 +5,16 @@ one point of each E-class inside every F-class.  On an amplified space
 (points x paired with copy indices) the sequence is made injective, then a
 complete section, then a family of bijections, and finally yields a link for
 the amplified pair.  It is evaluated on a window of copies, listed in closed
-form, and only fully-materialized link classes are emitted.
+form, and only fully-materialized link classes are emitted.  The builder
+only builds: `verify_windowed_link` is the one check of its classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
-from .eqrel import CheckFailed, EqrelError, FinEqrel
+from .eqrel import EqrelError, FinEqrel
 
 Point = tuple[int, int]  # (base point, copy index)
 
@@ -70,7 +72,14 @@ class WindowedLink:
     f: FinEqrel
     depth: int
     classes: list[tuple[Point, ...]]
-    flags: dict[str, bool] = field(default_factory=dict)
+
+    @functools.cached_property
+    def flags(self) -> dict[str, bool]:
+        """One verifier pass, memoized at the first read, so `classes` must not
+        change after it; kept with `support` only for perfbench's `_run_choice`.
+        complete_section tests == of E-classes; on built links ⊇ holds too."""
+        inc = verify_windowed_link(self)
+        return {"maps_injective": inc.disjoint, "complete_section": inc.incident}
 
     @property
     def support(self) -> set[Point]:
@@ -134,34 +143,23 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
         for qs in zip(*(table[x::size] for table in phi))
         if None not in qs
     ]
-
-    hit = bytearray(size * depth)
-    for c in classes:
-        for y, m in c:
-            if hit[m * size + y]:  # pragma: no cover - injectivity guarantees this
-                raise CheckFailed(f"emitted classes collide at {(y, m)}")
-            hit[m * size + y] = 1
-
-    blocks = _f_block_eclasses(e, f)
-    wl = WindowedLink(e, f, depth, classes)
-    wl.flags["maps_injective"] = hit.count(1) == sum(map(len, classes))
-    wl.flags["complete_section"] = all(
-        set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
-        for c in classes
-    )
-    return wl
-
-
-def _f_block_eclasses(e: FinEqrel, f: FinEqrel) -> list[list[int]]:
-    return [sorted({e.class_index(y) for y in c}) for c in f.classes]
+    return WindowedLink(e, f, depth, classes)
 
 
 @dataclass
 class IncidenceReport:
     verified_classes: int
     truncated_points: int
-    all_ones: bool
-    exact: bool
+    disjoint: bool
+    incident: bool
+
+    @property
+    def all_ones(self) -> bool:
+        return self.disjoint and self.incident
+
+    @property
+    def exact(self) -> bool:
+        return self.truncated_points == 0
 
     def verdict(self) -> str:
         if self.all_ones and self.exact:
@@ -176,24 +174,27 @@ def verify_windowed_link(wl: WindowedLink) -> IncidenceReport:
 
     Each emitted class must pick exactly one point from each amplified E-class
     of its amplified F-class; incidence is exact on emitted classes and
-    reported as consistent (not refuted) for truncated window points.  A class
-    whose sorted E-class indices equal those of the F-class of its first point
-    lies in that F-class: E refines F, so each of those E-classes lies in it.
-    The classes are disjoint iff |support| = Σ|c|.
+    reported as consistent (not refuted) for truncated window points.  Point
+    (y, m) flags window position m*|X| + y of one bytearray, so one pass
+    decides all three: a copy m outside [0, depth) or sorted E-class indices
+    other than those of the F-class of the first point fail incidence (E
+    refines F, so the class then lies in that F-class and meets each of its
+    E-classes once); a position flagged twice fails disjointness; and the
+    positions never flagged are the truncated ones.
     """
-    e, f = wl.e, wl.f
-    blocks = _f_block_eclasses(e, f)
-    incident = True
-    support: set[Point] = set()
+    e_of, f_of = wl.e._cls_of, wl.f._cls_of  # type: ignore[attr-defined]
+    blocks = [sorted({e_of[y] for y in c}) for c in wl.f.classes]
+    size, depth = wl.e.n, wl.depth
+    hit = bytearray(size * depth)
+    disjoint = incident = True
     for c in wl.classes:
-        support.update(c)
-        hits = sorted(e.class_index(x) for x, _ in c)
-        if hits != blocks[f.class_index(c[0][0])] or not all(0 <= m < wl.depth for _, m in c):
+        if sorted([e_of[y] for y, _ in c]) != blocks[f_of[c[0][0]]]:
             incident = False
-    truncated = e.n * wl.depth - len(support)
-    return IncidenceReport(
-        verified_classes=len(wl.classes),
-        truncated_points=truncated,
-        all_ones=incident and len(support) == sum(map(len, wl.classes)),
-        exact=truncated == 0,
-    )
+        for y, m in c:
+            if not 0 <= m < depth:
+                incident = False
+            elif hit[p := m * size + y]:
+                disjoint = False
+            else:
+                hit[p] = 1
+    return IncidenceReport(len(wl.classes), size * depth - hit.count(1), disjoint, incident)

@@ -8,9 +8,9 @@ encoding (a linear shift in a Z^d box, a rotation in Z/n), and the kernels
 run on int masks as whole-mask algebra:
 
 - T(A, B) = {c in A : B + c <= A} is the erosion A & AND_{v in B} (A - v),
-  |B| shifts, and |BA| is the popcount of the dilation OR_{v in B} (A + v).
-  A dilation runs over B's offsets as maximal runs start + [0, L), with
-  about log2 L + 2 shifts per run by doubling (`_dilate`).  Both are exact
+  and |BA| is the popcount of the dilation OR_{v in B} (A + v).  Both run
+  over B's offsets as maximal runs start + [0, L), with about log2 L + 2
+  shifts per run by doubling, in one kernel (`_sweep`).  Both are exact
   because the Z^d box holds A + B (no c + v with c in A leaves it or
   aliases) and Z/n rotates (-v is the rotation by n - v).
 - `_Window.invariance` reads |T| and |BA| as popcounts.
@@ -259,17 +259,6 @@ def translate(group: ZdGroup | CyclicGroup, b: frozenset, c) -> frozenset:
     return frozenset(map(group.op, b, itertools.repeat(c)))
 
 
-def _erode(bits, ma: int, offs: Sequence[int]) -> int:
-    """T(A, B) = {c in A : B + c <= A} as a mask, by the erosion identity
-    A (-) B = A & AND_{v in B} (A - v): |B| whole-window shifts.  Bit c of
-    the shift of A by -v is bit c + v of A, and c + v is exact for c in A,
-    since the Z^d box holds A + B and Z/n rotates."""
-    t = ma
-    for r in offs:
-        t &= bits.shifted(ma, -r)
-    return t
-
-
 def _runs(offs: Sequence[int]) -> list[tuple[int, int]]:
     """The offsets, sorted, as maximal runs (start, L) of consecutive ints:
     start + [0, L).  A segment is one run, a box at most one per row."""
@@ -282,25 +271,35 @@ def _runs(offs: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _dilate(bits, m: int, runs: Sequence[tuple[int, int]]) -> int:
-    """The dilation OR_{r in offs} shifted(m, r), for the offsets as runs
-    start + [0, L).  Per run, doubling d |= shifted(d, k) for k = 1, 2, 4,
-    ... while 2k <= L makes d the OR of the shifts by [0, k), 2k > L, one
-    shift by L - k < k extends that to [0, L), and one by the start places it:
-    about log2 L + 2 whole-mask shifts per run, not L (van den Boomgaard and
-    van Balen, CVGIP 1992).  Exact for the same reason as the erosion: in
-    Z^d every position p + r, p a set bit of m, lies in the box, which holds
-    A + B, so the partial shifts lose no bit; in Z/n rotations compose."""
-    out = 0
-    for start, length in runs:
+def _sweep(bits, m: int, runs: Sequence[tuple[int, int]], fold, sign: int) -> int:
+    """The fold of shifted(m, sign*r) over B's offsets r, as runs start +
+    [0, L): OR at sign 1 dilates, AND at sign -1 erodes.  Per run, doubling
+    d = fold(d, shifted(d, sign*k)) for k = 1, 2, 4, ... while 2k <= L folds
+    the shifts by [0, k); one by L - k < k extends that to [0, L), one by the
+    start places it: about log2 L + 2 shifts per run, not L (van den Boomgaard
+    and van Balen, CVGIP 1992).  B is not empty, so neither are its runs.
+    Exact: each position c + start + j (j < L; c a bit of m, in A) is c + v,
+    v in B, inside the Z^d box, which holds A + B; Z/n rotations compose."""
+    def run(start: int, length: int) -> int:
         d, k = m, 1
         while 2 * k <= length:
-            d |= bits.shifted(d, k)
+            d = fold(d, bits.shifted(d, sign * k))
             k *= 2
         if length > k:
-            d |= bits.shifted(d, length - k)
-        out |= bits.shifted(d, start)
-    return out
+            d = fold(d, bits.shifted(d, sign * (length - k)))
+        return bits.shifted(d, sign * start)
+
+    return functools.reduce(fold, itertools.starmap(run, runs))
+
+
+def _dilate(bits, m: int, runs: Sequence[tuple[int, int]]) -> int:
+    """OR_{v in B} (m + v), by `_sweep`."""
+    return _sweep(bits, m, runs, operator.or_, 1)
+
+
+def _erode(bits, ma: int, runs: Sequence[tuple[int, int]]) -> int:
+    """T(A, B) = A & AND_{v in B} (A - v): bit c of A - v is bit c + v of A."""
+    return ma & _sweep(bits, ma, runs, operator.and_, -1)
 
 
 class _Window:
@@ -311,7 +310,7 @@ class _Window:
     def __init__(self, bits, mask: int, offs: Sequence[int]):
         self.bits, self.mask, self.offs = bits, mask, offs
         self.runs = _runs(offs)
-        self.interior = _erode(bits, mask, offs)
+        self.interior = _erode(bits, mask, self.runs)
         self.points = mask.bit_count()
 
     @classmethod
@@ -325,7 +324,7 @@ class _Window:
         popcount of the erosion.  When invariant, the growth consequence
         |BA| <= (1 + eps|B|)|A| is checked as a sanity check of the
         combinatorics; |BA| is the popcount of the dilation OR_{v in B} (A + v),
-        exact for the same reason as the erosion (`_dilate`)."""
+        exact for the same reason as the erosion (`_sweep`)."""
         t, na = self.interior.bit_count(), self.points
         ok = na - t <= eps * na
         if ok:

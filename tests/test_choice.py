@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cberlab import choice
 from cberlab.eqrel import CheckFailed, EqrelError, build_partition, delta, full
 from cberlab.choice import (
     WindowedLink,
@@ -92,20 +93,47 @@ def test_three_class_instance():
         assert sorted(e.class_index(p[0]) for p in c) == [0, 1, 2]
 
 
-@pytest.mark.parametrize("forge", ["class twice", "shared point"])
-def test_verifier_rejects_overlapping_classes(forge):
+FORGES = {  # forge -> the flag of the property it breaks
+    "class twice": "maps_injective",
+    "shared point": "maps_injective",
+    "copy outside the window": "complete_section",
+    "class missing an E-class": "complete_section",
+}
+
+
+@pytest.mark.parametrize("forge", FORGES)
+def test_verifier_rejects_forged_classes(forge):
     e = build_partition(4, [[0, 1], [2, 3]])
     wl = choice_sequence_link(e, full(4), 40)
     assert verify_windowed_link(wl).all_ones
     c0, c1, *rest = wl.classes
     if forge == "class twice":
         classes = [c0, c1, *rest, c0]
-    else:  # c1 keeps one point per E-class but takes c0's point in E-class 0
+    elif forge == "shared point":  # c1 keeps one point per E-class but takes c0's point in E-class 0
         shared = next(p for p in c0 if e.class_index(p[0]) == 0)
         other = next(p for p in c1 if e.class_index(p[0]) == 1)
         classes = [c0, tuple(sorted((shared, other))), *rest]
-    rep = verify_windowed_link(WindowedLink(e, wl.f, wl.depth, classes))
+    elif forge == "copy outside the window":  # c0's last point moves to copy m = depth
+        *keep, (y, _) = c0
+        classes = [(*keep, (y, wl.depth)), c1, *rest]
+    else:  # c0 loses its point in E-class 1
+        classes = [tuple(p for p in c0 if e.class_index(p[0]) != 1), c1, *rest]
+    forged = WindowedLink(e, wl.f, wl.depth, classes)
+    rep = verify_windowed_link(forged)
     assert not rep.all_ones and rep.verdict() == "incidence violated"
+    assert forged.flags == {flag: flag != FORGES[forge] for flag in set(FORGES.values())}
+
+
+def test_flags_read_one_verifier_pass(monkeypatch):
+    """`flags` is memoized: four reads, as a benchmark item makes, run the
+    verifier once."""
+    calls = []
+    verify = choice.verify_windowed_link
+    monkeypatch.setattr(choice, "verify_windowed_link", lambda wl: calls.append(wl) or verify(wl))
+    wl = choice_sequence_link(build_partition(4, [[0, 1], [2, 3]]), full(4), 40)
+    assert [wl.flags["maps_injective"], wl.flags["maps_injective"],
+            wl.flags["complete_section"], wl.flags["complete_section"]] == [True] * 4
+    assert calls == [wl]
 
 
 def _reference_link(e, f, depth):
