@@ -18,16 +18,26 @@ run on int masks as whole-mask algebra:
   Bit order is the canonical order: row-major positions order a Z^d box
   lexicographically, and Z/n positions are its integers.  The walk holds U
   only in a span(B)-bit window that slides with the center
-  (`_Window.walk`), one loop for Z^d and Z/n.
-- Its maximality recheck counts at every position at once: the |B| shifts
-  of the free mask ~U by -v, v in B, are summed into bit-sliced counters
-  (slice j holds bit j of |(B + c) \\ U| for every c), which are compared
+  (`_Window.walk`), one loop for Z^d and Z/n.  A center within `low`
+  positions of the last accepted one is rejected by one comparison: B + c
+  lies in U, so B + c + d adds at most |(B + d) \\ B| points, and low is the
+  longest run of d = 1, 2, ... where that is below the threshold, found
+  lazily, at most one popcount per visited center.
+- Its maximality recheck counts at every position at once, bit-sliced
+  (slice j holds bit j of |(B + c) \\ U| for every c), as a sum over B's
+  runs (start, L) of the sliding count W_L of the free mask ~U, shifted by
+  -start.  W_L is built by doubling over L's binary digits, O(log^2 L)
+  whole-mask operations, once per distinct L.  The counts are compared
   with the acceptance threshold slice by slice.  The family is maximal iff
   no rejected center, T & ~accepted, reaches it.
-- A mask is built by setting one byte per position and converting the
-  bytes once, so every mask is linear in the window.  A Z^d point set's
-  positions come from whole coordinate columns, one C-level map per
-  coordinate; a Z/n set is range-checked by its least and greatest element.
+- A set that fills its bounding box, |s| = its volume, is that box, and
+  its mask is a closed form: a product of geometric series in Z^d, one
+  run of ones in Z/n.  `_bits` reads each coordinate of A once, for the
+  encoding's box and for that test.  Any other mask is built by setting
+  one byte per position and converting the bytes once, so every mask is
+  linear in the window.  A Z^d point set's positions come from whole
+  coordinate columns, one C-level map per coordinate; a Z/n set is
+  range-checked by its least and greatest element.
 - One encoding per window: `_Window` builds the encoding, A's mask, B's
   offsets and T once per (A, B), and the invariance count and the greedy
   walk both read it.  quasi_tile and covering_family take the invariance
@@ -134,13 +144,24 @@ class _ZdBits:
     def raw(self, v) -> int:
         return sum(map(operator.mul, v, self.strides))
 
-    def mask(self, s: AbstractSet) -> int:
-        """The mask of the points of s.  The position zero + c_{d-1} +
-        sum_{j < d-1} s_j c_j is built from whole columns, c_j =
-        map(itemgetter(j), s), one C-level map per coordinate and none per
-        point (the last stride is 1).  s is iterated once per coordinate, so
-        it must be a set: one that yields its points in the same order on
-        every pass."""
+    def mask(self, s: AbstractSet, extents: tuple[list[int], list[int]] | None = None) -> int:
+        """The mask of the points of s.  extents are s's least and greatest
+        coordinates (los, his), as `_extents` reads them; they are read here
+        unless the caller passes them.
+
+        If |s| = prod_j (hi_j - lo_j + 1), s is its bounding box: s lies
+        inside that box and, being a set, has as many points as it.  Its
+        mask is then the closed form `box` of the extents, shifted to the
+        position of lo, with no pass over the points.  Any other s takes the
+        column path: the position zero + c_{d-1} + sum_{j < d-1} s_j c_j is
+        built from whole columns, c_j = map(itemgetter(j), s), one C-level
+        map per coordinate and none per point (the last stride is 1).  s is
+        iterated once per coordinate, so it must be a set: one that yields
+        its points in the same order on every pass."""
+        los, his = extents or _extents(s, len(self.strides))
+        sides = [hi - lo + 1 for lo, hi in zip(los, his)]
+        if len(s) == math.prod(sides):
+            return self.box(sides) << self.zero + self.raw(los)
         *head, last = map(operator.itemgetter, range(len(self.strides)))
         pos = map(self.zero.__add__, map(last, s))
         for coord, stride in zip(head, self.strides):
@@ -190,10 +211,15 @@ class _CyclicBits:
 
     def mask(self, s: AbstractSet) -> int:
         """The mask of the elements of s, after one range check of its least
-        and greatest element; s is iterated three times, so it must be a set."""
+        and greatest element; s is iterated three times, so it must be a set.
+        If hi - lo + 1 = |s|, the set s of integers in [lo, hi] has as many
+        elements as that interval, so it is the interval, and its mask is
+        the closed form ((1 << |s|) - 1) << lo."""
         lo, hi = min(s, default=0), max(s, default=0)
         if lo < 0 or hi >= self.n:
             self.raw(lo if lo < 0 else hi)  # raises TileError, naming the element
+        if hi - lo + 1 == len(s):
+            return ((1 << len(s)) - 1) << lo
         return _mask_at(s, self.n)
 
     def shifted(self, base_mask: int, r: int) -> int:
@@ -206,23 +232,34 @@ class _CyclicBits:
         return itertools.compress(range(self.n), _flags(m))
 
 
+def _extents(s: AbstractSet, d: int) -> tuple[list[int], list[int]]:
+    """The least and greatest coordinate of the points of s on each of the d
+    axes, from one column list per axis: each coordinate is read once.  An
+    empty s reads lo = hi = 0, as `_CyclicBits.mask` does, so its mask
+    takes the column path."""
+    los, his = [], []
+    for coord in map(operator.itemgetter, range(d)):
+        col = list(map(coord, s))
+        los.append(min(col, default=0))
+        his.append(max(col, default=0))
+    return los, his
+
+
 def _bits(group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset):
-    """The bitset encoding of the group, covering A, B and A + B: the one
-    place an encoding is sized from point sets."""
+    """The bitset encoding of the group, covering A, B and A + B, and A's
+    mask in it: the one place an encoding is sized from point sets.  In Z^d
+    A's extents, read once for the box, also give its mask when A fills
+    them (`_ZdBits.mask`)."""
     if isinstance(group, ZdGroup):
         if set(map(len, a)) | set(map(len, b)) != {group.d}:
             raise TileError(f"points of A and B must have {group.d} coordinates")
-        # Extents read one coordinate per pass: transposing A with zip(*A)
-        # would hold an iterator per point.
-        los, his = [], []
-        for coord in map(operator.itemgetter, range(group.d)):
-            alo, ahi = min(map(coord, a)), max(map(coord, a))
-            blo, bhi = min(map(coord, b)), max(map(coord, b))
-            los.append(min(alo, blo, alo + blo))
-            his.append(max(ahi, bhi, ahi + bhi))
-        return _ZdBits(los, his)
+        (alo, ahi), (blo, bhi) = _extents(a, group.d), _extents(b, group.d)
+        bits = _ZdBits(list(map(min, alo, blo, map(operator.add, alo, blo))),
+                       list(map(max, ahi, bhi, map(operator.add, ahi, bhi))))
+        return bits, bits.mask(a, (alo, ahi))
     if isinstance(group, CyclicGroup):
-        return _CyclicBits(group)
+        bits = _CyclicBits(group)
+        return bits, bits.mask(a)
     raise TileError(f"no bitset encoding for {type(group).__name__}")
 
 
@@ -302,6 +339,20 @@ def _erode(bits, ma: int, runs: Sequence[tuple[int, int]]) -> int:
     return ma & _sweep(bits, ma, runs, operator.and_, -1)
 
 
+def _short_shifts(tile: int, need: int) -> Iterator[int]:
+    """d = 1, 2, ... for as long as popcount((tile << d) & ~tile) < need:
+    the shifts by which a translate of the tile adds fewer than need
+    positions to the tile.  That count is |tile| minus the overlap
+    popcount(tile & (tile >> d)), which is read instead: it needs no
+    negative int, and the shifted tile shrinks as d grows.  Lazy, one
+    popcount per d."""
+    spare = tile.bit_count() - need
+    d = 1
+    while (tile & tile >> d).bit_count() > spare:
+        yield d
+        d += 1
+
+
 class _Window:
     """One window A and shape B in one encoding: the bitset encoding, A's
     mask, B's raw offsets, their runs and the erosion T(A, B).  The
@@ -316,8 +367,8 @@ class _Window:
     @classmethod
     def of(cls, group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset) -> "_Window":
         """The window of the point sets A and B, in `_bits`'s encoding."""
-        bits = _bits(group, a, b)
-        return cls(bits, bits.mask(a), [bits.raw(v) for v in b])
+        bits, ma = _bits(group, a, b)
+        return cls(bits, ma, [bits.raw(v) for v in b])
 
     def invariance(self, eps: Fraction) -> tuple[bool, int]:
         """(B, eps)-invariance of A: (|A \\ T(A, B)| <= eps|A|, |T|), |T| the
@@ -348,16 +399,35 @@ class _Window:
         position has one name.  The window reaches n + lo iff p + w > n.
         Only centers with p < w wrote positions lo..lo + w - 1, and `head`
         keeps their bits there, so that read ORs in head, shifted up by
-        n - p.  That read is the one step particular to Z/n."""
+        n - p.  That read is the one step particular to Z/n.
+
+        A center that the last acceptance rules out is rejected by one
+        comparison, with no shift and no popcount.  Let c be the last
+        accepted center, at position `last`, and c' = c + delta a later
+        one.  U contains B + c, so |(B + c') \\ U| <= |(B + c') \\ (B + c)|,
+        which is at most popcount((tile << delta) & ~tile) = |(B + delta) \\ B|
+        in positions.  In Z^d that is exact, since both translates lie in the
+        box, where positions are injective; in Z/n it is an upper bound, since
+        reduction mod n can only merge positions.  `low` is the largest delta
+        such that every d in [1, delta] has that bound below need
+        (`_short_shifts`), so every center before last + low + 1 is
+        rejected.  low depends on B and need alone, and grows lazily, by one
+        d for each center that the comparison does not settle, so it costs
+        at most one popcount per visited center.  Before the first
+        acceptance, last = -w rules nothing out: low < w, since the bound at
+        w is |B| >= need."""
         offs, bits = self.offs, self.bits
         lo = min(offs)
         w = max(offs) - lo + 1
-        tile = sum(1 << (r - lo) for r in offs)
+        tile = _mask_at((r - lo for r in offs), w)
         n = bits.wrap
         edge = bits.size if n is None else n - w  # the last center whose window does not wrap
-        near = head = at = 0
+        near = head = at = low = 0
+        last, short = -w, _short_shifts(tile, need)
         accepted, counts = [], []
         for p in _set_bits(self.interior):
+            if p - last <= low or p - last <= (low := next(short, low)):
+                continue
             near >>= p - at
             at = p
             seen = near if p <= edge else near | head << (n - p)
@@ -365,6 +435,7 @@ class _Window:
                 near |= tile
                 if p < w:
                     head |= tile << p
+                last = p
                 accepted.append(p)
                 counts.append(k)
         return accepted, counts
@@ -399,30 +470,69 @@ class DisjointFamily:
         return frozenset(self.window.bits.elements(self.covered_mask))
 
 
-def _check_maximal(bits, offs: Sequence[int], covered: int, rejected: int, need: int) -> None:
+def _add_sliced(x: list[int], y: list[int]) -> list[int]:
+    """x + y for bit-sliced counts (slice j holds bit j of the count at every
+    position): a ripple-carry add, slice by slice, that stops once y and the
+    carry are spent."""
+    if len(x) < len(y):
+        x, y = y, x
+    out, carry = [], 0
+    for j, a in enumerate(x):
+        if j >= len(y) and not carry:
+            out.extend(x[j:])
+            return out
+        b = y[j] if j < len(y) else 0
+        t = a ^ b
+        out.append(t ^ carry)
+        carry = (a & b) | (carry & t)
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _window_counts(bits, free: int, length: int) -> list[int]:
+    """W_L bit-sliced, L = length: W_L(p) counts the set bits of free in the
+    positions p + [0, L).  Doubling over L's binary digits from the top:
+    W_1 = free, W_2k(p) = W_k(p) + W_k(p + k) and W_k+1(p) = W_k(p) +
+    W_1(p + k), each a ripple-carry add after shifting every slice of the
+    second term by -k.  W_k has about log2 k slices, so W_L costs
+    O(log^2 L) whole-mask operations."""
+    w, k = [free], 1
+    for digit in bin(length)[3:]:
+        w = _add_sliced(w, [bits.shifted(x, -k) for x in w])
+        k *= 2
+        if digit == "1":
+            w = _add_sliced(w, [bits.shifted(free, -k)])
+            k += 1
+    return w
+
+
+def _check_maximal(bits, runs: Sequence[tuple[int, int]], covered: int, rejected: int,
+                   need: int) -> None:
     """Raise CheckFailed if a rejected center c still has |(B + c) \\ U| >= need.
 
-    The count is taken at every position at once.  Bit p of
-    shifted(free, -r), free = ~U, is 1 iff p + r is uncovered, so the sum of
-    these |B| one-bit masks is |(B + c) \\ U| at the position p of every c.
-    The sum is bit-sliced (slice j holds bit j of every count) and grows by
-    ripple-carry adds: |B| shifts and O(|B| log |B|) whole-window int
-    operations.  count >= need is then decided slice by slice from the top,
-    over the rejected positions only: `eq` keeps the positions whose count
-    agrees with need on the slices read so far, and `ge` those already
-    above it."""
+    The count is taken at every position at once, bit-sliced: slice j holds
+    bit j of the count at every position.  With free = ~U and W_L(p) the
+    number of free positions in p + [0, L) (`_window_counts`), |(B + c) \\ U|
+    is the sum over B's runs (start, L) of W_L(c + start): the runs
+    partition B's offsets.  So each run adds W_L shifted by -start, and runs
+    of equal length share one W_L; a segment costs O(log^2 |B|) whole-mask
+    operations, not |B| shifts.  The count is exact at every rejected c:
+    each position it reads, c + start + j with j < L, is c + v for a v in
+    B, in A since c is in T(A, B), so inside the Z^d box, where no shift
+    drops or aliases it; Z/n rotations compose.  count >= need is then
+    decided slice by slice from the top, over the rejected positions only:
+    `eq` keeps the positions whose count agrees with need on the slices
+    read so far, and `ge` those already above it."""
     if not rejected:
         return
     free = ((1 << bits.size) - 1) ^ covered
+    windows: dict[int, list[int]] = {}
     slices: list[int] = []
-    for r in offs:
-        carry, j = bits.shifted(free, -r), 0
-        while carry:
-            if j == len(slices):
-                slices.append(carry)
-                break
-            slices[j], carry = slices[j] ^ carry, slices[j] & carry
-            j += 1
+    for start, length in runs:
+        if length not in windows:
+            windows[length] = _window_counts(bits, free, length)
+        slices = _add_sliced(slices, [bits.shifted(x, -start) for x in windows[length]])
     ge, eq = 0, rejected
     for j in reversed(range(max(len(slices), need.bit_length()))):
         x = slices[j] if j < len(slices) else 0
@@ -459,7 +569,7 @@ def greedy_disjoint_translates(
     accepted, witnesses = win.walk(need)
     chosen = _mask_at(accepted, bits.size)
     covered = win.cover(chosen, witnesses)
-    _check_maximal(bits, win.offs, covered, win.interior ^ chosen, need)
+    _check_maximal(bits, win.runs, covered, win.interior ^ chosen, need)
     return DisjointFamily(list(bits.elements(chosen)), witnesses, win, accepted, covered)
 
 

@@ -474,3 +474,13 @@ def test_tile_rechecks_are_exact_comparisons(capsys):
     assert ledger["normalized budget |B||C| <= p|A| (recheck)"] == (
         200, {"den": 1, "num": 200}, True)
     assert set(json.loads(out)["metrics"]) == {"centers", "coverage"}
+
+
+def test_tile_report_frozen_at_a_long_chain(capsys):
+    """The canonical tile report of a 2000-point segment on 10^5 points of
+    Z, byte for byte: the shape long enough that the walk's skip rule and
+    the maximality recheck's run counts carry the run."""
+    code, out = run(capsys, "tile", "--size", "100000", "--eps", "2/5", "--chain", "2000")
+    assert code == 0
+    assert len(out.encode()) == 1779
+    assert _digest(out) == "63cf6f4c40c4548428d1b29ed56932eafd1a8b721f3c6e414fd68cf0c92cb371"

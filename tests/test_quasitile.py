@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,18 @@ def points(d, lo, hi, **kw):
 @example(a=frozenset((x,) for x in range(100, 110)), b=frozenset({(-2,), (1,)}), eps=Fraction(0))
 # positive coordinates and B without the identity: the origin lies outside the box
 @example(a=frozenset((x,) for x in range(20, 40)) - {(27,)}, b=frozenset({(2,), (5,)}), eps=Fraction(1, 2))
+# a full window: A's mask is the closed form
+@example(a=frozenset((x,) for x in range(-6, 10)), b=frozenset({(0,), (1,), (3,)}), eps=Fraction(2, 5))
+# |(B + d) \ B| is 2, 3, 2, 3, 4, ... for B = {0, 1, 3, 4}, and 4, 1, 4, 2, ...
+# for {0, 2, 4, 6}: the walk's skip bound is not monotone in d
+@example(a=frozenset((x,) for x in range(30)) - {(11,)}, b=frozenset((x,) for x in (0, 1, 3, 4)),
+         eps=Fraction(1, 4))
+@example(a=frozenset((x,) for x in range(30)) - {(11,)}, b=frozenset((x,) for x in (0, 1, 3, 4)),
+         eps=Fraction(9, 10))  # need = 1
+@example(a=frozenset((x,) for x in range(30)) - {(11,)}, b=frozenset((x,) for x in (0, 2, 4, 6)),
+         eps=Fraction(0))  # need = |B|
+@example(a=frozenset((x,) for x in range(30)), b=frozenset((x,) for x in (0, 2, 4, 6)),
+         eps=Fraction(1, 2))
 def test_bitset_path_matches_sets_on_z(a, b, eps):
     assert_matches_reference(ZdGroup(1), a, b, eps)
 
@@ -418,6 +431,16 @@ def test_bitset_path_matches_sets_on_z(a, b, eps):
     b=frozenset({(0, 0), (1, 0), (0, 1)}),
     eps=Fraction(1, 3),
 )
+# a full window off the origin: A's mask is the closed form
+@example(a=frozenset((x, y) for x in range(-3, 3) for y in range(1, 6)),
+         b=frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}), eps=Fraction(2, 5))
+# an L-shape, whose skip bound is not monotone along a row, at need = 3, |B| and 1
+@example(a=frozenset((x, y) for x in range(6) for y in range(6)) - {(2, 3)},
+         b=frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}), eps=Fraction(2, 5))
+@example(a=frozenset((x, y) for x in range(6) for y in range(6)) - {(2, 3)},
+         b=frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}), eps=Fraction(0))
+@example(a=frozenset((x, y) for x in range(6) for y in range(6)),
+         b=frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}), eps=Fraction(9, 10))
 def test_bitset_path_matches_sets_on_z2(a, b, eps):
     assert_matches_reference(ZdGroup(2), a, b, eps)
 
@@ -440,6 +463,12 @@ def cyclic_windows(draw):
 @example(nab=(10, frozenset(range(10)), frozenset({0, 3})), eps=Fraction(0))
 # span(B) = n: every window past the center 0 wraps
 @example(nab=(6, frozenset(range(6)), frozenset({0, 5})), eps=Fraction(0))
+# an interval window with lo > 0: A's mask is the closed form
+@example(nab=(12, frozenset(range(2, 10)), frozenset({0, 1, 2})), eps=Fraction(1, 3))
+# the skip bound in unreduced positions, over windows that wrap, at need 3, |B| and 1
+@example(nab=(13, frozenset(range(13)) - {5}, frozenset({0, 1, 3, 4})), eps=Fraction(1, 4))
+@example(nab=(13, frozenset(range(13)) - {5}, frozenset({0, 1, 3, 4})), eps=Fraction(0))
+@example(nab=(13, frozenset(range(13)), frozenset({0, 2, 4, 6})), eps=Fraction(9, 10))
 def test_bitset_path_matches_sets_on_zn(nab, eps):
     n, a, b = nab
     assert_matches_reference(CyclicGroup(n), a, b, eps)
@@ -531,8 +560,9 @@ def test_kernels_shift_once_per_point_of_b(monkeypatch):
     10^5 calls here.  Erosion and dilation double along each run of B, and a
     segment is one run, so each costs about log2 |B| + 2 shifts.  The
     invariance check erodes and dilates; the greedy family erodes, dilates
-    the accepted centers into U and shifts |B| times for the maximality
-    recheck's counters."""
+    the accepted centers into U, and builds the maximality recheck's window
+    count W_|B| by doubling, shifting each of its O(log |B|) slices once per
+    step: O(log^2 |B|) shifts, not |B| (over 2,000 for segment(2000))."""
     calls = []
     shifted = quasitile._ZdBits.shifted
 
@@ -550,10 +580,48 @@ def test_kernels_shift_once_per_point_of_b(monkeypatch):
     calls.clear()
     fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
     assert fam.centers[:2] == [(0,), (40,)] and len(fam.centers) == 2499
-    assert len(calls) <= len(b) + doubling
+    assert len(calls) <= len(b).bit_length() ** 2 + doubling
+    calls.clear()
+    b = g.segment(2000)
+    fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
+    assert fam.centers[:2] == [(0,), (1600,)] and len(fam.centers) == 62
+    assert len(calls) <= len(b).bit_length() ** 2 + 2 * len(b).bit_length() + 2
 
 
 # --- linear masks, the log-time trim and the counter recheck ----------------
+
+
+SQUARE = frozenset((x, y) for x in range(4, 9) for y in range(2, 7))
+BOX3 = frozenset(itertools.product(range(-1, 2), range(0, 3), range(1, 3)))
+MASK_PATHS = [  # (group, set, whether it fills its bounding box)
+    (ZdGroup(1), frozenset((x,) for x in range(-12, 7)), True),
+    (ZdGroup(1), frozenset((x,) for x in range(-12, 7)) - {(0,)}, False),
+    (ZdGroup(1), frozenset((x,) for x in range(-12, 7)) | {(9,)}, False),
+    (ZdGroup(2), SQUARE, True),
+    (ZdGroup(2), SQUARE - {(5, 4)}, False),
+    (ZdGroup(2), SQUARE | {(4, 9)}, False),
+    (ZdGroup(3), BOX3, True),
+    (ZdGroup(3), BOX3 - {(0, 1, 1)}, False),
+    (CyclicGroup(12), frozenset(range(3, 9)), True),
+    (CyclicGroup(12), frozenset(range(12)), True),
+    (CyclicGroup(12), frozenset(range(3, 9)) - {5}, False),
+    (CyclicGroup(12), frozenset({10, 11, 0, 1}), False),  # a run mod n, not an interval
+]
+
+
+@pytest.mark.parametrize("g, s, boxed", MASK_PATHS)
+def test_a_set_that_fills_its_box_takes_the_closed_form(monkeypatch, g, s, boxed):
+    """|s| = the volume of s's bounding box iff s is that box: its mask is
+    then the closed form, with no pass of positions through `_mask_at`, and
+    one point short of it or past it takes the column path.  Both paths
+    give the one-bit-per-point mask, from the extents `_bits` passes and
+    from the ones `mask` reads."""
+    sizes = []
+    mask_at = quasitile._mask_at
+    monkeypatch.setattr(quasitile, "_mask_at", lambda pos, size: sizes.append(size) or mask_at(pos, size))
+    bits, ma = quasitile._bits(g, s, frozenset({g.identity}))
+    assert ma == bits.mask(s) == ref_mask(bits, s)
+    assert sizes == ([] if boxed else [bits.size] * 2)
 
 
 def ref_mask(bits, s):
@@ -566,29 +634,40 @@ def ref_mask(bits, s):
 
 @PARITY
 @given(a=points(1, -30, 30, max_size=40), b=points(1, -5, 5, max_size=6))
+@example(a=frozenset((x,) for x in range(-12, 7)), b=frozenset({(0,), (2,)}))  # a full interval
+@example(a=frozenset((x,) for x in range(-12, 7)) - {(0,)}, b=frozenset({(0,)}))  # one point short
+@example(a=frozenset((x,) for x in range(-12, 7)) | {(9,)}, b=frozenset({(0,)}))  # one point past
 def test_zd_mask_matches_one_bit_per_point_on_z(a, b):
-    bits = quasitile._bits(ZdGroup(1), a, b)
-    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+    bits, ma = quasitile._bits(ZdGroup(1), a, b)
+    assert ma == bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
 
 
 @PARITY
 @given(a=holed_z2_windows(), b=points(2, -2, 3, max_size=5))
+@example(a=SQUARE, b=frozenset({(0, 0), (1, 1)}))  # a full square off the origin
+@example(a=SQUARE - {(5, 4)}, b=frozenset({(0, 0)}))  # one point short
+@example(a=SQUARE | {(4, 9)}, b=frozenset({(0, 0)}))  # one point past
 def test_zd_mask_matches_one_bit_per_point_on_z2(a, b):
-    bits = quasitile._bits(ZdGroup(2), a, b)
-    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+    bits, ma = quasitile._bits(ZdGroup(2), a, b)
+    assert ma == bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
 
 
 @PARITY
 @given(a=points(3, -3, 3, max_size=40), b=points(3, -2, 2, max_size=6))
+@example(a=BOX3, b=frozenset({(0, 0, 0), (-1, 1, 0)}))  # a full 3-box
 def test_zd_mask_matches_one_bit_per_point_on_z3(a, b):
     """The column sum zero + c_2 + s_0 c_0 + s_1 c_1, with two strides."""
-    bits = quasitile._bits(ZdGroup(3), a, b)
-    assert bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
+    bits, ma = quasitile._bits(ZdGroup(3), a, b)
+    assert ma == bits.mask(a) == ref_mask(bits, a) and bits.mask(b) == ref_mask(bits, b)
 
 
 @PARITY
 @given(n=st.integers(1, 40), s=st.frozensets(st.integers(-3, 45), max_size=20))
 @example(n=5, s=frozenset({0, 5}))  # the greatest element is n itself
+@example(n=10, s=frozenset(range(3, 8)))  # an interval with lo > 0
+@example(n=10, s=frozenset(range(10)))  # the whole group
+@example(n=10, s=frozenset(range(6, 11)))  # an interval past n - 1
+@example(n=10, s=frozenset(range(-2, 3)))  # an interval below 0
 def test_cyclic_mask_matches_one_bit_per_point(n, s):
     bits = quasitile._CyclicBits(CyclicGroup(n))
     if all(0 <= v < n for v in s):
@@ -629,8 +708,8 @@ def assert_dilation_matches(bits, m, offs):
 @given(a=points(1, -20, 20, max_size=30), b=points(1, -12, 12, max_size=20))
 @example(a=frozenset((x,) for x in range(10)), b=ZdGroup(1).segment(19))  # k = 16, L - k = 3
 def test_dilation_matches_one_shift_per_offset_on_z(a, b):
-    bits = quasitile._bits(ZdGroup(1), a, b)
-    assert_dilation_matches(bits, bits.mask(a), [bits.raw(v) for v in b])
+    bits, ma = quasitile._bits(ZdGroup(1), a, b)
+    assert_dilation_matches(bits, ma, [bits.raw(v) for v in b])
 
 
 @PARITY
@@ -638,8 +717,8 @@ def test_dilation_matches_one_shift_per_offset_on_z(a, b):
 def test_dilation_matches_one_shift_per_offset_on_z2(a, b):
     """B below the origin gives negative run starts.  Runs are taken on
     positions, so one may cross from a row of the box into the next."""
-    bits = quasitile._bits(ZdGroup(2), a, b)
-    assert_dilation_matches(bits, bits.mask(a), [bits.raw(v) for v in b])
+    bits, ma = quasitile._bits(ZdGroup(2), a, b)
+    assert_dilation_matches(bits, ma, [bits.raw(v) for v in b])
 
 
 @PARITY
@@ -695,22 +774,22 @@ def test_maximality_recheck_rejects_a_forged_family():
     a = frozenset((x,) for x in range(100))
     b = g.segment(10)
     fam = greedy_disjoint_translates(g, a, b, Fraction(1, 5))
-    bits = quasitile._bits(g, a, b)
-    offs = [bits.raw(v) for v in b]
+    bits, _ = quasitile._bits(g, a, b)
+    runs = quasitile._runs([bits.raw(v) for v in b])
     last = fam.centers[-1]
     forged = bits.mask(fam.covered - quasitile.translate(g, b, last))
-    quasitile._check_maximal(bits, offs, bits.mask(fam.covered), bits.mask({last}), 8)
+    quasitile._check_maximal(bits, runs, bits.mask(fam.covered), bits.mask({last}), 8)
     with pytest.raises(CheckFailed, match="not maximal"):
-        quasitile._check_maximal(bits, offs, forged, bits.mask({last}), 8)
+        quasitile._check_maximal(bits, runs, forged, bits.mask({last}), 8)
 
 
 def assert_counter_recheck_matches(g, a, b, covered, need):
     """The bit-sliced counts against |(B + c) \\ U| read center by center,
     with every center of T(A, B) rejected."""
-    bits = quasitile._bits(g, a, b)
-    offs = [bits.raw(v) for v in b]
+    bits, _ = quasitile._bits(g, a, b)
+    runs = quasitile._runs([bits.raw(v) for v in b])
     t = ref_t_set(g, a, b)
-    args = (bits, offs, bits.mask(covered), bits.mask(t), need)
+    args = (bits, runs, bits.mask(covered), bits.mask(t), need)
     if any(len(quasitile.translate(g, b, c) - covered) >= need for c in t):
         with pytest.raises(CheckFailed):
             quasitile._check_maximal(*args)
@@ -718,16 +797,84 @@ def assert_counter_recheck_matches(g, a, b, covered, need):
         quasitile._check_maximal(*args)
 
 
+WINDOW_20 = frozenset((x,) for x in range(20))
+MIXED_RUNS = frozenset((x,) for x in (0, 1, 2, 5, 6, 9))  # runs of 3, 2 and 1
+
+
 @PARITY
-@given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4), data=st.data())
-def test_counter_recheck_matches_the_per_center_count_on_z(a, b, data):
-    covered = data.draw(st.frozensets(st.sampled_from(sorted(a))))
-    assert_counter_recheck_matches(ZdGroup(1), a, b, covered, data.draw(st.integers(0, 5)))
+@given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4),
+       covered=st.frozensets(st.tuples(st.integers(-8, 12))), need=st.integers(0, 5))
+# long and mixed runs: W_7 = W_6 + W_1 shifted by 6, and three run lengths
+# summed; with U missing 3 and 12 every window of 7 holds at most one free point
+@example(a=WINDOW_20, b=ZdGroup(1).segment(7), covered=WINDOW_20 - {(3,), (12,)}, need=2)
+@example(a=WINDOW_20, b=ZdGroup(1).segment(7), covered=WINDOW_20 - {(3,), (12,)}, need=1)
+@example(a=WINDOW_20, b=MIXED_RUNS, covered=WINDOW_20 - {(4,), (9,), (10,)}, need=2)
+@example(a=WINDOW_20, b=MIXED_RUNS, covered=frozenset((x,) for x in range(0, 20, 3)), need=4)
+def test_counter_recheck_matches_the_per_center_count_on_z(a, b, covered, need):
+    assert_counter_recheck_matches(ZdGroup(1), a, b, covered & a, need)
 
 
 @PARITY
 @given(nab=cyclic_windows(), covered=st.frozensets(st.integers(0, 15)), need=st.integers(0, 5))
 @example(nab=(16, frozenset(range(16)), frozenset({0, 1, 5})), covered=frozenset(), need=3)
+# B's runs 0..1 and 9..10 are one run mod 11, across 10 -> 0
+@example(nab=(11, frozenset(range(11)), frozenset({9, 10, 0, 1})), covered=frozenset({0, 5}), need=4)
+# W_5 at the centers 7..10 counts across 10 -> 0
+@example(nab=(11, frozenset(range(11)), frozenset(range(5))), covered=frozenset({7}), need=5)
+@example(nab=(11, frozenset(range(11)), frozenset(range(5))), covered=frozenset(range(0, 11, 3)), need=4)
 def test_counter_recheck_matches_the_per_center_count_on_zn(nab, covered, need):
     n, a, b = nab
     assert_counter_recheck_matches(CyclicGroup(n), a, b, frozenset(x for x in covered if x < n), need)
+
+
+# --- the walk's skip rule ---------------------------------------------------
+
+
+def short_shifts(win, need):
+    """The walk's low: how many d >= 1, from 1 on, `_short_shifts` yields for
+    the window's shape, its tile set one offset at a time."""
+    lo = min(win.offs)
+    tile = sum(1 << (r - lo) for r in win.offs)
+    return sum(1 for _ in quasitile._short_shifts(tile, need))
+
+
+def ref_low(g, b, need, step):
+    """low by the set definition: the d before the least d >= 1 at which
+    B + step(d) adds need points to B, through `translate`."""
+    return next(d for d in itertools.count(1) if len(quasitile.translate(g, b, step(d)) - b) >= need) - 1
+
+
+@PARITY
+@given(b=points(1, -4, 4, max_size=7), need=st.integers(0, 7))
+@example(b=frozenset((x,) for x in (0, 1, 3, 4)), need=3)  # |(B + d) \ B| = 2, 3, 2, 3, 4, ...
+@example(b=frozenset((x,) for x in (0, 2, 4, 6)), need=2)  # 4, 1, 4, 2, ...
+def test_short_shifts_match_the_set_definition_on_z(b, need):
+    need = min(need, len(b))  # the bound reaches |B| once B + d misses B
+    win = quasitile._Window.of(ZdGroup(1), frozenset({(0,)}) | b, b)
+    assert short_shifts(win, need) == ref_low(ZdGroup(1), b, need, lambda d: (d,))
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 50])
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(2, 5), Fraction(9, 10)])
+def test_a_segment_skips_need_positions(length, eps):
+    """After accepting c, a segment of length L rules out c + 1 .. c + need - 1:
+    B + d adds min(d, L) points, so the first d not ruled out is need."""
+    g = ZdGroup(1)
+    b = g.segment(length)
+    need = math.ceil((1 - eps) * length)
+    low = short_shifts(quasitile._Window.of(g, frozenset((x,) for x in range(2 * length)), b), need)
+    assert low + 1 == need == ref_low(g, b, need, lambda d: (d,)) + 1
+
+
+@pytest.mark.parametrize("side", [1, 3, 5, 7])
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(2, 5), Fraction(9, 10)])
+def test_a_box_on_z2_skips_need_over_side_positions(side, eps):
+    """An s-box moved by d < s along a row adds d s points, so the first
+    position d not ruled out is ceil(need / s): the same from the tile's
+    positions and from the sets."""
+    g = ZdGroup(2)
+    b = g.box(side)
+    need = math.ceil((1 - eps) * side**2)
+    win = quasitile._Window.of(g, g.box(2 * side), b)
+    low = short_shifts(win, need)
+    assert low + 1 == -(-need // side) == ref_low(g, b, need, lambda d: (0, d)) + 1
