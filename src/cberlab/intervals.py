@@ -197,12 +197,37 @@ class IntervalSet(_OnGrid):
         return IntervalSet._from_ints(den, ((lo, hi) for lo, hi, _, _ in _overlaps(x, y)))
 
 
+def _check_spans(den: int, pieces: Iterable[tuple[int, int, int]], moved: bool) -> None:
+    """Raise IntervalError at the first piece, in the given order, whose
+    source (target when moved) leaves [0,1) or starts before the previous
+    one ends: where `_normalize` of those spans, in that order, raises."""
+    end = -1
+    for a, b, o in pieces:
+        if moved:
+            a, b = a + o, b + o
+        if not 0 <= a < b <= den:
+            raise IntervalError(
+                f"interval [{Fraction(a, den)},{Fraction(b, den)}) outside [0,1)"
+            )
+        if a < end:
+            raise IntervalError(f"overlapping intervals at {Fraction(a, den)}")
+        end = b
+
+
 def _check_pieces(den: int, raw: Iterable[tuple[int, int, int]]) -> tuple:
     """Sorted non-empty pieces; raises IntervalError unless the sources and
-    the targets are each disjoint and inside [0,1)."""
+    the targets are each disjoint and inside [0,1).
+
+    Both checks walk the pieces themselves, with no (a, b) pair per piece.
+    The sources are in the pieces' own sorted order.  The targets are put in
+    the order of their (a + o, b + o) pairs by one sort keyed by an int:
+    once the sources pass, every length b - a is in 1..den, so
+    (a + o)(den + 1) + (b - a) orders the targets as those pairs do, and
+    each check raises the error that `_normalize` of the sorted pairs would."""
     pieces = tuple(sorted(p for p in raw if p[0] != p[1]))
-    _normalize(den, ((a, b) for a, b, _ in pieces))
-    _normalize(den, ((a + o, b + o) for a, b, o in pieces))
+    _check_spans(den, pieces, False)
+    k = den + 1
+    _check_spans(den, sorted(pieces, key=lambda p: (p[0] + p[2]) * k + p[1] - p[0]), True)
     return pieces
 
 
@@ -242,7 +267,16 @@ class IntervalMap(_OnGrid):
         return f"IntervalMap(pieces={self.pieces!r})"
 
     def domain(self) -> IntervalSet:
-        return IntervalSet._from_ints(self._den, ((a, b) for a, b, _ in self._items))
+        """The union of the sources.  The constructor has checked that they
+        are sorted and disjoint, so one pass merges the adjacent ones, with
+        one pair per run of adjacent sources, not one per piece."""
+        flat: list[int] = []  # lo, hi of each run so far
+        for a, b, _ in self._items:
+            if flat and flat[-1] == a:
+                flat[-1] = b
+            else:
+                flat += a, b
+        return IntervalSet._new(self._den, tuple(zip(flat[::2], flat[1::2])))
 
     def _meet(self, s: IntervalSet) -> tuple[int, list]:
         """(lo, hi, offset) for every overlap of s with a piece's source."""

@@ -40,8 +40,10 @@ run on int masks as whole-mask algebra:
   range-checked by its least and greatest element.
 - One encoding per window: `_Window` builds the encoding, A's mask, B's
   offsets and T once per (A, B), and the invariance count and the greedy
-  walk both read it.  quasi_tile and covering_family take the invariance
-  from the greedy family's window instead of encoding A again.
+  walk both read it.  quasi_tile builds the window itself and reads its
+  (B, 1/3)-invariance before the walk, so a window that fails there costs
+  no walk; covering_family takes the invariance from the greedy family's
+  window.  Neither encodes A twice.
 - The greedy family's covered mask U is the dilation by B of the mask of
   the accepted positions, from those positions alone, none of the walk's
   window words, shifts or wrap reads.  Its popcount must equal the sum of
@@ -563,8 +565,13 @@ def greedy_disjoint_translates(
     """
     if not b:
         raise TileError("empty tile")
-    need = math.ceil((1 - eps) * len(b))  # int counts: k >= need iff k >= (1-eps)|B|
-    win = _Window.of(group, a, b)
+    return _greedy(_Window.of(group, a, b), eps)
+
+
+def _greedy(win: _Window, eps: Fraction) -> DisjointFamily:
+    """greedy_disjoint_translates on a window already built, so that
+    quasi_tile can read the window's invariance before the walk."""
+    need = math.ceil((1 - eps) * len(win.offs))  # int counts: k >= need iff k >= (1-eps)|B|
     bits = win.bits
     accepted, witnesses = win.walk(need)
     chosen = _mask_at(accepted, bits.size)
@@ -678,10 +685,10 @@ def quasi_tile(
 
     # One shape: its budget is p_0 = eps, and p_0 / sum(p) = 1 normalized.
     qt = QuasiTiling(eps, [b], [], [eps], [Fraction(1)], Fraction(0))
-    fam = greedy_disjoint_translates(group, a, b, eps)
-    win = fam.window
+    win = _Window.of(group, a, b)
     ok, _ = win.invariance(Fraction(1, 3))
     qt.log("stage0:residue-invariance", Fraction(1), "A_0 is (B_0, 3^-1)-invariant", ok)
+    fam = _greedy(win, eps)
     greedy = fam.covered_mask.bit_count()
     qt.log("stage0:greedy-coverage", Fraction(greedy, n), ">= eps(1-3^-1)",
            greedy >= eps * Fraction(2, 3) * n)

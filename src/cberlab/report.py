@@ -15,11 +15,15 @@ def _write(x: Any, out: list[str], texts: dict[int, str]) -> None:
     """Append the canonical JSON text of x to out, in one pass: no spaces,
     Fractions as {"den", "num"}, tuples and lists as lists, sets and
     frozensets as sorted lists, dict keys as str() and sorted, strings
-    escaped to ASCII by the json module's default escaper.  When two keys
-    of a dict collide after str(), the later value wins.  The dispatch is on
-    exact types, the most frequent first; any other type raises TypeError,
-    a float (anywhere but in a dict key) with its own message.  A list,
-    tuple or set writes its int and Fraction items itself, without a call.
+    escaped to ASCII by the json module's default escaper.  A dict is
+    rekeyed once, into one dict of its str() keys, whose sorted keys are
+    then read back one by one: no (key, value) tuple is built per entry,
+    so a large dict allocates no container per entry for the cyclic
+    garbage collector to count.  When two keys of a dict collide after
+    str(), the later value wins.  The dispatch is on exact types, the most
+    frequent first; any other type raises TypeError, a float (anywhere but
+    in a dict key) with its own message.  A list, tuple or set writes its
+    int and Fraction items itself, without a call.
 
     texts maps id(f) to the text of each Fraction f written so far, so a
     Fraction object that occurs many times (a tower stage's endpoints are
@@ -47,10 +51,11 @@ def _write(x: Any, out: list[str], texts: dict[int, str]) -> None:
         out[-1] = "]" if x else "[]"  # over the last comma, or the "[" of []
     elif t is dict:
         out.append("{")
-        for k, v in sorted(dict(zip(map(str, x), x.values())).items()):
+        byname = dict(zip(map(str, x), x.values()))
+        for k in sorted(byname):
             out.append(encode_basestring_ascii(k))
             out.append(":")
-            _write(v, out, texts)
+            _write(byname[k], out, texts)
             out.append(",")
         out[-1] = "}" if x else "{}"
     elif t is bool:

@@ -11,12 +11,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cberlab.intervals import (
     IntervalError,
     IntervalMap,
     IntervalSet,
+    _normalize,
     partial_bijection_between,
 )
 
@@ -187,3 +188,52 @@ def test_views_are_memoized(x, y, k):
         with pytest.raises(AttributeError):
             setattr(obj, "_den", 1)
     assert hash(a) == h_a and hash(m) == h_m
+
+
+def normalize_both(den: int, raw) -> tuple:
+    """The piece check as two `_normalize` calls, one on the sources and one
+    on the targets, each a sorted list of pairs: the oracle for the map
+    constructors' check."""
+    pieces = tuple(sorted(p for p in raw if p[0] != p[1]))
+    _normalize(den, ((a, b) for a, b, _ in pieces))
+    _normalize(den, ((a + o, b + o) for a, b, o in pieces))
+    return pieces
+
+
+@st.composite
+def int_pieces(draw):
+    """(den, int pieces): a partial injection of the cells of 1/den, as in
+    grid_maps, plus up to two pieces drawn anywhere near [0, den], all
+    shuffled.  So valid lists come up beside lists with overlapping
+    sources or targets, and pieces that leave [0,1), are empty or are
+    reversed."""
+    d = draw(dens)
+    perm = draw(st.permutations(range(d)))
+    keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    near = st.integers(-2, d + 2)
+    extra = draw(st.lists(st.tuples(near, near, st.integers(-d - 2, d + 2)), max_size=2))
+    return d, draw(st.permutations([(i, i + 1, perm[i] - i) for i in range(d) if keep[i]] + extra))
+
+
+@settings(max_examples=600, deadline=None)
+@given(int_pieces())
+@example((4, [(0, 2, -1), (2, 3, -3)]))  # targets [-1, 1) and [-1, 0): the shorter is read first
+@example((4, [(0, 1, 3), (1, 3, 2)]))  # targets [3, 4) and [3, 5): the longer leaves [0,1)
+@example((4, [(2, 3, 1), (0, 2, 2)]))  # targets [3, 4) and [2, 4) overlap
+@example((4, [(0, 2, 0), (1, 3, 1)]))  # sources overlap
+def test_piece_check_matches_the_two_normalize_rule(x):
+    """The map check accepts exactly the piece lists that the two-`_normalize`
+    rule accepts, with the same pieces, and rejects the others with the same
+    IntervalError message; the domain is the merged sources."""
+    d, raw = x
+    try:
+        want = normalize_both(d, raw)
+    except IntervalError as e:
+        with pytest.raises(IntervalError) as err:
+            IntervalMap._from_ints(d, raw)
+        assert str(err.value) == str(e)
+        return
+    m = IntervalMap._from_ints(d, raw)
+    assert m._items == want
+    dom = m.domain()
+    assert dom._den == d and dom._items == IntervalSet._from_ints(d, [(a, b) for a, b, _ in want])._items

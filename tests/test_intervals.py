@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -62,3 +63,17 @@ def test_measure_preservation_automatic():
     assert m.domain().measure == m.apply_set(m.domain()).measure == F(1, 4)
     s = IntervalSet([(0, F(1, 16))])
     assert m.apply_set(s).measure == s.measure
+
+
+def test_map_check_and_domain_run_no_gc_pass(gc_passes):
+    """Checking 10^5 pieces of a slot permutation, as the tower's maps are,
+    and merging their sources into the domain build no pair per piece: a
+    few containers in all, so no collection runs (with a pair per piece
+    it runs about 400)."""
+    n = 10**5
+    perm = list(range(n))
+    random.Random(0).shuffle(perm)
+    raw = [(p, p + 1, perm[p] - p) for p in range(n)]
+    out = []
+    assert gc_passes(lambda: out.append(IntervalMap._from_ints(n, raw).domain())) == 0
+    assert out[0] == IntervalSet([(0, 1)])

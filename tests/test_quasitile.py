@@ -287,6 +287,24 @@ def test_shape_longer_than_the_window_is_rejected_before_the_walk(monkeypatch, g
         quasi_tile(g, a, [b], Fraction(2, 5))
 
 
+@pytest.mark.parametrize("g, a, b", [
+    (ZdGroup(1), frozenset((x,) for x in range(2000)), ZdGroup(1).segment(1000)),
+    (ZdGroup(2), ZdGroup(2).box(20), ZdGroup(2).box(12)),
+    (CyclicGroup(60), frozenset(range(30)), frozenset(range(20))),
+], ids=["Z", "Z2", "Z/60"])
+def test_failed_invariance_ends_quasi_tile_before_the_walk(monkeypatch, g, a, b):
+    """A window that is not (B, 1/3)-invariant fails at its first ledger
+    entry, read on the window before the greedy walk, whatever the walk
+    would find: with the walk patched to fail, the failure is still that
+    entry's, with the same message."""
+    ok, _ = quasitile._Window.of(g, a, b).invariance(Fraction(1, 3))
+    assert not ok
+    monkeypatch.setattr(quasitile._Window, "walk", lambda *args: pytest.fail("walked"))
+    with pytest.raises(AssertionError) as err:
+        quasi_tile(g, a, [b], Fraction(2, 5))
+    assert str(err.value) == "stage0:residue-invariance: 1 fails A_0 is (B_0, 3^-1)-invariant"
+
+
 def test_failing_check_raises_under_optimize():
     """QuasiTiling.log raises explicitly, so python -O keeps the check: at
     eps = 1/3 the stage band caps coverage at 1/2 < 1 - eps."""
@@ -352,14 +370,14 @@ def test_cover_check_raises_under_optimize():
 def test_trimmed_prefix_cover_check_rejects_a_forged_count(monkeypatch):
     """quasi_tile rechecks the trimmed prefix of the family by the same
     count: a first witness raised after the greedy's own check fails it."""
-    greedy = quasitile.greedy_disjoint_translates
+    greedy = quasitile._greedy
 
     def forged(*args):
         fam = greedy(*args)
         fam.witnesses[0] += 1
         return fam
 
-    monkeypatch.setattr(quasitile, "greedy_disjoint_translates", forged)
+    monkeypatch.setattr(quasitile, "_greedy", forged)
     g = ZdGroup(1)
     with pytest.raises(CheckFailed, match="witness counts"):
         quasi_tile(g, frozenset((x,) for x in range(2000)), [g.segment(10)], Fraction(2, 5))

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,3 +174,24 @@ def test_colliding_dict_keys_keep_the_last_value(value, text):
     last one in the dict's order wins, as a dict of str() keys keeps it."""
     assert canonical_json(value) == text
 
+
+def test_large_dict_with_colliding_keys_matches_json_dumps():
+    """The dict path at scale: int, str and tuple keys in a shuffled order,
+    many colliding after str() (1 and "1", (0, 1) and "(0, 1)"), with the
+    later value winning wherever a pair collides, as in the oracle's dict."""
+    rng = random.Random(0)
+    keys = (list(range(6000)) + [str(i) for i in range(0, 6000, 3)]
+            + [(i, i + 1) for i in range(500)] + [str((i, i + 1)) for i in range(0, 500, 2)])
+    rng.shuffle(keys)
+    value = {k: [j, Fraction(j, 7)] if j % 2 else j for j, k in enumerate(keys)}
+    assert len({str(k) for k in value}) < len(value)
+    oracle = json.dumps(oracle_encode(value), sort_keys=True, separators=(",", ":"))
+    assert canonical_json(value) == oracle
+
+
+def test_a_large_dict_is_written_without_a_gc_pass(gc_passes):
+    """The dict path builds no (key, value) tuple per entry, so writing
+    10^5 entries allocates a few containers in all and runs no collection
+    (with one tuple per entry it runs about 140)."""
+    value = {i: [i, Fraction(i, 3)] for i in range(10**5)}
+    assert gc_passes(lambda: canonical_json(value)) == 0
