@@ -53,7 +53,11 @@ run on int masks as whole-mask algebra:
 - The centers, the covered set and the residue are decoded from set bits,
   streamed, so no list of their positions is held beside the elements.
 
-check_tiling is the independent set-based recheck.
+check_tiling is the independent recheck, on byte arrays instead of int
+masks, and it shares no code with the path above: one byte per point of
+the box that holds A and every translate (the n elements of Z/n), B as its
+runs along one axis, and per center and run one slice that is tested
+against A, counted for fresh points and marked used.
 """
 
 from __future__ import annotations
@@ -292,10 +296,6 @@ def _set_bits(m: int) -> Iterator[int]:
 
 
 # --- invariance -------------------------------------------------------------
-
-
-def translate(group: ZdGroup | CyclicGroup, b: frozenset, c) -> frozenset:
-    return frozenset(map(group.op, b, itertools.repeat(c)))
 
 
 def _runs(offs: Sequence[int]) -> list[tuple[int, int]]:
@@ -733,21 +733,154 @@ class TilingCheck:
 
 def check_tiling(group: ZdGroup | CyclicGroup, a: frozenset, qt: QuasiTiling) -> TilingCheck:
     """Independent re-verification of a quasi-tiling from its centers C
-    alone, for the one shape B that quasi_tile takes."""
+    alone, for the one shape B that quasi_tile takes: the centers whose
+    translate leaves A or adds fewer than (1 - eps)|B| points to the union
+    of the earlier ones, the union's coverage of A, and the budget load
+    |B||C|.  A translate that leaves A still counts into the union.
+
+    It shares no code with the bitset path.  Points are the bytes of two
+    byte arrays, one marking A and one the union so far, over the
+    row-major box that holds A and every B + c in Z^d (`_zd_layout`), over
+    0..n-1 in Z/n (`_cyclic_layout`).  B is a few runs, each one slice of
+    the arrays per center, and per slice the recheck reads whether it lies
+    in A, counts its fresh bytes and marks it used (`_count_bad`).  An int
+    count k has k >= (1 - eps)|B| iff k >= need = ceil((1 - eps)|B|), so
+    need is the one threshold, computed once."""
     eps = qt.eps
     (b,), (centers,) = qt.shapes, qt.centers
-    fresh = (1 - eps) * len(b)
-    used: set = set()
-    bad = 0
-    for c in centers:
-        bc = translate(group, b, c)
-        if not bc <= a or len(bc - used) < fresh:
-            bad += 1
-        used |= bc
-    coverage = Fraction(len(used), len(a))
+    need = math.ceil((1 - eps) * len(b))
+    if isinstance(group, ZdGroup):
+        layout = _zd_layout(group.d, a, b, centers)
+    elif isinstance(group, CyclicGroup):
+        layout = _cyclic_layout(group.n, a, b, centers)
+    else:
+        raise TileError(f"no recheck for {type(group).__name__}")
+    bad, union = _count_bad(*layout, need)
+    coverage = Fraction(union, len(a))
     load = len(b) * len(centers)
     return TilingCheck(bad, coverage, coverage >= 1 - eps, load <= qt.budgets_raw[0] * len(a),
                        (load, qt.budgets_scaled[0] * len(a)))
+
+
+# A layout: (A's membership bytes, the centers' positions, B's runs as
+# (offset, span, L bytes 1), the step of a run); a run of L points of B + c
+# at the position p is the slice [p + offset : p + offset + span : step].
+_Layout = tuple[bytearray, Iterable[int], list[tuple[int, int, bytes]], int]
+
+
+def _count_bad(inside: bytearray, starts: Iterable[int], runs: Sequence[tuple[int, int, bytes]],
+               step: int, need: int) -> tuple[int, int]:
+    """(the centers whose translate leaves A or adds fewer than need fresh
+    points, |the union of the translates|), the translates taken in order.
+    The runs of one translate are disjoint, so counting each run's fresh
+    bytes before marking it counts the translate's fresh points.
+
+    In Z^d every point of every translate lies in the array, so a slice
+    never starts past its end or clips there.  In Z/n the arrays are the n
+    elements, a center's position p and an offset are below n, and a run
+    that starts past n - 1 starts at p + offset - n; one that crosses
+    n - 1 -> 0 is read and written as [q, n) and [0, e - n), since a slice
+    past the end of the array would clip silently."""
+    n = len(inside)
+    used = bytearray(n)
+    bad = 0
+    for p in starts:
+        fresh, out = 0, False
+        for offset, span, ones in runs:
+            q = p + offset
+            if q >= n:
+                q -= n
+            e = q + span
+            if e <= n:
+                out = out or 0 in inside[q:e:step]
+                fresh += used[q:e:step].count(0)
+                used[q:e:step] = ones
+            else:
+                out = out or 0 in inside[q:] or 0 in inside[:e - n]
+                fresh += used.count(0, q) + used.count(0, 0, e - n)
+                used[q:] = ones[:n - q]
+                used[:e - n] = ones[n - q:]
+        bad += out or fresh < need
+    return bad, used.count(1)
+
+
+def _lines(b: Iterable[tuple], j: int) -> list[list]:
+    """B's maximal runs along axis j, as [first point, L]: the points v,
+    v + e_j, ..., v + (L - 1)e_j of B, with v - e_j and v + L e_j not in B."""
+    runs: list[list] = []
+    last = None
+    for rest, x in sorted((v[:j] + v[j + 1:], v[j]) for v in b):
+        if last == (rest, x - 1):
+            runs[-1][1] += 1
+        else:
+            runs.append([rest[:j] + (x,) + rest[j:], 1])
+        last = rest, x
+    return runs
+
+
+def _zd_layout(d: int, a: AbstractSet, b: AbstractSet, centers: Sequence) -> _Layout:
+    """The layout of Z^d: the row-major box from the least to the greatest
+    coordinate of A and of B + C on each axis, B + C's being B's plus C's.
+    Every point of every translate lies in it, so its position is exact, and
+    a translate that leaves A still lands in the union.  A that fills its
+    bounding box (|A| equal to the box's volume) is marked by one slice per
+    row; any other A by one byte per point, its positions summed from whole
+    columns.  B is split into its maximal runs along the axis with the
+    fewest (the last one on a tie, whose stride is 1), each of step
+    stride_j: a segment is one run and a k-box k."""
+    if (set(map(len, a)) | set(map(len, b)) | set(map(len, centers))) - {d}:
+        raise TileError(f"points of A, B and C must have {d} coordinates")
+    cols = [list(map(operator.itemgetter(j), a)) for j in range(d)]
+    alo, ahi = [min(c, default=0) for c in cols], [max(c, default=0) for c in cols]
+    lo, hi = alo[:], ahi[:]
+    if b and centers:
+        for j, coord in enumerate(map(operator.itemgetter, range(d))):
+            bj, cj = list(map(coord, b)), list(map(coord, centers))
+            lo[j] = min(lo[j], min(bj) + min(cj))
+            hi[j] = max(hi[j], max(bj) + max(cj))
+    strides = [1] * d
+    for j in range(d - 2, -1, -1):
+        strides[j] = strides[j + 1] * (hi[j + 1] - lo[j + 1] + 1)
+    zero = -sum(map(operator.mul, lo, strides))
+    inside = bytearray((hi[0] - lo[0] + 1) * strides[0])
+    sides = [h - l + 1 for l, h in zip(alo, ahi)]
+    if len(a) == math.prod(sides):
+        row = b"\1" * sides[-1]
+        heads = itertools.product(*(range(l, h + 1) for l, h in zip(alo[:-1], ahi[:-1])))
+        for head in heads:
+            p = zero + sum(map(operator.mul, head, strides)) + alo[-1]
+            inside[p:p + sides[-1]] = row
+    else:
+        pos = map(zero.__add__, cols[-1])
+        for col, stride in zip(cols, strides[:-1]):
+            pos = map(operator.add, pos, map(stride.__mul__, col))
+        for p in pos:
+            inside[p] = 1
+    j, lines = min(((j, _lines(b, j)) for j in reversed(range(d))), key=lambda jl: len(jl[1]))
+    step = strides[j]
+    runs = [(sum(map(operator.mul, v, strides)), (length - 1) * step + 1, b"\1" * length)
+            for v, length in lines]
+    starts = (zero + sum(map(operator.mul, c, strides)) for c in centers)
+    return inside, starts, runs, step
+
+
+def _cyclic_layout(n: int, a: AbstractSet, b: AbstractSet, centers: Sequence) -> _Layout:
+    """The layout of Z/n: the elements 0..n-1.  An interval A (|A| =
+    hi - lo + 1 inside 0..n-1) is marked by one slice; any other A by one
+    byte per element, elements outside 0..n-1 skipped, since no translate
+    reaches them and a negative index would count from the end.  B, reduced
+    mod n, is split into its maximal runs of consecutive elements (`_lines`
+    on B as points of Z), and a center c sits at c mod n."""
+    inside = bytearray(n)
+    lo, hi = min(a, default=0), max(a, default=0)
+    if 0 <= lo and hi < n and hi - lo + 1 == len(a):
+        inside[lo:hi + 1] = b"\1" * len(a)
+    else:
+        for x in a:
+            if 0 <= x < n:
+                inside[x] = 1
+    runs = [(r, length, b"\1" * length) for (r,), length in _lines({(v % n,) for v in b}, 0)]
+    return inside, (c % n for c in centers), runs, 1
 
 
 # --- hierarchies of exact tilings ------------------------------------------

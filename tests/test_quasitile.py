@@ -22,6 +22,7 @@ from cberlab.quasitile import (
     quasi_tile,
     tiling_constants,
 )
+from tiling_oracle import check_tiling_by_sets, translate
 
 
 def t_set(g, a, b):
@@ -106,6 +107,99 @@ def test_check_tiling_counts_bad_centers():
     chk = check_tiling(g, a, qt)
     assert chk.bad_centers == 2 and not chk.eps_disjoint
     assert chk.budget == (10 * len(qt.centers[0]), 2000)
+
+
+@pytest.mark.parametrize("size, key, bound", [
+    (5, "final:coverage", 1 - Fraction(2, 5)),
+    (25, "stage0:band-high", 1 - (1 - Fraction(2, 5)) ** 2),
+    (25, "stage0:residue-band-low", (1 - Fraction(2, 5)) ** 2),
+])
+def test_ledger_checks_pass_on_their_bound(size, key, bound):
+    """segment(1) at eps = 2/5 makes every point a center of its own, so the
+    trim keeps floor(cap |A|) of them, cap = min(2/3, 16/25) = 16/25: on
+    [0, 5) 3 points, coverage exactly 1 - eps; on [0, 25) 16 points, the
+    cap itself, with a residue of exactly (1 - eps)^2.  Each check passes
+    with equality, so a strict comparison in its place fails."""
+    g = ZdGroup(1)
+    qt = quasi_tile(g, frozenset((x,) for x in range(size)), [g.segment(1)], Fraction(2, 5))
+    assert {k: (value, ok) for k, value, _, ok in qt.ledger}[key] == (bound, True)
+
+
+# --- the byte-array recheck against its boundaries and the set oracle -------
+
+
+def recheck(g, a, b, eps, centers):
+    """check_tiling of the centers as given, one shape B, the budgets that
+    quasi_tile logs; the set oracle must agree on every field."""
+    qt = quasitile.QuasiTiling(eps, [b], [list(centers)], [eps], [Fraction(1)], Fraction(0))
+    chk = check_tiling(g, a, qt)
+    assert chk == check_tiling_by_sets(g, a, qt)
+    return chk
+
+
+Z1, Z2, Z20 = ZdGroup(1), ZdGroup(2), CyclicGroup(20)
+# [-12, -2] x [-7, -3]: a Z^2 window at negative coordinates
+NEG_BOX = frozenset((x, y) for x in range(-12, -1) for y in range(-7, -2))
+BOX_2X5 = frozenset((x, y) for x in range(2) for y in range(5))
+
+
+# (group, window, shape, first center, a center adding need fresh points, one
+# adding need - 1).  eps = 2/5: |B| = 10 gives (1 - eps)|B| = need = 6, and
+# |B| = 7 gives 21/5, need = 5.
+FRESH_EDGES = {
+    "Z-10": (Z1, frozenset((x,) for x in range(-20, 20)), Z1.segment(10), (-15,), (-9,), (-10,)),
+    "Z-7": (Z1, frozenset((x,) for x in range(-20, 20)), Z1.segment(7), (-15,), (-10,), (-11,)),
+    # the 2x5 box moved by 3 along y adds 2x3 points, by 1 along x 1x5
+    "Z2-box": (Z2, frozenset((x, y) for x in range(-12, -1) for y in range(-12, -2)), BOX_2X5,
+               (-12, -12), (-12, -9), (-11, -12)),
+    # a segment along x, a strided slice of the row-major array
+    "Z2-7": (Z2, frozenset((x, y) for x in range(-20, 0) for y in range(-7, -2)), Z2.segment(7),
+             (-19, -5), (-14, -5), (-15, -5)),
+    # the first translate crosses 19 -> 0; the second starts past it
+    "Z/20-10": (Z20, frozenset(range(20)), frozenset(range(10)), 15, 1, 0),
+    # the translate under test crosses 19 -> 0
+    "Z/20-10-wrap": (Z20, frozenset(range(20)), frozenset(range(10)), 0, 14, 15),
+    "Z/20-7-wrap": (Z20, frozenset(range(20)), frozenset(range(7)), 0, 15, 16),
+}
+
+
+@pytest.mark.parametrize("g, a, b, first, good, short", FRESH_EDGES.values(), ids=FRESH_EDGES.keys())
+def test_recheck_accepts_exactly_need_fresh_points(g, a, b, first, good, short):
+    """A center whose translate adds need = ceil((1 - eps)|B|) fresh points is
+    good and one adding need - 1 is bad, for an integer (1 - eps)|B| and
+    for one that is not."""
+    eps = Fraction(2, 5)
+    need = math.ceil((1 - eps) * len(b))
+    assert len(translate(g, b, good) - translate(g, b, first)) == need
+    assert len(translate(g, b, short) - translate(g, b, first)) == need - 1
+    assert recheck(g, a, b, eps, [first, good]).bad_centers == 0
+    assert recheck(g, a, b, eps, [first, short]).bad_centers == 1
+
+
+# (group, window, shape, a center whose translate touches the window's edge
+# from inside, the center one step further out)
+A_EDGES = {
+    "Z-high": (Z1, frozenset((x,) for x in range(-20, 20)), Z1.segment(10), (10,), (11,)),
+    "Z-low": (Z1, frozenset((x,) for x in range(-20, 20)), Z1.segment(10), (-20,), (-21,)),
+    "Z2-x": (Z2, NEG_BOX, BOX_2X5, (-3, -7), (-2, -7)),
+    "Z2-y": (Z2, NEG_BOX, BOX_2X5, (-12, -7), (-12, -8)),
+    "Z2-segment": (Z2, NEG_BOX, Z2.segment(7), (-8, -3), (-7, -3)),
+    # A = 14..19, 0..5 wraps at 19 -> 0; B + 16 ends at 5
+    "Z/20": (Z20, frozenset(range(14, 20)) | frozenset(range(6)), frozenset(range(10)), 16, 17),
+    "Z/20-low": (Z20, frozenset(range(14, 20)) | frozenset(range(6)), frozenset(range(10)), 14, 13),
+}
+
+
+@pytest.mark.parametrize("g, a, b, edge, out", A_EDGES.values(), ids=A_EDGES.keys())
+def test_recheck_counts_a_translate_one_step_out_of_the_window(g, a, b, edge, out):
+    """A translate that touches A's edge from inside is good; one step
+    further out it is bad, and its points outside A still count toward the
+    coverage, as the set union counts them."""
+    eps = Fraction(2, 5)
+    assert translate(g, b, edge) <= a and not translate(g, b, out) <= a
+    assert recheck(g, a, b, eps, [edge]).bad_centers == 0
+    chk = recheck(g, a, b, eps, [out])
+    assert chk.bad_centers == 1 and chk.coverage == Fraction(len(b), len(a))
 
 
 def test_quasi_tile_wrong_chain_length():
@@ -524,6 +618,65 @@ def test_greedy_order_is_lexicographic_on_holed_z2(a, b, eps):
     assert_matches_reference(g, a, b, eps)
 
 
+@st.composite
+def holed_z_windows(draw):
+    """An interval of Z, at negative coordinates or not, minus a few holes."""
+    x0, w = draw(st.integers(-12, 4)), draw(st.integers(1, 30))
+    box = frozenset((x0 + i,) for i in range(w))
+    holes = draw(st.frozensets(st.sampled_from(sorted(box)), max_size=w // 3))
+    return box - holes or box
+
+
+@st.composite
+def recheck_inputs(draw, windows, d):
+    """A window, a scattered shape, and centers drawn from the window and
+    around it, repeats and translates leaving it included."""
+    a = draw(windows)
+    near = st.tuples(*[st.integers(-14, 14)] * d)
+    centers = draw(st.lists(st.sampled_from(sorted(a)) | near, max_size=12))
+    return a, draw(points(d, -3, 3, max_size=6)), centers
+
+
+@PARITY
+@given(abc=recheck_inputs(holed_z_windows() | points(1, -10, 10, max_size=16), 1), eps=epsilons)
+def test_recheck_matches_sets_on_z(abc, eps):
+    recheck(ZdGroup(1), *abc[:2], eps, abc[2])
+
+
+@PARITY
+@given(abc=recheck_inputs(holed_z2_windows() | points(2, -4, 4, max_size=30), 2), eps=epsilons)
+@example(abc=(NEG_BOX, Z2.segment(7), [(-12, -7), (-12, -7), (-6, -3), (-5, -3), (-13, -8)]),
+         eps=Fraction(2, 5))
+def test_recheck_matches_sets_on_z2(abc, eps):
+    recheck(ZdGroup(2), *abc[:2], eps, abc[2])
+
+
+@PARITY
+@given(abc=recheck_inputs(points(3, -3, 3, max_size=40), 3), eps=epsilons)
+def test_recheck_matches_sets_on_z3(abc, eps):
+    recheck(ZdGroup(3), *abc[:2], eps, abc[2])
+
+
+@st.composite
+def cyclic_recheck_inputs(draw):
+    """A Z/n window, a shape, and centers from -n to 2n - 1: translates that
+    cross n - 1 -> 0, repeat or leave the window."""
+    n, a, b = draw(cyclic_windows())
+    return n, a or frozenset({0}), b, draw(st.lists(st.integers(-n, 2 * n - 1), max_size=12))
+
+
+@PARITY
+@given(nabc=cyclic_recheck_inputs(), eps=epsilons)
+@example(nabc=(20, frozenset(range(20)), frozenset(range(10)), [15, 1, 0, 19, 35]), eps=Fraction(2, 5))
+@example(nabc=(13, frozenset(range(13)) - {5}, frozenset({0, 1, 3, 12}), [10, 11, 12, 0, -1]),
+         eps=Fraction(1, 4))
+# elements outside 0..9 are in no translate: -1 is not 9, so B + 8 leaves A
+@example(nabc=(10, frozenset({-1, 2, 3, 8, 10}), frozenset({0, 1}), [8, 2]), eps=Fraction(1, 2))
+def test_recheck_matches_sets_on_zn(nabc, eps):
+    n, a, b, centers = nabc
+    recheck(CyclicGroup(n), a, b, eps, centers)
+
+
 def assert_ledger_matches_public_calls(g, a, b, eps):
     """quasi_tile's stage-0 invariance and greedy-coverage entries, read off
     its one shared encoding, against a separate window's invariance and a
@@ -795,7 +948,7 @@ def test_maximality_recheck_rejects_a_forged_family():
     bits, _ = quasitile._bits(g, a, b)
     runs = quasitile._runs([bits.raw(v) for v in b])
     last = fam.centers[-1]
-    forged = bits.mask(fam.covered - quasitile.translate(g, b, last))
+    forged = bits.mask(fam.covered - translate(g, b, last))
     quasitile._check_maximal(bits, runs, bits.mask(fam.covered), bits.mask({last}), 8)
     with pytest.raises(CheckFailed, match="not maximal"):
         quasitile._check_maximal(bits, runs, forged, bits.mask({last}), 8)
@@ -808,7 +961,7 @@ def assert_counter_recheck_matches(g, a, b, covered, need):
     runs = quasitile._runs([bits.raw(v) for v in b])
     t = ref_t_set(g, a, b)
     args = (bits, runs, bits.mask(covered), bits.mask(t), need)
-    if any(len(quasitile.translate(g, b, c) - covered) >= need for c in t):
+    if any(len(translate(g, b, c) - covered) >= need for c in t):
         with pytest.raises(CheckFailed):
             quasitile._check_maximal(*args)
     else:
@@ -859,7 +1012,7 @@ def short_shifts(win, need):
 def ref_low(g, b, need, step):
     """low by the set definition: the d before the least d >= 1 at which
     B + step(d) adds need points to B, through `translate`."""
-    return next(d for d in itertools.count(1) if len(quasitile.translate(g, b, step(d)) - b) >= need) - 1
+    return next(d for d in itertools.count(1) if len(translate(g, b, step(d)) - b) >= need) - 1
 
 
 @PARITY
