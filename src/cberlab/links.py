@@ -305,7 +305,7 @@ def cancel_equidecomposition(
         return None
     wit = equidecompose(e, a, b)
     if wit is None:  # pragma: no cover - cancellation law guarantees this
-        raise AssertionError("cancellation failed: copies match but sets do not")
+        raise CheckFailed("cancellation failed: copies match but sets do not")
     return wit
 
 

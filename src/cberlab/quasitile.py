@@ -20,9 +20,10 @@ run on int masks as whole-mask algebra:
   only in a span(B)-bit window that slides with the center
   (`_Window.walk`), one loop for Z^d and Z/n.  A center within `low`
   positions of the last accepted one is rejected by one comparison: B + c
-  lies in U, so B + c + d adds at most |(B + d) \\ B| points, and low is the
-  longest run of d = 1, 2, ... where that is below the threshold, found
-  lazily, at most one popcount per visited center.
+  lies in U, so B + c + d adds at most |(B + d) \\ B| <= R d points, R the
+  number of B's runs, since a run shifted by d leaves itself in at most d
+  positions; low = floor((need - 1) / R).  That is exact for a segment, a
+  Z/n interval and a box, and a smaller low changes no output.
 - Its maximality recheck counts at every position at once, bit-sliced
   (slice j holds bit j of |(B + c) \\ U| for every c), as a sum over B's
   runs (start, L) of the sliding count W_L of the free mask ~U, shifted by
@@ -39,7 +40,7 @@ run on int masks as whole-mask algebra:
   coordinate columns, one C-level map per coordinate; a Z/n set is
   range-checked by its least and greatest element.
 - One encoding per window: `_Window` builds the encoding, A's mask, B's
-  offsets and T once per (A, B), and the invariance count and the greedy
+  runs and T once per (A, B), and the invariance count and the greedy
   walk both read it.  quasi_tile builds the window itself and reads its
   (B, 1/3)-invariance before the walk, so a window that fails there costs
   no walk; covering_family takes the invariance from the greedy family's
@@ -298,7 +299,7 @@ def _set_bits(m: int) -> Iterator[int]:
 # --- invariance -------------------------------------------------------------
 
 
-def _runs(offs: Sequence[int]) -> list[tuple[int, int]]:
+def _runs(offs: Iterable[int]) -> list[tuple[int, int]]:
     """The offsets, sorted, as maximal runs (start, L) of consecutive ints:
     start + [0, L).  A segment is one run, a box at most one per row."""
     runs: list[tuple[int, int]] = []
@@ -341,36 +342,23 @@ def _erode(bits, ma: int, runs: Sequence[tuple[int, int]]) -> int:
     return ma & _sweep(bits, ma, runs, operator.and_, -1)
 
 
-def _short_shifts(tile: int, need: int) -> Iterator[int]:
-    """d = 1, 2, ... for as long as popcount((tile << d) & ~tile) < need:
-    the shifts by which a translate of the tile adds fewer than need
-    positions to the tile.  That count is |tile| minus the overlap
-    popcount(tile & (tile >> d)), which is read instead: it needs no
-    negative int, and the shifted tile shrinks as d grows.  Lazy, one
-    popcount per d."""
-    spare = tile.bit_count() - need
-    d = 1
-    while (tile & tile >> d).bit_count() > spare:
-        yield d
-        d += 1
-
-
 class _Window:
     """One window A and shape B in one encoding: the bitset encoding, A's
-    mask, B's raw offsets, their runs and the erosion T(A, B).  The
-    invariance count and the greedy walk both read this one build."""
+    mask, B as the maximal runs (start, L) of its raw offsets, |B| and the
+    erosion T(A, B).  The invariance count and the greedy walk both read
+    this one build."""
 
-    def __init__(self, bits, mask: int, offs: Sequence[int]):
-        self.bits, self.mask, self.offs = bits, mask, offs
-        self.runs = _runs(offs)
-        self.interior = _erode(bits, mask, self.runs)
+    def __init__(self, bits, mask: int, runs: list[tuple[int, int]]):
+        self.bits, self.mask, self.runs = bits, mask, runs
+        self.shape_points = sum(length for _, length in runs)
+        self.interior = _erode(bits, mask, runs)
         self.points = mask.bit_count()
 
     @classmethod
     def of(cls, group: ZdGroup | CyclicGroup, a: frozenset, b: frozenset) -> "_Window":
         """The window of the point sets A and B, in `_bits`'s encoding."""
         bits, ma = _bits(group, a, b)
-        return cls(bits, ma, [bits.raw(v) for v in b])
+        return cls(bits, ma, _runs(map(bits.raw, b)))
 
     def invariance(self, eps: Fraction) -> tuple[bool, int]:
         """(B, eps)-invariance of A: (|A \\ T(A, B)| <= eps|A|, |T|), |T| the
@@ -382,7 +370,7 @@ class _Window:
         ok = na - t <= eps * na
         if ok:
             mba = _dilate(self.bits, self.mask, self.runs)
-            if mba.bit_count() > (1 + eps * len(self.offs)) * na:
+            if mba.bit_count() > (1 + eps * self.shape_points) * na:
                 raise CheckFailed("growth bound violated")
         return ok, t
 
@@ -391,44 +379,45 @@ class _Window:
         order, accept c and add B + c to U when k = |(B + c) \\ U| >= need.
         Returns the accepted positions and their counts k.
 
-        B + c lies in the w = span(B) positions from p + lo, lo = min(offs),
-        where it is the w-bit `tile`.  `near` holds U's bits there.  Centers
-        ascend and each writes only its own window, so U at or past the
-        window is what earlier centers wrote into it: moving on is one right
-        shift of near.  In Z^d nothing wraps, since the box holds A + B.  In
-        Z/n the window's positions are unreduced, lo >= 0, and those from
-        n + lo on are the positions lo.. again, mod n; below lo, every
-        position has one name.  The window reaches n + lo iff p + w > n.
+        B + c lies in the w = span(B) positions from p + lo, lo the first
+        run's start, where it is the w-bit `tile`: the sum over the runs of
+        ((1 << L) - 1) << (start - lo).  `near` holds U's bits there.
+        Centers ascend and each writes only its own window, so U at or past
+        the window is what earlier centers wrote into it: moving on is one
+        right shift of near.  In Z^d nothing wraps, since the box holds
+        A + B.  In Z/n the window's positions are unreduced, lo >= 0, and
+        those from n + lo on are the positions lo.. again, mod n; below lo,
+        every position has one name.  The window reaches n + lo iff p + w > n.
         Only centers with p < w wrote positions lo..lo + w - 1, and `head`
         keeps their bits there, so that read ORs in head, shifted up by
         n - p.  That read is the one step particular to Z/n.
 
         A center that the last acceptance rules out is rejected by one
-        comparison, with no shift and no popcount.  Let c be the last
+        comparison, with no call, shift or popcount.  Let c be the last
         accepted center, at position `last`, and c' = c + delta a later
-        one.  U contains B + c, so |(B + c') \\ U| <= |(B + c') \\ (B + c)|,
-        which is at most popcount((tile << delta) & ~tile) = |(B + delta) \\ B|
-        in positions.  In Z^d that is exact, since both translates lie in the
-        box, where positions are injective; in Z/n it is an upper bound, since
-        reduction mod n can only merge positions.  `low` is the largest delta
-        such that every d in [1, delta] has that bound below need
-        (`_short_shifts`), so every center before last + low + 1 is
-        rejected.  low depends on B and need alone, and grows lazily, by one
-        d for each center that the comparison does not settle, so it costs
-        at most one popcount per visited center.  Before the first
-        acceptance, last = -w rules nothing out: low < w, since the bound at
-        w is |B| >= need."""
-        offs, bits = self.offs, self.bits
-        lo = min(offs)
-        w = max(offs) - lo + 1
-        tile = _mask_at((r - lo for r in offs), w)
+        one.  U contains B + c, so |(B + c') \\ U| <= |(B + delta) \\ B| in
+        positions: exact in Z^d, where the box keeps positions injective, an
+        upper bound in Z/n, where reduction mod n can only merge them.  Each
+        of the R runs, shifted by delta, leaves itself in at most
+        min(delta, L) positions, so that count is at most R delta, below
+        need for every delta <= low = floor((need - 1) / R).  low is the
+        exact bound for a segment or a Z/n interval (need - 1), a k-box in
+        Z^2 (ceil(need / k) - 1) and a Z^2 segment along coordinate 0 (0).
+        Where it is smaller, more centers reach the exact count, which
+        accepts the same ones with the same counts.  Before the first
+        acceptance, last = -w rules nothing out: low <= (|B| - 1) / R < w."""
+        runs, bits = self.runs, self.bits
+        lo = runs[0][0]
+        w = sum(runs[-1]) - lo
+        tile = sum(((1 << length) - 1) << (start - lo) for start, length in runs)
         n = bits.wrap
         edge = bits.size if n is None else n - w  # the last center whose window does not wrap
-        near = head = at = low = 0
-        last, short = -w, _short_shifts(tile, need)
+        low = (need - 1) // len(runs)
+        near = head = at = 0
+        last = -w
         accepted, counts = [], []
         for p in _set_bits(self.interior):
-            if p - last <= low or p - last <= (low := next(short, low)):
+            if p - last <= low:
                 continue
             near >>= p - at
             at = p
@@ -571,7 +560,7 @@ def greedy_disjoint_translates(
 def _greedy(win: _Window, eps: Fraction) -> DisjointFamily:
     """greedy_disjoint_translates on a window already built, so that
     quasi_tile can read the window's invariance before the walk."""
-    need = math.ceil((1 - eps) * len(win.offs))  # int counts: k >= need iff k >= (1-eps)|B|
+    need = math.ceil((1 - eps) * win.shape_points)  # int counts: k >= need iff k >= (1-eps)|B|
     bits = win.bits
     accepted, witnesses = win.walk(need)
     chosen = _mask_at(accepted, bits.size)
@@ -648,7 +637,8 @@ def quasi_tile(
     canonical order, into the coverage band and under the budget, remove the
     covered part, and assert that the coverage reaches 1 - eps.
 
-    eps < 1/3 is rejected first, since no input passes there.  The paper's
+    eps >= 1 is rejected first, since the coverage target 1 - eps is then
+    not positive, and eps < 1/3 next, since no input passes there.  The paper's
     construction takes k shapes, k least with 2eps >= (1-eps)^k, so k = 1
     iff eps >= 1/3.  For k >= 2, stage k-1's residue-band-low check needs a
     residue >= (1-eps)^(k + 2^(1-k)) > 2eps(1-eps)^(3/2), because
@@ -669,7 +659,10 @@ def quasi_tile(
     band compare one ratio.  The ledger keeps the keys and relation strings
     of stage i = 0 of k = 1.
     """
-    if not Fraction(1, 3) <= eps < 1:
+    if eps >= 1:
+        raise TileError(f"eps must be in [1/3, 1), got {eps}: from 1 on the coverage target "
+                        "1 - eps is not positive")
+    if eps < Fraction(1, 3):
         raise TileError(f"eps must be in [1/3, 1), got {eps}: below 1/3 no shape chain can pass")
     if len(chain) != 1:
         raise TileError(f"need one shape for eps={eps}, got {len(chain)}")
@@ -959,7 +952,7 @@ def build_hierarchy(
         if not tiled:
             raise CheckFailed("grid tiling broken")
         # The origin is the corner, so the box's set bits are its raw offsets.
-        ok, t = _Window(bits, used, list(_set_bits(mbox))).invariance(eps_seq[n - 1])
+        ok, t = _Window(bits, used, _runs(_set_bits(mbox))).invariance(eps_seq[n - 1])
         out.ledger.append(
             (f"level {n}: ({prev}-box, eps) invariance, |A \\ T| <= eps|A|",
              size - t, eps_seq[n - 1] * size, ok)

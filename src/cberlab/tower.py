@@ -142,7 +142,7 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
 
     Stage 0 is the trivial stage (tile = {identity}, T = [0,1)); stage n+1
     follows from stage n by the closed form in the module docstring.  Each
-    stage must pass the partition identity, which raises AssertionError
+    stage must pass the partition identity, which raises CheckFailed
     whatever the interpreter flags: a level whose side is not a multiple of
     the previous level's fails it.
     """
@@ -162,7 +162,7 @@ def build_tower(hier: TilingHierarchy, stages: int) -> Tower:
             for i, r in enumerate(offs):
                 nxt.slots[h + r] = k * p + i
         if sorted(nxt.slots) != list(range(k * st.size)):
-            raise AssertionError(f"stage {n} slots do not partition [0,1)")
+            raise CheckFailed(f"stage {n} slots do not partition [0,1)")
         tower.stages.append(nxt)
     return tower
 

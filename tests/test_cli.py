@@ -185,6 +185,16 @@ def test_tile_rejects_small_eps_before_the_constants(monkeypatch):
     assert main(["tile", "--eps", "1/100000", "--size", "10"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["1", "3/2"])
+def test_tile_rejects_eps_from_one_on_for_its_own_reason(eps, capsys):
+    """From 1 on the coverage target 1 - eps is not positive: the message
+    names the upper bound, not the lower one."""
+    assert main(["tile", "--eps", eps, "--size", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: eps must be in [1/3, 1), got {eps}: from 1 on")
+    assert "below 1/3" not in err
+
+
 def test_tile_multi_shape_chain_is_input_error():
     # It used to run all three stages and exit 1 at stage1:residue-band-low.
     assert main(["tile", "--eps", "1/4", "--size", "50000", "--chain", "500,2,1"]) == 2

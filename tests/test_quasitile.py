@@ -514,6 +514,15 @@ def points(d, lo, hi, **kw):
     return st.frozensets(st.tuples(*[st.integers(lo, hi)] * d), min_size=1, **kw)
 
 
+# Shapes whose runs bound on the walk's skip is below the exact one.
+# segment(10) | {20}: two runs, so low = floor((7 - 1) / 2) = 3 at need 7,
+# while B + d adds min(d, 10) + 1 points, fewer than 7 up to d = 5
+SEGMENT_AND_POINT = ZdGroup(1).segment(10) | {(20,)}
+# a row of 6 and a point below its start: two runs on Z^2, need 5 at eps 2/5;
+# B + (0, d) adds min(d, 6) + 1 points, so low = 2 where the exact one is 3
+ROW_AND_POINT = frozenset({(0, y) for y in range(6)} | {(1, 0)})
+
+
 @PARITY
 @given(a=points(1, -8, 12, max_size=16), b=points(1, -3, 3, max_size=4), eps=epsilons)
 @example(a=frozenset((x,) for x in (3, 4, 6, 7, 8)), b=frozenset({(0,), (1,)}), eps=Fraction(1, 2))
@@ -532,6 +541,8 @@ def points(d, lo, hi, **kw):
          eps=Fraction(0))  # need = |B|
 @example(a=frozenset((x,) for x in range(30)), b=frozenset((x,) for x in (0, 2, 4, 6)),
          eps=Fraction(1, 2))
+# the walk skips 3 positions past each acceptance and counts the 4th and 5th
+@example(a=frozenset((x,) for x in range(40)), b=SEGMENT_AND_POINT, eps=Fraction(2, 5))
 def test_bitset_path_matches_sets_on_z(a, b, eps):
     assert_matches_reference(ZdGroup(1), a, b, eps)
 
@@ -553,6 +564,9 @@ def test_bitset_path_matches_sets_on_z(a, b, eps):
          b=frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}), eps=Fraction(0))
 @example(a=frozenset((x, y) for x in range(6) for y in range(6)),
          b=frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}), eps=Fraction(9, 10))
+# a runs bound of 2 against an exact 3, with a gap in the window
+@example(a=frozenset((x, y) for x in range(4) for y in range(14)) - {(1, 5)}, b=ROW_AND_POINT,
+         eps=Fraction(2, 5))
 def test_bitset_path_matches_sets_on_z2(a, b, eps):
     assert_matches_reference(ZdGroup(2), a, b, eps)
 
@@ -581,6 +595,8 @@ def cyclic_windows(draw):
 @example(nab=(13, frozenset(range(13)) - {5}, frozenset({0, 1, 3, 4})), eps=Fraction(1, 4))
 @example(nab=(13, frozenset(range(13)) - {5}, frozenset({0, 1, 3, 4})), eps=Fraction(0))
 @example(nab=(13, frozenset(range(13)), frozenset({0, 2, 4, 6})), eps=Fraction(9, 10))
+# [0, 10) | {12} in Z/32 at need 7: a runs bound of 3 against an exact 6
+@example(nab=(32, frozenset(range(32)), frozenset(range(10)) | {12}), eps=Fraction(2, 5))
 def test_bitset_path_matches_sets_on_zn(nab, eps):
     n, a, b = nab
     assert_matches_reference(CyclicGroup(n), a, b, eps)
@@ -1001,12 +1017,10 @@ def test_counter_recheck_matches_the_per_center_count_on_zn(nab, covered, need):
 # --- the walk's skip rule ---------------------------------------------------
 
 
-def short_shifts(win, need):
-    """The walk's low: how many d >= 1, from 1 on, `_short_shifts` yields for
-    the window's shape, its tile set one offset at a time."""
-    lo = min(win.offs)
-    tile = sum(1 << (r - lo) for r in win.offs)
-    return sum(1 for _ in quasitile._short_shifts(tile, need))
+def runs_low(win, need):
+    """The walk's low from the window's runs: floor((need - 1) / R), R the
+    number of runs, the largest d with R d < need."""
+    return (need - 1) // len(win.runs)
 
 
 def ref_low(g, b, need, step):
@@ -1019,10 +1033,42 @@ def ref_low(g, b, need, step):
 @given(b=points(1, -4, 4, max_size=7), need=st.integers(0, 7))
 @example(b=frozenset((x,) for x in (0, 1, 3, 4)), need=3)  # |(B + d) \ B| = 2, 3, 2, 3, 4, ...
 @example(b=frozenset((x,) for x in (0, 2, 4, 6)), need=2)  # 4, 1, 4, 2, ...
-def test_short_shifts_match_the_set_definition_on_z(b, need):
+@example(b=SEGMENT_AND_POINT, need=7)  # 3 against 5
+def test_the_runs_bound_is_sound_on_z(b, need):
+    """Every run shifted by d leaves itself in at most min(d, L) points, so
+    the runs bound never passes the exact one; it may fall short of it."""
     need = min(need, len(b))  # the bound reaches |B| once B + d misses B
     win = quasitile._Window.of(ZdGroup(1), frozenset({(0,)}) | b, b)
-    assert short_shifts(win, need) == ref_low(ZdGroup(1), b, need, lambda d: (d,))
+    assert runs_low(win, need) <= ref_low(ZdGroup(1), b, need, lambda d: (d,))
+
+
+@PARITY
+@given(b=points(2, -2, 2, max_size=7), need=st.integers(0, 7))
+@example(b=ROW_AND_POINT, need=5)
+def test_the_runs_bound_is_sound_on_z2(b, need):
+    """On Z^2 the runs lie along rows when the window is wide: A's corners
+    20 columns apart put B's rows far from one another in the encoding, and
+    B + (0, d) is the shift by d positions."""
+    need = min(need, len(b))
+    win = quasitile._Window.of(ZdGroup(2), frozenset({(0, 0), (0, 20)}) | b, b)
+    assert runs_low(win, need) <= ref_low(ZdGroup(2), b, need, lambda d: (0, d))
+
+
+@PARITY
+@given(nab=cyclic_windows(), need=st.integers(0, 4))
+@example(nab=(32, frozenset(range(32)), frozenset(range(10)) | {12}), need=7)  # 3 against 6
+# one arc of Z/11, but two runs of ints: low 1 against an exact 3
+@example(nab=(11, frozenset(range(11)), frozenset({9, 10, 0, 1})), need=4)
+def test_the_runs_bound_is_sound_on_zn(nab, need):
+    """In Z/n the runs are those of the offsets 0..n-1 as ints, and B + d
+    reduced mod n adds at most as many points as in unreduced positions.
+    need beyond every |(B + d) \\ B| would leave the set bound unbounded,
+    so it is clipped to the largest."""
+    n, _, b = nab
+    g = CyclicGroup(n)
+    need = min(need, max(len(translate(g, b, d) - b) for d in range(n)))
+    win = quasitile._Window.of(g, frozenset(range(n)), b)
+    assert runs_low(win, need) <= ref_low(g, b, need, lambda d: d % n)
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 50])
@@ -1033,7 +1079,7 @@ def test_a_segment_skips_need_positions(length, eps):
     g = ZdGroup(1)
     b = g.segment(length)
     need = math.ceil((1 - eps) * length)
-    low = short_shifts(quasitile._Window.of(g, frozenset((x,) for x in range(2 * length)), b), need)
+    low = runs_low(quasitile._Window.of(g, frozenset((x,) for x in range(2 * length)), b), need)
     assert low + 1 == need == ref_low(g, b, need, lambda d: (d,)) + 1
 
 
@@ -1047,5 +1093,5 @@ def test_a_box_on_z2_skips_need_over_side_positions(side, eps):
     b = g.box(side)
     need = math.ceil((1 - eps) * side**2)
     win = quasitile._Window.of(g, g.box(2 * side), b)
-    low = short_shifts(win, need)
+    low = runs_low(win, need)
     assert low + 1 == -(-need // side) == ref_low(g, b, need, lambda d: (0, d)) + 1

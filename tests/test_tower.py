@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cberlab.eqrel import CheckFailed
 from cberlab.intervals import IntervalError, IntervalSet, _fractions, partial_bijection_between
 from cberlab.quasitile import TileError, ZdGroup, build_hierarchy
 from cberlab.tower import (
@@ -198,7 +199,7 @@ def test_partition_check_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError: stage 2 slots")
+    assert proc.stderr.strip().splitlines()[-1].startswith("cberlab.eqrel.CheckFailed: stage 2 slots")
 
 
 @pytest.mark.parametrize("group, side", [(ZdGroup(1), 993), (ZdGroup(2), 25)], ids=["Z", "Z2"])
@@ -209,7 +210,7 @@ def test_partition_check_rejects_a_non_multiple_side(group, side):
     eps = EPS[:3] if group.d == 1 else [F(1, 4)] * 3
     hier = build_hierarchy(group, eps, 3)
     hier.levels[2].side = side
-    with pytest.raises(AssertionError, match="^stage 2 slots do not partition"):
+    with pytest.raises(CheckFailed, match="^stage 2 slots do not partition"):
         build_tower(hier, 3)
 
 
