@@ -122,22 +122,27 @@ def full(n: int) -> FinEqrel:
 
 
 def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinEqrel:
-    """Smallest equivalence relation containing the given pairs (union-find)."""
+    """Smallest equivalence relation containing the given pairs (union-find).
+
+    Each find runs inline, with path halving (every point on the path is
+    pointed at its grandparent), so a pair costs no Python call.  The
+    chained assignment `parent[x] = x = parent[px]` writes parent[x] before
+    it moves x on.
+    """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+        while (px := parent[x]) != x:
+            parent[x] = x = parent[px]
+        while (py := parent[y]) != y:
+            parent[y] = y = parent[py]
+        if x != y:
+            parent[y] = x
     groups: dict[int, list[int]] = {}
     for x in range(n):
-        groups.setdefault(find(x), []).append(x)
+        r = x
+        while (pr := parent[r]) != r:
+            parent[r] = r = parent[pr]
+        groups.setdefault(r, []).append(x)
     return FinEqrel(n, tuple(tuple(g) for g in groups.values()))
 
 

@@ -34,7 +34,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p ∘ q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def invert(p: Perm) -> Perm:
@@ -44,49 +44,27 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def shortlex_closure(gens: Sequence[Perm]) -> list[Perm]:
-    """Group elements generated by gens, in shortlex word order (first occurrence).
-
-    Deterministic: breadth-first over words gens[0], gens[1], ... applied on the
-    right.  Raises GroupError as soon as the closure exceeds CLOSURE_CAP.
-    """
-    if not gens:
-        raise GroupError("need at least one generator (use the identity)")
-    n = len(gens[0])
-    out: list[Perm] = [identity_perm(n)]
-    seen = set(out)
-    frontier = [identity_perm(n)]
-    while frontier:
-        nxt: list[Perm] = []
-        for w in frontier:
-            for g in gens:
-                e = compose(w, g)
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-                    nxt.append(e)
-                    if len(out) > CLOSURE_CAP:
-                        raise GroupError(f"generated group exceeds cap {CLOSURE_CAP}")
-        frontier = nxt
-    return out
-
-
 @dataclass(frozen=True)
 class FinGroup:
-    """A finite permutation group: its elements in shortlex order, indexed.
+    """A finite permutation group: its elements in shortlex order, indexed,
+    with the Cayley edges of its generators.
 
     Element i is the permutation elems[i]; the identity is element 0, `gens`
     holds the generators' indices, and op(a, b) is the index of
-    elems[a] ∘ elems[b].  No group axiom needs checking: composition of
-    permutations is associative, the identity permutation is an identity,
-    and the inverse of an element is one of its powers, so it lies in the
-    closure.
+    elems[a] ∘ elems[b].  right[s][a] is the index of elems[a] ∘ elems[gens[s]]:
+    the Cayley edges, one column of |G| ints per generator, kept from the
+    closure that computes them; the action check and the lift read them
+    instead of composing group elements again.  No group axiom needs
+    checking: composition of permutations is associative, the identity
+    permutation is an identity, and the inverse of an element is one of its
+    powers, so it lies in the closure.
     """
 
     elems: tuple[Perm, ...]
     gens: tuple[int, ...]
+    right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     index: dict[Perm, int] = field(compare=False, repr=False)
-    identity = 0  # shortlex_closure lists the identity first
+    identity = 0  # the closure lists the identity first
 
     @property
     def order(self) -> int:
@@ -97,10 +75,33 @@ class FinGroup:
 
     @staticmethod
     def generated(gens: Sequence[Perm]) -> "FinGroup":
-        """Group of permutations generated by gens."""
-        elems = tuple(shortlex_closure(gens))
-        index = {p: i for i, p in enumerate(elems)}
-        return FinGroup(elems, tuple(index[tuple(g)] for g in gens), index)
+        """Group of permutations generated by gens, in shortlex word order
+        (first occurrence).
+
+        One breadth-first pass over words gens[0], gens[1], ... applied on
+        the right: the queue is the element list itself, so an element is
+        listed, and later expanded, in the order its shortest word is
+        first reached.  Raises GroupError as soon as the closure exceeds
+        CLOSURE_CAP.
+        """
+        if not gens:
+            raise GroupError("need at least one generator (use the identity)")
+        gens = [tuple(g) for g in gens]
+        elems = [identity_perm(len(gens[0]))]
+        index = {elems[0]: 0}
+        right: list[list[int]] = [[] for _ in gens]
+        for w in elems:  # grows while it is read
+            for g, col in zip(gens, right):
+                e = compose(w, g)
+                i = index.get(e)
+                if i is None:
+                    i = index[e] = len(elems)
+                    elems.append(e)
+                    if i == CLOSURE_CAP:
+                        raise GroupError(f"generated group exceeds cap {CLOSURE_CAP}")
+                col.append(i)
+        return FinGroup(tuple(elems), tuple(col[0] for col in right),
+                        tuple(map(tuple, right)), index)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,10 @@ class GroupAction:
 
     The check covers the identity and every Cayley edge: act[w·s] =
     act[w] ∘ act[s] for each element w and generator s, |G|·|S|
-    compositions.  That is the whole axiom, not a sample of it: every b is
-    a word in the generators, and by induction on the length of b, with
+    compositions, each compared with act[right[s][w]], the element w·s read
+    off the group's generator column.  That is the whole axiom, not a sample
+    of it: every b is a word in the generators, and by induction on the
+    length of b, with
     act[a·1] = act[a] ∘ act[1] from the identity check and the step
     act[a·b·s] = act[a·b] ∘ act[s] = act[a] ∘ act[b] ∘ act[s] = act[a] ∘ act[b·s]
     (two edges), act[ab] = act[a] ∘ act[b] for all a and b.
@@ -127,10 +130,12 @@ class GroupAction:
             perm_of(p, self.space_size)
         if self.act[self.group.identity] != identity_perm(self.space_size):
             raise GroupError("identity must act trivially")
-        for w in range(self.group.order):
-            for s in self.group.gens:
-                if compose(self.act[w], self.act[s]) != self.act[self.group.op(w, s)]:
+        act, group = self.act, self.group
+        for w, p in enumerate(act):
+            for s, col in zip(group.gens, group.right):
+                if compose(p, act[s]) != act[col[w]]:
                     raise GroupError(f"action axiom fails at ({w},{s})")
+
 
 def orbit_eqrel(a: GroupAction) -> FinEqrel:
     """Orbit equivalence relation of an action: that of its generators."""

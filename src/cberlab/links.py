@@ -206,13 +206,19 @@ class OuterAction:
 def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
     """Lift an outer (class-level) action to points through a link.
 
-    g·x is the unique element of [x]_L in the class g·[x]_E, so the lift is
-    a lookup of the point at (L-class, E-class).  The link makes that point
-    unique, hence g·(h·x) and (gh)·x are both the point of [x]_L in the
-    class gh·[x]_E; GroupAction rechecks the axioms on the Cayley edges.  By
-    construction g·x lies in g·[x]_E, and g·x = x when g fixes [x]_E, so
-    the lift induces the class data and is class-bijective.  It costs |G|·n
-    lookups: that is the size of its output, one image per element and point.
+    g·x is the unique element of [x]_L in the class g·[x]_E.  Only the
+    generators are looked up, as the point at (L-class, E-class): |S|·n
+    lookups.  Every other element is composed along the Cayley edge that
+    first reaches it in shortlex order, act[a·s] = act[a] ∘ lift(s), one
+    composition per element.  That gives the looked-up point: by induction
+    on word length, if act[a](y) lies in [y]_L ∩ a·[y]_E for every y, and
+    y = lift(s)(x) lies in [x]_L ∩ s·[x]_E, then act[a](y) lies in
+    [x]_L ∩ a·s·[x]_E, whose one point is the lookup of a·s at x.  So
+    g·(h·x) and (gh)·x are both the point of [x]_L in the class gh·[x]_E;
+    GroupAction rechecks the axioms on the Cayley edges.  By construction
+    g·x lies in g·[x]_E, and g·x = x when g fixes [x]_E, so the lift
+    induces the class data and is class-bijective.  Its output, one image
+    per element and point, is |G|·n ints.
     """
     e = outer.e
     if link.e != e:
@@ -220,20 +226,26 @@ def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
     if not outer.coarsening().refines(link.f):
         raise LinkError("link pair does not absorb the class moves")
     gens = outer.gens if outer.gens else (identity_perm(len(e.classes)),)
-    group = FinGroup.generated([tuple(g) for g in gens])
+    group = FinGroup.generated(gens)
     l_of = [link.l.class_index(x) for x in range(e.n)]
     e_of = [e.class_index(x) for x in range(e.n)]
     point = {(l_of[x], e_of[x]): x for x in range(e.n)}
-    acts: list[Perm] = []
-    for cp in group.elems:
-        img = []
-        for x in range(e.n):
-            y = point.get((l_of[x], cp[e_of[x]]))
-            if y is None:
-                raise LinkError(f"link invalid for lifting: [{x}]_L misses g·[{x}]_E")
-            img.append(y)
-        acts.append(tuple(img))
-    return GroupAction(group, e.n, tuple(acts))
+    lifts = []
+    for g in gens:
+        img = [point.get((lx, g[ex])) for lx, ex in zip(l_of, e_of)]
+        if None in img:
+            # Cannot happen: g moves [x]_E inside [x]_F, since F holds the
+            # coarsening, and inside [x]_F the link puts one point of [x]_L
+            # in every E-class, so (L-class, E-class) always names a point.
+            raise CheckFailed("link misses a class move while lifting")  # pragma: no cover
+        lifts.append(tuple(img))
+    act: list[Perm | None] = [None] * group.order
+    act[group.identity] = identity_perm(e.n)
+    for a in range(group.order):  # shortlex: a is composed before it is read
+        for lift, col in zip(lifts, group.right):
+            if act[b := col[a]] is None:
+                act[b] = compose(act[a], lift)
+    return GroupAction(group, e.n, tuple(act))
 
 
 # --- equidecomposability ----------------------------------------------------
@@ -370,8 +382,9 @@ def lift_through_finite_normal(
     # Generators suffice: the g with gNg⁻¹ ⊆ N are closed under products, and
     # in a finite group the products of the generators are all of G.
     for g in all_cls_gens:
+        g_inv = invert(g)
         for p in n_cls_set:
-            if compose(compose(g, p), invert(g)) not in n_cls_set:
+            if compose(compose(g, p), g_inv) not in n_cls_set:
                 raise LinkError("N is not normal in the generated group")
 
     outer = OuterAction(e, tuple(all_cls_gens))

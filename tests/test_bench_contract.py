@@ -1,13 +1,14 @@
 """The benchmark's contract with the library: one pass of each perfbench
-workload at each of the seeds 0, 1 and 7, and of `tiling` at the seeds 2
-to 5 as well, run through
+workload at each of the seeds 0, 1 and 7, and of `links` and `tiling` at
+the seeds 2 to 5 as well, run through
 `perfbench/workloads.py` and hashed as `perfbench/run.py` hashes a pass,
 must give its recorded digest and its recorded failures.  The workloads
 read library APIs (fields, return shapes, report text) that no other test
 pins, so a change that breaks the benchmark fails here first.  The
 benchmark also compares the share of failed items, which the digest does
 not pin: a failing item's text is its error, whatever raised it.  The
-`tiling` items also hold `check_tiling` to the set-based oracle."""
+`links` passes also hold every pair item's lift to the lookup oracle, and
+the `tiling` items hold `check_tiling` to the set-based oracle."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import sys
 from collections import Counter
 
 import pytest
+from lift_oracle import lift_by_lookup
 from tiling_oracle import check_tiling_by_sets
 
 from cberlab import quasitile
@@ -43,10 +45,25 @@ workloads = _load("workloads")
 Tracer = _load("tracing").Tracer
 
 
+class _KeepLifts(Tracer):
+    """An untraced tracer that keeps each lift's arguments and action."""
+
+    def __init__(self):
+        super().__init__(False)
+        self.lifts = []
+
+    def call(self, name, fn, *args):
+        out = fn(*args)
+        if name == "links.lift_from_link":
+            self.lifts.append((args, out))
+        return out
+
+
 # The failed items of one pass, by exception type.  The tiling failures are
 # the eps = 1/3 items, which cannot pass, and some eps = 2/5 windows.
 FAILURES = {
-    ("links", 0): {}, ("links", 1): {}, ("links", 7): {},
+    ("links", 0): {}, ("links", 1): {}, ("links", 2): {}, ("links", 3): {},
+    ("links", 4): {}, ("links", 5): {}, ("links", 7): {},
     ("tiling", 0): {"AssertionError": 8}, ("tiling", 1): {"AssertionError": 7},
     ("tiling", 2): {"AssertionError": 7}, ("tiling", 3): {"AssertionError": 7},
     ("tiling", 4): {"AssertionError": 7}, ("tiling", 5): {"AssertionError": 7},
@@ -57,12 +74,12 @@ FAILURES = {
 
 PASSES = [pytest.param(w, 1, id=w) for w in workloads.WORKLOADS] + [
     pytest.param(w, seed, id=f"{w}-seed{seed}") for w in workloads.WORKLOADS for seed in (0, 7)
-] + [pytest.param("tiling", seed, id=f"tiling-seed{seed}") for seed in (2, 3, 4, 5)]
+] + [pytest.param(w, seed, id=f"{w}-seed{seed}") for w in ("links", "tiling") for seed in (2, 3, 4, 5)]
 
 
 @pytest.mark.parametrize("workload, seed", PASSES)
 def test_one_pass_gives_the_recorded_digest(workload, seed):
-    tr = Tracer(False)
+    tr = _KeepLifts()
     digests, failures = [], Counter()
     for item in workloads.make_items(workload, seed, tr):
         text, passed, error = workloads.run_item(item, seed, tr)
@@ -74,6 +91,10 @@ def test_one_pass_gives_the_recorded_digest(workload, seed):
         recorded = json.load(fh)[workload][str(seed)]
     assert digest == recorded, f"failures: {failures}"
     assert failures == Counter(FAILURES[workload, seed])
+    if workload == "links":  # one lift per wide and bulk item
+        assert len(tr.lifts) == workloads.WIDE_ITEMS + len(workloads.BULK_SIZES)
+    for (outer, link), action in tr.lifts:
+        assert action.act == lift_by_lookup(outer, link)
 
 
 def _forged(g, a, centers: list) -> list:

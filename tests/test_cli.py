@@ -89,6 +89,29 @@ def test_lift_beyond_closure_cap_is_input_error(tmp_path, capsys):
     assert captured.err == "input error: generated group exceeds cap 10000\n"
 
 
+def test_lift_report_frozen(capsys):
+    code, out = run(capsys, "lift", "--seed", "6")
+    assert code == 0
+    assert len(out.encode()) == 195
+    assert _digest(out) == "0990e521ce46b6bb874c37099a93e98e48df9cf04bdb8e95ada7c81ca364c701"
+
+
+def test_s7_lift_report_frozen(tmp_path, capsys):
+    """(0 1) and a 7-cycle generate S_7 on 7 singleton classes inside one
+    F-class: the lift prints all 5,040 permutations, byte for byte."""
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps({
+        "n": 7,
+        "E": [[x] for x in range(7)],
+        "F": [list(range(7))],
+        "witness": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]],
+    }))
+    code, out = run(capsys, "lift", "--instance", str(path))
+    assert code == 0
+    assert len(out.encode()) == 80826
+    assert _digest(out) == "fb208aa7e1a42943878d829d7b4930a1e0136fb128dd66a0062cf5e70e31323c"
+
+
 def test_verify_link_pass_and_fail(tmp_path, capsys):
     inst = gen_instance(3)
     raw = json.loads(inst.to_json())

@@ -68,6 +68,42 @@ def test_join_random_agrees_with_pair_closure():
         assert join(a, b) == from_pairs(n, pairs_a + pairs_b)
 
 
+def _components(n, pairs):
+    """The connected components of the graph the pairs span, by search."""
+    adj = [[] for _ in range(n)]
+    for x, y in pairs:
+        adj[x].append(y)
+        adj[y].append(x)
+    seen, classes = set(), []
+    for x in range(n):
+        if x not in seen:
+            seen.add(x)
+            todo, cls = [x], []
+            while todo:
+                cls.append(v := todo.pop())
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
+def test_from_pairs_matches_graph_components():
+    """Random pairs, and paths and stars in random order and direction,
+    which grow union-find trees deep enough that a find halving the wrong
+    slot splits a class."""
+    rng = random.Random(45)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        pts = rng.sample(range(n), n)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n + 1))]
+        pairs += [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(pts, pts[1:])]
+        pairs += [(pts[0], x) for x in rng.sample(pts, rng.randrange(n + 1))]
+        rng.shuffle(pairs)
+        assert from_pairs(n, pairs).classes == _components(n, pairs)
+
+
 def test_eqrel_is_hashable_value_type():
     e1 = build_partition(3, [[0, 1], [2]])
     e2 = build_partition(3, [[1, 0], [2]])

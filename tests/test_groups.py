@@ -15,7 +15,6 @@ from cberlab.groups import (
     is_automorphism,
     orbit_eqrel,
     perm_of,
-    shortlex_closure,
 )
 
 
@@ -38,7 +37,7 @@ def test_perm_of_rejects_non_int_entries(seq):
 
 def test_shortlex_closure_s3():
     gens = [(1, 0, 2), (1, 2, 0)]
-    elems = shortlex_closure(gens)
+    elems = FinGroup.generated(gens).elems
     assert len(elems) == 6
     assert elems[0] == identity_perm(3)
 

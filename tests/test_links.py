@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -6,16 +7,25 @@ import subprocess
 import sys
 
 import pytest
+from lift_oracle import lift_by_lookup
 
+from cberlab import links
 from cberlab.eqrel import CheckFailed, build_partition, delta, full
-from cberlab.groups import GroupError
-from cberlab.instances import all_partitions, enumerate_links, gen_chain, gen_instance
+from cberlab.groups import GroupError, compose, identity_perm
+from cberlab.instances import (
+    all_partitions,
+    build_block_instance,
+    enumerate_links,
+    gen_chain,
+    gen_instance,
+)
 from cberlab.links import (
     Link,
     LinkError,
     OuterAction,
     amplify_relation,
     cancel_equidecomposition,
+    class_perm_of,
     equidecompose,
     extend_link,
     hf_link,
@@ -187,6 +197,95 @@ def test_lift_from_link_induces_outer_data():
     assert action.group.order == 2
     swap = action.act[1]
     assert e.class_index(swap[0]) == 1 and swap[swap[0]] == 0
+
+
+def _pair(e, f, wit, edit=lambda cls_gens: cls_gens):
+    """(E, link, class maps) for a witnessed pair; `edit` rewrites the
+    class maps the lift is given."""
+    link = link_finite_index(e, f, wit)
+    return e, link, edit(tuple(class_perm_of(e, g) for g in wit))
+
+
+def _lift_cases(case):
+    """(E, link, class maps) triples: criterion 4's seeded draw, S3 on three
+    classes of two points, or one block pair of index 4, 6 and 5 under an
+    edit of its generators."""
+    if case == "criterion-4":
+        return [_pair(inst.e, inst.f, inst.witness)
+                for inst in (gen_instance(seed, max_size=10, max_index=3) for seed in range(500))]
+    if case == "S3":  # not abelian: act[a·s] = act[a] ∘ lift(s) in that order
+        e = build_partition(6, [[0, 3], [1, 4], [2, 5]])
+        return [_pair(e, full(6), [(1, 0, 2, 4, 3, 5), (1, 2, 0, 4, 5, 3)])]
+    inst = build_block_instance([(3, 4), (2, 6), (1, 5)])
+    if case == "combined":  # the blocks' disjoint rotations as one generator
+        return [_pair(inst.e, inst.f, [functools.reduce(compose, inst.witness)])]
+    edit = {
+        "separate": lambda gs: gs,
+        "duplicate": lambda gs: gs + gs[:1],
+        "identity": lambda gs: (identity_perm(len(gs[0])),) + gs,
+        "empty": lambda gs: (),
+    }[case]
+    return [_pair(inst.e, inst.f, inst.witness, edit)]
+
+
+LIFT_CASES = ["criterion-4", "S3", "separate", "combined", "duplicate", "identity", "empty"]
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_lift_matches_the_lookup_oracle(case):
+    """The composed lift is the per-element lookup lift, tuple for tuple."""
+    orders = set()
+    for e, link, cls_gens in _lift_cases(case):
+        outer = OuterAction(e, cls_gens)
+        action = lift_from_link(outer, link)
+        assert action.act == lift_by_lookup(outer, link)
+        orders.add(action.group.order)
+    # Z4 x Z6 x Z5 from the separate rotations, Z60 from their product.
+    assert orders == {"S3": {6}, "separate": {120}, "combined": {60}, "duplicate": {120},
+                      "identity": {120}, "empty": {1}}.get(case, orders)
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_generator_columns_are_the_cayley_edges(case):
+    for e, link, cls_gens in _lift_cases(case):
+        g = lift_from_link(OuterAction(e, cls_gens), link).group
+        assert len(g.right) == len(g.gens) == max(len(cls_gens), 1)
+        for s, col in zip(g.gens, g.right):
+            assert list(col) == [g.op(a, s) for a in range(g.order)]
+
+
+class _Reads(tuple):
+    """A class map that counts the reads of its entries."""
+
+    log: list = []
+
+    def __getitem__(self, i):
+        _Reads.log.append(i)
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_lift_composes_once_per_element_and_looks_up_the_generators(case, monkeypatch):
+    """The build makes |G| - 1 compositions, one per element past the
+    identity, and reads the class maps |S|·n times beyond the coarsening
+    check: one lookup per generator and point."""
+    composed = []
+
+    def counting(p, q):
+        composed.append(1)
+        return compose(p, q)
+
+    monkeypatch.setattr(links, "compose", counting)
+    for e, link, cls_gens in _lift_cases(case):
+        outer = OuterAction(e, tuple(map(_Reads, cls_gens)))
+        _Reads.log.clear()
+        outer.coarsening()
+        coarsening_reads = len(_Reads.log)
+        _Reads.log.clear()
+        composed.clear()
+        action = lift_from_link(outer, link)
+        assert len(composed) == action.group.order - 1
+        assert len(_Reads.log) - coarsening_reads == len(cls_gens) * e.n
 
 
 def test_lift_through_finite_normal_cyclic4():
