@@ -125,7 +125,7 @@ def cmd_lift(args) -> int:
     inside = orbits.refines(inst.f)
     rep = Report({"task": "lift"}, seed=args.seed)
     rep.metrics["group_order"] = action.group.order
-    rep.metrics["action"] = [list(p) for p in action.act]
+    rep.metrics["action"] = action.act
     rep.add_constraint("lift: orbit classes inside F-classes", len(orbits.classes),
                        len(inst.f.classes), inside)
     return _emit(rep, args)

@@ -89,9 +89,10 @@ class FinEqrel:
         """True iff self is a subrelation of other (every class inside one class)."""
         if self.n != other.n:
             return False
-        return all(
-            len({other.class_index(x) for x in c}) == 1 for c in self.classes
-        )
+        # each point's other-class must be that of its self-class's least point
+        other_of = other._cls_of  # type: ignore[attr-defined]
+        rep = [other_of[c[0]] for c in self.classes]
+        return tuple(map(rep.__getitem__, self._cls_of)) == other_of  # type: ignore[attr-defined]
 
     # --- operations ------------------------------------------------------
 
@@ -146,10 +147,15 @@ def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinEqrel:
     return FinEqrel(n, tuple(tuple(g) for g in groups.values()))
 
 
+def join_pairs(e: FinEqrel, pairs: Iterable[tuple[int, int]]) -> FinEqrel:
+    """E joined with the relation the pairs span, in one union-find: E's
+    classes are connected by the pairs from each first point to the others."""
+    spanning = ((c[0], x) for c in e.classes for x in c[1:])
+    return from_pairs(e.n, itertools.chain(spanning, pairs))
+
+
 def join(e: FinEqrel, f: FinEqrel) -> FinEqrel:
     """Smallest common coarsening of two relations."""
     if e.n != f.n:
         raise EqrelError("join: mismatched ground sets")
-    # each class is connected by the pairs from its first point to the others
-    return from_pairs(e.n, ((c[0], x) for r in (e, f) for c in r.classes for x in c[1:]))
-
+    return join_pairs(e, ((c[0], x) for c in f.classes for x in c[1:]))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .eqrel import FinEqrel, from_pairs, join
+from .eqrel import FinEqrel, from_pairs, join_pairs
 
 CLOSURE_CAP = 10_000
 
@@ -35,6 +37,13 @@ def identity_perm(n: int) -> Perm:
 def compose(p: Perm, q: Perm) -> Perm:
     """(p ∘ q)(x) = p(q(x))."""
     return tuple([p[x] for x in q])
+
+
+def right_by(q: Perm) -> Callable[[Perm], Perm]:
+    """The map p ↦ p ∘ q as one C call: itemgetter(*q)(p) is the tuple
+    (p[q[0]], ..., p[q[n-1]]).  itemgetter of one index returns the entry,
+    not a tuple, so on 0 or 1 points, where p ∘ q is p, it is `tuple`."""
+    return operator.itemgetter(*q) if len(q) > 1 else tuple
 
 
 def invert(p: Perm) -> Perm:
@@ -90,9 +99,10 @@ class FinGroup:
         elems = [identity_perm(len(gens[0]))]
         index = {elems[0]: 0}
         right: list[list[int]] = [[] for _ in gens]
+        bys = [right_by(g) for g in gens]
         for w in elems:  # grows while it is read
-            for g, col in zip(gens, right):
-                e = compose(w, g)
+            for by, col in zip(bys, right):
+                e = by(w)
                 i = index.get(e)
                 if i is None:
                     i = index[e] = len(elems)
@@ -110,13 +120,25 @@ class GroupAction:
 
     The check covers the identity and every Cayley edge: act[w·s] =
     act[w] ∘ act[s] for each element w and generator s, |G|·|S|
-    compositions, each compared with act[right[s][w]], the element w·s read
-    off the group's generator column.  That is the whole axiom, not a sample
-    of it: every b is a word in the generators, and by induction on the
-    length of b, with
+    compositions, each by the prebuilt getter of act[s] and compared with
+    act[right[s][w]], the element w·s read off the group's generator
+    column.  That is the whole axiom, not a sample of it: every b is a word
+    in the generators, and by induction on the length of b, with
     act[a·1] = act[a] ∘ act[1] from the identity check and the step
     act[a·b·s] = act[a·b] ∘ act[s] = act[a] ∘ act[b] ∘ act[s] = act[a] ∘ act[b·s]
     (two edges), act[ab] = act[a] ∘ act[b] for all a and b.
+
+    Each element is validated once.  One pass over all entries checks that
+    each element has n entries and each is exactly an int; `perm_of` then
+    checks the identity and the generators.  Every other element is a
+    permutation by the edge check itself: the closure reaches each b ≠ 0
+    first by an edge (a, s) with a < b, and the edges are checked with w
+    outer and s inner, so that edge is checked before act[b] is composed,
+    and it makes act[b] = act[a] ∘ act[s] a product of checked permutations,
+    by induction on b.  So a malformed element fails an edge, as a
+    GroupError, before anything reads it.  The edge (0, s) into a generator
+    holds whatever act[s] is, which is why the generators need `perm_of`;
+    the type pass is needed because (1, 0) == (True, False) == (1.0, 0.0).
     """
 
     group: FinGroup
@@ -124,16 +146,20 @@ class GroupAction:
     act: tuple[Perm, ...]  # one permutation per group element
 
     def __post_init__(self) -> None:
-        if len(self.act) != self.group.order:
+        act, group, n = self.act, self.group, self.space_size
+        if len(act) != group.order:
             raise GroupError("need one permutation per group element")
-        for p in self.act:
-            perm_of(p, self.space_size)
-        if self.act[self.group.identity] != identity_perm(self.space_size):
+        for p in act:  # n entries, each exactly an int: one C call counts them
+            if not len(p) == n == operator.countOf(map(type, p), int):
+                perm_of(p, n)  # raises for this element
+        for i in (group.identity, *group.gens):
+            perm_of(act[i], n)
+        if act[group.identity] != identity_perm(n):
             raise GroupError("identity must act trivially")
-        act, group = self.act, self.group
+        bys = [right_by(act[s]) for s in group.gens]
         for w, p in enumerate(act):
-            for s, col in zip(group.gens, group.right):
-                if compose(p, act[s]) != act[col[w]]:
+            for s, by, col in zip(group.gens, bys, group.right):
+                if by(p) != act[col[w]]:
                     raise GroupError(f"action axiom fails at ({w},{s})")
 
 
@@ -142,9 +168,14 @@ def orbit_eqrel(a: GroupAction) -> FinEqrel:
     return orbit_eqrel_of_perms(a.space_size, [a.act[s] for s in a.group.gens])
 
 
+def orbit_pairs(gens: Iterable[Perm]) -> Iterable[tuple[int, int]]:
+    """The pairs (x, g(x)) of every permutation: they span its orbit relation."""
+    return itertools.chain.from_iterable(map(enumerate, gens))
+
+
 def orbit_eqrel_of_perms(n: int, gens: Sequence[Perm]) -> FinEqrel:
     """Orbit relation of the group generated by permutations (no closure needed)."""
-    return from_pairs(n, [(x, g[x]) for g in gens for x in range(n)])
+    return from_pairs(n, orbit_pairs(gens))
 
 
 def is_automorphism(e: FinEqrel, t: Perm) -> bool:
@@ -161,6 +192,6 @@ def extend_by_group(e: FinEqrel, gens: Sequence[Sequence[int]]) -> tuple[FinEqre
     case the generators witness E ◁ E^{∨G}.
     """
     perms = [perm_of(g, e.n) for g in gens]
-    f = join(e, orbit_eqrel_of_perms(e.n, perms))
+    f = join_pairs(e, orbit_pairs(perms))
     witnessed = all(is_automorphism(e, p) for p in perms)
     return f, witnessed

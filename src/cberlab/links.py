@@ -13,17 +13,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .eqrel import CheckFailed, FinEqrel, from_pairs, join
+from .eqrel import CheckFailed, FinEqrel, join, join_pairs
 from .groups import (
     FinGroup,
     GroupAction,
     Perm,
-    compose,
     identity_perm,
     invert,
     is_automorphism,
     orbit_eqrel_of_perms,
+    orbit_pairs,
     perm_of,
+    right_by,
 )
 
 
@@ -47,8 +48,10 @@ def verify_link(
         raise LinkError("E is not a subrelation of F")
     if not l.refines(f):
         raise LinkError("L is not a subrelation of F")
+    e_of = e._cls_of.__getitem__  # type: ignore[attr-defined]
+    l_of = l._cls_of.__getitem__  # type: ignore[attr-defined]
     for c in f.classes:
-        counts = Counter((e.class_index(x), l.class_index(x)) for x in c)
+        counts = Counter(zip(map(e_of, c), map(l_of, c)))
         l_ids = sorted({li for _, li in counts})
         # Stops at the first pair not counted once: at most |c| + 1 lookups.
         for ei in sorted({ei for ei, _ in counts}):
@@ -78,7 +81,7 @@ def _validate_witness(e: FinEqrel, f: FinEqrel, gens: Sequence[Sequence[int]]) -
     for i, p in enumerate(perms):
         if not is_automorphism(e, p):
             raise LinkError(f"witness generator {i} ({p}) is not an automorphism of E")
-    if join(e, orbit_eqrel_of_perms(e.n, perms)) != f:
+    if join_pairs(e, orbit_pairs(perms)) != f:
         raise LinkError("witness does not generate F over E")
 
 
@@ -195,12 +198,9 @@ class OuterAction:
 
     def coarsening(self) -> FinEqrel:
         """E joined with the class moves of the generated group: E^{∨G}."""
-        pairs = [
-            (self.e.classes[i][0], self.e.classes[g[i]][0])
-            for g in self.gens
-            for i in range(len(self.e.classes))
-        ]
-        return join(self.e, from_pairs(self.e.n, pairs))
+        cls = self.e.classes
+        moves = ((cls[i][0], cls[j][0]) for g in self.gens for i, j in enumerate(g))
+        return join_pairs(self.e, moves)
 
 
 def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
@@ -241,10 +241,11 @@ def lift_from_link(outer: OuterAction, link: Link) -> GroupAction:
         lifts.append(tuple(img))
     act: list[Perm | None] = [None] * group.order
     act[group.identity] = identity_perm(e.n)
+    bys = [right_by(lift) for lift in lifts]
     for a in range(group.order):  # shortlex: a is composed before it is read
-        for lift, col in zip(lifts, group.right):
+        for by, col in zip(bys, group.right):
             if act[b := col[a]] is None:
-                act[b] = compose(act[a], lift)
+                act[b] = by(act[a])
     return GroupAction(group, e.n, tuple(act))
 
 
@@ -381,10 +382,11 @@ def lift_through_finite_normal(
     n_cls_set = set(n_cls)
     # Generators suffice: the g with gNg⁻¹ ⊆ N are closed under products, and
     # in a finite group the products of the generators are all of G.
+    n_bys = [right_by(p) for p in n_cls_set]
     for g in all_cls_gens:
-        g_inv = invert(g)
-        for p in n_cls_set:
-            if compose(compose(g, p), g_inv) not in n_cls_set:
+        conj = right_by(invert(g))
+        for by in n_bys:
+            if conj(by(g)) not in n_cls_set:
                 raise LinkError("N is not normal in the generated group")
 
     outer = OuterAction(e, tuple(all_cls_gens))

@@ -50,6 +50,18 @@ def test_join_matches_all_pairs_on_every_partition_pair():
                 assert join(a, b) == from_pairs(n, all_pairs(a) + all_pairs(b))
 
 
+def test_refines_matches_the_class_definition_on_every_partition_pair():
+    """Every class of a lies inside one class of b: the pairwise definition,
+    against the class arrays that `refines` reads."""
+    for n in range(0, 6):
+        parts = [build_partition(n, p) for p in all_partitions(list(range(n)))]
+        for a in parts:
+            for b in parts:
+                inside = all(b.related(x, y) for c in a.classes for x in c for y in c)
+                assert a.refines(b) == inside, (a, b)
+    assert not delta(3).refines(full(4)) and not full(4).refines(delta(3))
+
+
 def test_refines_and_index():
     e = build_partition(4, [[0, 1], [2, 3]])
     f = full(4)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -63,25 +64,98 @@ def _all_pairs_action_ok(g: FinGroup, act) -> bool:
     )
 
 
+def _per_element_rule(g: FinGroup, n: int, act) -> str | None:
+    """The reference rule: `perm_of` on every element, then the identity,
+    then every Cayley edge by `compose`.  Returns the first error text, or
+    None if the action is accepted."""
+    try:
+        for p in act:
+            perm_of(p, n)
+    except GroupError as exc:
+        return str(exc)
+    if act[g.identity] != identity_perm(n):
+        return "identity must act trivially"
+    for w, p in enumerate(act):
+        for s, col in zip(g.gens, g.right):
+            if compose(p, act[s]) != act[col[w]]:
+                return f"action axiom fails at ({w},{s})"
+    return None
+
+
+def _verdict(g: FinGroup, n: int, act) -> str | None:
+    try:
+        GroupAction(g, n, tuple(act))
+    except GroupError as exc:  # anything else fails the test
+        return str(exc)
+    return None
+
+
+def _malformed(p, kind):
+    """p spoiled one way: the first two kinds are == p, so only the
+    exact-int pass can catch them."""
+    return {"bool": tuple(True if x == 1 else False if x == 0 else x for x in p),
+            "float": tuple(map(float, p)),
+            "short": tuple(p[:-1]),
+            "not-a-perm": (0, 0, *range(1, len(p) - 1)),
+            "out-of-range": tuple(len(p) if x == len(p) - 1 else x for x in p)}[kind]
+
+
+KINDS = ["bool", "float", "short", "not-a-perm", "out-of-range"]
+TYPE_KINDS = {"bool", "float", "short"}  # caught by the pass before the edges
+
+
 @pytest.mark.parametrize(
     "gens",
     [[(1, 2, 3, 0)], [(1, 0, 2, 3), (0, 1, 3, 2)]],
     ids=["Z4", "Klein"],
 )
 def test_cayley_edge_check_matches_all_pairs(gens):
-    # Every assignment of a permutation of 3 points to each group element.
+    """Every assignment of a permutation of 3 points to each element gets
+    the verdict of the all-pairs axiom and of the per-element rule.  Each
+    accepted one, spoiled at one element, is rejected with a GroupError;
+    where the per-element rule rejects it in `perm_of`, with the same text.
+    GroupAction runs `perm_of` on the identity and the generators only, so
+    a spoiled other element must fail the exact-int pass or an edge."""
     g = FinGroup.generated(gens)
+    assert set(range(g.order)) - {g.identity, *g.gens}
     perms = list(itertools.permutations(range(3)))
-    verdicts = set()
+    verdicts, accepted = set(), []
     for act in itertools.product(perms, repeat=g.order):
-        try:
-            GroupAction(g, 3, act)
-            ok = True
-        except GroupError:
-            ok = False
-        assert ok == _all_pairs_action_ok(g, act), act
+        ok = _verdict(g, 3, act) is None
+        assert ok == _all_pairs_action_ok(g, act) == (_per_element_rule(g, 3, act) is None), act
         verdicts.add(ok)
+        if ok:
+            accepted.append(act)
     assert verdicts == {True, False}
+    for act in accepted:
+        for i in range(g.order):
+            for kind in KINDS:
+                bad = list(act)
+                bad[i] = _malformed(act[i], kind)
+                verdict = _verdict(g, 3, bad)
+                assert verdict is not None, (bad, kind)
+                if kind in TYPE_KINDS:
+                    assert verdict == _per_element_rule(g, 3, bad), (bad, kind)
+
+
+def test_drawn_malformed_actions_raise_group_error():
+    """The regular action of S4 on its 24 elements, spoiled at drawn
+    elements outside the identity and the generators."""
+    s4 = FinGroup.generated([(1, 0, 2, 3), (1, 2, 3, 0)])
+    regular = FinGroup.generated([tuple(s4.index[compose(a, s4.elems[s])] for a in s4.elems)
+                                  for s in s4.gens])
+    act = regular.elems
+    assert GroupAction(regular, 24, act).act == act
+    inner = [i for i in range(regular.order) if i != regular.identity and i not in regular.gens]
+    rng = random.Random(46)
+    for _ in range(200):
+        i, kind = rng.choice(inner), rng.choice(KINDS)
+        bad = list(act)
+        bad[i] = _malformed(act[i], kind)
+        verdict = _verdict(regular, 24, bad)
+        assert verdict is not None
+        if kind in TYPE_KINDS:
+            assert verdict == _per_element_rule(regular, 24, bad)
 
 
 def test_orbit_eqrel():

@@ -11,7 +11,7 @@ from lift_oracle import lift_by_lookup
 
 from cberlab import links
 from cberlab.eqrel import CheckFailed, build_partition, delta, full
-from cberlab.groups import GroupError, compose, identity_perm
+from cberlab.groups import GroupError, compose, identity_perm, right_by
 from cberlab.instances import (
     all_partitions,
     build_block_instance,
@@ -267,15 +267,20 @@ class _Reads(tuple):
 @pytest.mark.parametrize("case", LIFT_CASES)
 def test_lift_composes_once_per_element_and_looks_up_the_generators(case, monkeypatch):
     """The build makes |G| - 1 compositions, one per element past the
-    identity, and reads the class maps |S|·n times beyond the coarsening
-    check: one lookup per generator and point."""
+    identity, each a call of a getter that `right_by` built, and reads the
+    class maps |S|·n times beyond the coarsening check: one lookup per
+    generator and point."""
     composed = []
 
-    def counting(p, q):
-        composed.append(1)
-        return compose(p, q)
+    def counting_right_by(q):
+        by = right_by(q)
 
-    monkeypatch.setattr(links, "compose", counting)
+        def counting(p):
+            composed.append(1)
+            return by(p)
+        return counting
+
+    monkeypatch.setattr(links, "right_by", counting_right_by)
     for e, link, cls_gens in _lift_cases(case):
         outer = OuterAction(e, tuple(map(_Reads, cls_gens)))
         _Reads.log.clear()

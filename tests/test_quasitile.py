@@ -125,6 +125,16 @@ def test_ledger_checks_pass_on_their_bound(size, key, bound):
     assert {k: (value, ok) for k, value, _, ok in qt.ledger}[key] == (bound, True)
 
 
+def test_absolute_band_high_passes_on_its_bound():
+    """segment(1) on [0, 4) at eps = 1/3: cap = min(1/2, 5/9) = 1/2, so the
+    trim keeps 2 points and the ratio is exactly eps/(1 - eps) = 1/2.  The
+    absolute band passes with equality, and the run fails only at the end,
+    at coverage 1/2 < 2/3; a strict comparison there fails earlier."""
+    g = ZdGroup(1)
+    with pytest.raises(AssertionError, match=r"^final:coverage: 1/2 fails"):
+        quasi_tile(g, frozenset((x,) for x in range(4)), [g.segment(1)], Fraction(1, 3))
+
+
 # --- the byte-array recheck against its boundaries and the set oracle -------
 
 
