@@ -123,13 +123,15 @@ class _OnGrid:
     @classmethod
     def _new(cls, den: int, items: tuple, view: tuple | None = None):
         self = object.__new__(cls)
-        self._fill(den, items, view)
+        _set_den(self, den)
+        _set_items(self, items)
+        _set_view(self, view)
         return self
 
     def _fill(self, den: int, items: tuple, view: tuple | None = None) -> None:
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_view", view)
+        _set_den(self, den)
+        _set_items(self, items)
+        _set_view(self, view)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -144,6 +146,12 @@ class _OnGrid:
         g = math.gcd(self._den, *(v for it in self._items for v in it))
         reduced = tuple(tuple(v // g for v in it) for it in self._items)
         return hash((type(self).__name__, self._den // g, reduced))
+
+
+# The slots' own descriptors: they write past the __setattr__ that makes the
+# objects immutable, in one C call each, with no attribute-name lookup.
+_set_den, _set_items, _set_view = (_OnGrid._den.__set__, _OnGrid._items.__set__,
+                                   _OnGrid._view.__set__)
 
 
 class IntervalSet(_OnGrid):
@@ -165,7 +173,7 @@ class IntervalSet(_OnGrid):
     def intervals(self) -> tuple[Iv, ...]:
         if self._view is None:
             f = _fractions(self._den, self._items)
-            object.__setattr__(self, "_view", tuple((f[a], f[b]) for a, b in self._items))
+            _set_view(self, tuple((f[a], f[b]) for a, b in self._items))
         return self._view
 
     def _length(self) -> int:
@@ -260,7 +268,7 @@ class IntervalMap(_OnGrid):
         if self._view is None:
             f = _fractions(self._den, self._items)
             view = tuple((f[a], f[b], f[o]) for a, b, o in self._items)
-            object.__setattr__(self, "_view", view)
+            _set_view(self, view)
         return self._view
 
     def __repr__(self) -> str:

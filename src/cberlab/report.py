@@ -23,7 +23,9 @@ def _write(x: Any, out: list[str], texts: dict[int, str]) -> None:
     str(), the later value wins.  The dispatch is on exact types, the most
     frequent first; any other type raises TypeError, a float (anywhere but
     in a dict key) with its own message.  A list, tuple or set writes its
-    int and Fraction items itself, without a call.
+    int and Fraction items itself, without a call, and so does each of its
+    items that is a non-empty tuple (a T-set's pair, a map's piece): one
+    call per leaf of any other type, none per such tuple.
 
     texts maps id(f) to the text of each Fraction f written so far, so a
     Fraction object that occurs many times (a tower stage's endpoints are
@@ -45,6 +47,18 @@ def _write(x: Any, out: list[str], texts: dict[int, str]) -> None:
                 out.append(_int_repr(v))
             elif tv is Fraction:
                 out.append(texts.get(id(v)) or _fraction_text(v, texts))
+            elif tv is tuple and v:
+                out.append("[")
+                for w in v:
+                    tw = type(w)
+                    if tw is int:
+                        out.append(_int_repr(w))
+                    elif tw is Fraction:
+                        out.append(texts.get(id(w)) or _fraction_text(w, texts))
+                    else:
+                        _write(w, out, texts)
+                    out.append(",")
+                out[-1] = "]"
             else:
                 _write(v, out, texts)
             out.append(",")

@@ -28,9 +28,9 @@ side_n, ascending in row-major order, so the i-th has idx(c) = i and the
 identity comes first.  A stage is checked by one integer identity: the list
 is a permutation of range(k * size_n), which a side that is not a multiple of
 side_n fails.  Maps, agreement and defect are slot counts over
-sub-box positions (`TowerStage.inside`).  Tuples appear only in
-`TowerStage.items`; `IntervalSet`, `IntervalMap` and `Fraction` only at the
-boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
+sub-box positions (`TowerStage.inside`).  Tuples appear only as the
+row-major keys of `TowerStage.items` and `targets`; `IntervalSet`,
+`IntervalMap` and `Fraction` only at the boundary (`TowerStage.targets`, `.base`, `materialize_map` and the measures
 of `StageReport`).  `lift-sim` emits pi_n itself, each stage's `slots`, from
 which T_g = [p/size, (p+1)/size) with p the entry at g's row-major position.
 A stage keeps one table of endpoint Fractions, `TowerStage.ends`, for
@@ -39,17 +39,26 @@ views and its maps as their `pieces` views, so every endpoint handed out is
 an object of the table and the report writer formats each once.  Its
 partition check is `TowerStage.covered`, a count of slot indices.
 
-Most of the cyclic garbage collector's cost in a pass that reads every
-stage's `targets` comes from `targets` itself: each slot holds a key tuple,
-an `IntervalSet`, its items and its view, six tracked containers in all,
-alive as long as the stage, so building them triggers full collections that
-traverse every object and free none.  They exist only for readers of
-`targets`; the slot list and the maps need none of them.
+The boundary is built in bulk with the cyclic garbage collector paused
+(`_collector_paused`): `ends`, `targets` and the `_from_ints` call of
+`materialize_map`.  Each T-set holds a key tuple, an `IntervalSet`, its items
+and its view, six tracked containers per slot, and a map a piece and a view
+tuple per slot.  All live as long as the stage or the map, so with the
+collector running their build would trigger hundreds of collections that
+traverse every object and free none (543 for stage 3 of criterion 9's
+tower, 181 for one of its maps).  No cycle can form there: what is built
+holds only ints, Fractions, tuples and `_OnGrid` objects, each referring
+only to objects made before it, never back to one that holds it.  So the
+pause changes when the collector runs, not what it frees.  `targets` lists
+the slots' items tuples, then their view tuples, off the slot list, builds
+the sets in one loop and zips them with the row-major keys.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,6 +67,23 @@ from typing import Iterator
 from .eqrel import CheckFailed
 from .intervals import IntervalMap, IntervalSet
 from .quasitile import TileError, TilingHierarchy, ZdGroup, _set_bits, _ZdBits
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector disabled, and leave it
+    as it was found, enabled or not, however the body ends.  For the bulk
+    builds of the boundary only: they make tens of thousands of ints,
+    Fractions, tuples and `_OnGrid` objects, none of which refers back to
+    another, so no cycle forms and a collection there would free nothing
+    (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -119,16 +145,20 @@ class TowerStage:
         """The slot endpoints q/size, q = 0..size: T_g = [ends[p], ends[p + 1])
         for p = pi_n(g)."""
         size = self.size
-        return [Fraction(q, size) for q in range(size + 1)]
+        with _collector_paused():
+            return [Fraction(q, size) for q in range(size + 1)]
 
     @cached_property
     def targets(self) -> dict[tuple, IntervalSet]:
         """element -> T_g, a partition of [0,1).  Neighbouring slots share
         the Fraction of their common endpoint, from `ends`, in their
         `intervals` views."""
-        size, ends = self.size, self.ends
-        return {g: IntervalSet._new(size, ((p, p + 1),), ((ends[p], ends[p + 1]),))
-                for g, p in self.items()}
+        size, ends, slots, new = self.size, self.ends, self.slots, IntervalSet._new
+        with _collector_paused():
+            items = [((p, p + 1),) for p in slots]
+            views = [((ends[p], ends[p + 1]),) for p in slots]
+            sets = [new(size, it, v) for it, v in zip(items, views)]
+            return dict(zip(itertools.product(range(self.side), repeat=self.d), sets))
 
 
 @dataclass
@@ -174,9 +204,10 @@ def materialize_map(tower: Tower, n: int, g: tuple) -> IntervalMap:
     like those of any other map."""
     st = tower.stages[n]
     img = st.image(g)
-    return IntervalMap._from_ints(
-        st.size, ((p, p + 1, q - p) for p, q in enumerate(img) if q >= 0), st.ends
-    )
+    with _collector_paused():
+        return IntervalMap._from_ints(
+            st.size, ((p, p + 1, q - p) for p, q in enumerate(img) if q >= 0), st.ends
+        )
 
 
 @dataclass

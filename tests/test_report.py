@@ -95,12 +95,27 @@ def test_shared_fractions_match_the_generic_encoder(scenario, metric, lhs):
     assert r.to_json() == oracle_to_json(r)
 
 
+# Items of a list or tuple that are tuples, whose own items are every other
+# kind of leaf or container: the writer writes such a tuple's int and
+# Fraction items inline, and hands every other item to its general branch.
+TUPLE_ITEMS = [
+    (True, 1), (1, False), (None, Fraction(1, 2)), ("a\u00e9", 2), ({"k": (1, 2)}, 3),
+    ({2, 1}, frozenset({Fraction(1, 3)})), ((), 4), ([1, (2, Fraction(1, 2))], 5),
+    ((SHARED[0], TWINS[0]), SHARED[0]), (Fraction(-3, 2),), (),
+]
+
+
 def test_leaves_written_inline_keep_their_exact_type():
-    """A list writes its int and Fraction items itself: a bool, which is an
-    int subclass, still prints as true."""
+    """A list writes its int and Fraction items itself, and those of its
+    tuple items: a bool, which is an int subclass, still prints as true."""
     r = Report({}, "pass", metrics={"x": [True, 1, Fraction(1, 2)]})
     assert canonical_json([True, 1, Fraction(1, 2)]) == '[true,1,{"den":2,"num":1}]'
     assert r.to_json() == oracle_to_json(r)
+    assert canonical_json([(True, 1), (1, None)]) == "[[true,1],[1,null]]"
+    for outer in (list, tuple):
+        r = Report({"s": outer(TUPLE_ITEMS)}, "pass", metrics={"m": [outer(TUPLE_ITEMS)]})
+        r.add_constraint("c", outer(TUPLE_ITEMS), TUPLE_ITEMS[0], True)
+        assert r.to_json() == oracle_to_json(r)
 
 
 def test_floats_rejected():
@@ -152,6 +167,9 @@ def test_to_json_matches_the_generic_encoder(scenario, metric, lhs):
     lambda f: {f},
     lambda f: frozenset({1.5, f}),
     lambda f: (SHARED[0], SHARED[0], TWINS[0], f),
+    lambda f: [(1, f)],
+    lambda f: ((SHARED[0], TWINS[0], f), (1, 2)),
+    lambda f: [(1, 2), (Fraction(1, 2), [f])],
 ])
 def test_floats_rejected_at_every_depth(wrap):
     for place in ("metrics", "scenario", "lhs"):
@@ -160,7 +178,7 @@ def test_floats_rejected_at_every_depth(wrap):
             r.add_constraint("c", wrap(0.5), 1, True)
         else:
             setattr(r, place, {"x": wrap(0.5)})
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^no floats cross the interface; use Fraction$"):
             r.to_json()
 
 

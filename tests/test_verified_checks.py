@@ -49,3 +49,17 @@ def test_the_package_has_no_assert_statement():
 
 def test_bare_assertion_errors_are_only_the_allowed_sites():
     assert sorted(_sites(_raises_assertion_error)) == sorted(BARE)
+
+
+def _switches_the_collector(node):
+    """gc.disable or gc.enable, read as an attribute, or imported from gc."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "gc"
+    return (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+            and isinstance(node.value, ast.Name) and node.value.id == "gc")
+
+
+def test_the_collector_is_switched_only_by_the_tower_pause():
+    """The one helper that pauses the cyclic garbage collector, and restores
+    its state in a `finally`, is the only code that disables or enables it."""
+    assert _sites(_switches_the_collector) == [("tower.py", "_collector_paused")] * 2
