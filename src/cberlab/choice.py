@@ -11,16 +11,14 @@ only builds: `verify_windowed_link` is the one check of its classes.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .eqrel import EqrelError, FinEqrel
 
 Point = tuple[int, int]  # (base point, copy index)
-
-
-def cantor_pair(m: int, t: int) -> int:
-    return (m + t) * (m + t + 1) // 2 + t
 
 
 @dataclass(frozen=True)
@@ -75,15 +73,16 @@ class WindowedLink:
 
     @functools.cached_property
     def flags(self) -> dict[str, bool]:
-        """One verifier pass, memoized at the first read, so `classes` must not
-        change after it; kept with `support` only for perfbench's `_run_choice`.
-        complete_section tests == of E-classes; on built links ⊇ holds too."""
-        inc = verify_windowed_link(self)
-        return {"maps_injective": inc.disjoint, "complete_section": inc.incident}
+        """The two verdicts of the latest verifier pass, which records them
+        here; a read runs a pass only when none has run yet, so `classes`
+        must not change after the first verification.  Kept with `support`
+        only for perfbench's `_run_choice`.  complete_section tests == of
+        E-classes; on built links ⊇ holds too."""
+        return verify_windowed_link(self).flags
 
     @property
     def support(self) -> set[Point]:
-        return {p for c in self.classes for p in c}
+        return set(itertools.chain.from_iterable(self.classes))
 
 
 def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
@@ -91,7 +90,8 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
 
     h_i is the injective complete-section map on the residual space X x N:
     the copy index splits as m = m2*N + k, the sequence index rotates by k,
-    and copies are injectivized through the pairing function, so
+    and copies are injectivized through the Cantor pairing
+    cantor(m2, t) = s(s+1)/2 + t with s = m2 + t, so
     h_i(x, m) = (f_j(x), cantor(m2, t)*N + k) with j = (i+k) % N and
     t = exps[j][x].  The bijectivized map φ_i sends the point whose h_i-image
     has rank r (by copy, then base) among the images in its E-class C to the
@@ -99,42 +99,59 @@ def choice_sequence_link(e: FinEqrel, f: FinEqrel, depth: int) -> WindowedLink:
     emitted only when all N members land inside the window.  A depth below N
     is malformed input and raises EqrelError.
 
-    Preimages are ints, (x, m) -> m*|X| + x.  A candidate is key*span + its
-    preimage, where its h_i-image (y, copy) gives key copy*|X| + y, unique as
-    h_i is injective.  φ_i lists per window preimage (y, mq*N + i), or None.
+    The ranks need no list of images.  As 0 <= t <= s, cantor(m2, t) orders
+    as the pair (s, t), and k < N, y < |X|, so the images (y, copy) are
+    ordered by (s, t, k, y).  A source of C is a pair (x, k) whose image
+    y = f_j(x) lies in C; it meets diagonal s (at m2 = s - t) iff t <= s.
+    Sorted by (t, k, y), the sources on diagonal s are a prefix of that
+    list, so source q on diagonal s has rank first[s] + q, where first[s]
+    counts the images on the diagonals before s: one prefix sum of the
+    sources' t values, the same for every i.  Those ranks are increasing in
+    m2, so each source fills its window preimages (x, m2*N + k), one stride
+    of the flat table apart, until its rank reaches |C|*depth_q.  Every
+    image is ranked, not only those below a bound on the copies, so the
+    ranks are exact by construction.
     """
     cs = choice_sequence(e, f)
     n = cs.index
     if depth < n:
         raise EqrelError(f"window depth {depth} below index {n}")
     depth_q = depth // n
-    # For m < depth_q, cantor(m2, t)*N + k < cantor(depth_q//N + 1, max t + 1)*N
-    # <= bound, since cantor grows in both arguments and k < N: every image of
-    # a window point is enumerated, so its rank is exact.
-    bound = max(
-        cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1) * n, depth_q
-    )
     size, window = e.n, e.n * depth_q
-    span = bound * size  # keys and preimages are below it, as m <= copy < bound
+    stride = n * size  # one step of m2 in the flat table, pre = m*|X| + x
+    e_of = e._cls_of  # type: ignore[attr-defined]
+    # A source's diagonals s = t + m2 that meet the window end before
+    # max t + ceil(depth_q / N).
+    diagonals = max(map(max, cs.exps)) + -(-depth_q // n)
+    t_counts = [[0] * diagonals for _ in e.classes]
+    for ts, ys in zip(cs.exps, cs.images):
+        for t, y in zip(ts, ys):
+            t_counts[e_of[y]][t] += 1
+    firsts = [
+        list(itertools.accumulate(itertools.accumulate(counts), initial=0))
+        for counts in t_counts
+    ]
 
     phi: list[list[Point | None]] = []
     for i in range(n):
-        by_class: list[list[int]] = [[] for _ in e.classes]
-        for x in range(size):
-            for k in range(n):
-                j = (i + k) % n
-                y, t = cs.images[j][x], cs.exps[j][x]
-                group = by_class[e.class_index(y)]
-                m2 = 0
-                while (copy := cantor_pair(m2, t) * n + k) < bound:
-                    group.append((copy * size + y) * span + (m2 * n + k) * size + x)
-                    m2 += 1
+        sources: list[list[tuple[int, int, int, int]]] = [[] for _ in e.classes]
+        for k in range(n):
+            j = (i + k) % n
+            for x, (t, y) in enumerate(zip(cs.exps[j], cs.images[j])):
+                sources[e_of[y]].append((t, k, y, x))
         table: list[Point | None] = [None] * window
-        for group, c in zip(by_class, e.classes):
+        for group, c, first in zip(sources, e.classes, firsts):
             group.sort()
-            for r, cand in enumerate(group[: len(c) * depth_q]):
-                if (pre := cand % span) < window:
-                    table[pre] = (c[r % len(c)], r // len(c) * n + i)
+            size_c = len(c)
+            limit = size_c * depth_q
+            for q, (t, k, _, x) in enumerate(group):
+                start = k * size + x
+                # the ranks first[s] + q for s = t, t+1, ... while in the window
+                hi = t + len(range(start, window, stride))
+                ranks = first[t : bisect.bisect_left(first, limit - q, t, hi)]
+                table[start : start + len(ranks) * stride : stride] = [
+                    (c[(r := f0 + q) % size_c], r // size_c * n + i) for f0 in ranks
+                ]
         phi.append(table)
 
     classes = [
@@ -156,6 +173,10 @@ class IncidenceReport:
     @property
     def all_ones(self) -> bool:
         return self.disjoint and self.incident
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {"maps_injective": self.disjoint, "complete_section": self.incident}
 
     @property
     def exact(self) -> bool:
@@ -180,7 +201,8 @@ def verify_windowed_link(wl: WindowedLink) -> IncidenceReport:
     other than those of the F-class of the first point fail incidence (E
     refines F, so the class then lies in that F-class and meets each of its
     E-classes once); a position flagged twice fails disjointness; and the
-    positions never flagged are the truncated ones.
+    positions never flagged are the truncated ones.  The verdicts are
+    recorded as `wl.flags`.
     """
     e_of, f_of = wl.e._cls_of, wl.f._cls_of  # type: ignore[attr-defined]
     blocks = [sorted({e_of[y] for y in c}) for c in wl.f.classes]
@@ -197,4 +219,6 @@ def verify_windowed_link(wl: WindowedLink) -> IncidenceReport:
                 disjoint = False
             else:
                 hit[p] = 1
-    return IncidenceReport(len(wl.classes), size * depth - hit.count(1), disjoint, incident)
+    rep = IncidenceReport(len(wl.classes), size * depth - hit.count(1), disjoint, incident)
+    wl.flags = rep.flags
+    return rep

@@ -2,7 +2,8 @@
 workload at each of the seeds 0, 1 and 7, and of `links` and `tiling` at
 the seeds 2 to 5 as well, run through
 `perfbench/workloads.py` and hashed as `perfbench/run.py` hashes a pass,
-must give its recorded digest and its recorded failures.  The workloads
+must give its recorded digest and its recorded failures, and so must a
+second `links` pass over the same items.  The workloads
 read library APIs (fields, return shapes, report text) that no other test
 pins, so a change that breaks the benchmark fails here first.  The
 benchmark also compares the share of failed items, which the digest does
@@ -95,6 +96,26 @@ def test_one_pass_gives_the_recorded_digest(workload, seed):
         assert len(tr.lifts) == workloads.WIDE_ITEMS + len(workloads.BULK_SIZES)
     for (outer, link), action in tr.lifts:
         assert action.act == lift_by_lookup(outer, link)
+
+
+def test_repeated_passes_over_one_item_list_give_the_recorded_digest(monkeypatch):
+    """`perfbench/run.py` builds the item list once, then runs pass after
+    pass over the same input objects under its SIGALRM speed probe.  State
+    that one pass leaves on a shared input (a pair's relations, or a memo on
+    them) shows only from the second pass on, and the one-pass tests above
+    cannot see it: that is the gap behind a benchmark run that fails a larger
+    share of items than those tests do.  Two `links` passes at seed 1, each
+    through run.py's own `run_pass`, must both give the recorded digest and
+    fail nothing."""
+    monkeypatch.setitem(sys.modules, "calibrate", _load("calibrate"))
+    run = _load("run")
+    items = workloads.make_items("links", 1, Tracer(False))
+    with open(os.path.join(PERFBENCH, "digests.json")) as fh:
+        recorded = json.load(fh)["links"]["1"]
+    for _ in range(2):
+        p = run.run_pass(items, 1, Tracer(False), workloads)
+        assert p.failures == []
+        assert hashlib.sha256("".join(p.digests).encode()).hexdigest() == recorded
 
 
 def _forged(g, a, centers: list) -> list:

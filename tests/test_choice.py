@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from choice_oracle import cantor_pair, reference_link
+from hypothesis import given, settings, strategies as st
 
 from cberlab import choice
-from cberlab.eqrel import CheckFailed, EqrelError, build_partition, delta, full
+from cberlab.eqrel import EqrelError, build_partition, delta, full
 from cberlab.choice import (
     WindowedLink,
-    cantor_pair,
     choice_sequence,
     choice_sequence_link,
     verify_windowed_link,
@@ -126,72 +127,25 @@ def test_verifier_rejects_forged_classes(forge):
 
 def test_flags_read_one_verifier_pass(monkeypatch):
     """`flags` is memoized: four reads, as a benchmark item makes, run the
-    verifier once."""
+    verifier once; after an explicit verification, as in perfbench's
+    `_run_choice`, the four reads run none."""
     calls = []
     verify = choice.verify_windowed_link
     monkeypatch.setattr(choice, "verify_windowed_link", lambda wl: calls.append(wl) or verify(wl))
-    wl = choice_sequence_link(build_partition(4, [[0, 1], [2, 3]]), full(4), 40)
-    assert [wl.flags["maps_injective"], wl.flags["maps_injective"],
-            wl.flags["complete_section"], wl.flags["complete_section"]] == [True] * 4
+    e = build_partition(4, [[0, 1], [2, 3]])
+
+    def four_reads(wl):
+        return [wl.flags["maps_injective"], wl.flags["maps_injective"],
+                wl.flags["complete_section"], wl.flags["complete_section"]]
+
+    wl = choice_sequence_link(e, full(4), 40)
+    assert four_reads(wl) == [True] * 4
     assert calls == [wl]
-
-
-def _reference_link(e, f, depth):
-    """Test oracle: the construction from the definition, with the window
-    listed point by point and each φ_i a dict keyed by (x, m)."""
-    cs = choice_sequence(e, f)
-    n = cs.index
-    if depth < n:
-        raise EqrelError(f"window depth {depth} below index {n}")
-    depth_q = depth // n
-    bound = max(
-        cantor_pair(depth_q // n + 1, max(max(r) for r in cs.exps) + 1) * n, depth_q
-    )
-    windows = [[(x, m) for m in range(depth_q) for x in c] for c in e.classes]
-
-    phi = []
-    for i in range(n):
-        by_class = [[] for _ in e.classes]
-        for x in range(e.n):
-            for k in range(n):
-                j = (i + k) % n
-                y, t = cs.images[j][x], cs.exps[j][x]
-                group = by_class[e.class_index(y)]
-                m2 = 0
-                while (copy := cantor_pair(m2, t) * n + k) < bound:
-                    group.append((copy, y, x, m2 * n + k))
-                    m2 += 1
-        table = {}
-        for group, win in zip(by_class, windows):
-            group.sort()
-            for (_, _, x, m), q in zip(group, win):
-                table[x, m] = q
-        phi.append(table)
-
-    classes = []
-    for x in range(e.n):
-        for m in range(depth_q):
-            qs = [table.get((x, m)) for table in phi]
-            if None not in qs:
-                members = ((y, mq * n + i) for i, (y, mq) in enumerate(qs))
-                classes.append(tuple(sorted(members)))
-
-    seen = set()
-    for c in classes:
-        for p in c:
-            if p in seen:
-                raise CheckFailed(f"emitted classes collide at {p}")
-            seen.add(p)
-
-    blocks = [sorted({e.class_index(y) for y in c}) for c in f.classes]
-    flags = {
-        "maps_injective": len(seen) == sum(map(len, classes)),
-        "complete_section": all(
-            set(blocks[f.class_index(c[0][0])]) <= {e.class_index(p[0]) for p in c}
-            for c in classes
-        ),
-    }
-    return classes, flags
+    calls.clear()
+    wl = choice_sequence_link(e, full(4), 40)
+    assert choice.verify_windowed_link(wl).all_ones
+    assert four_reads(wl) == [True] * 4
+    assert calls == [wl]
 
 
 def _random_constant_index_pair(rng):
@@ -224,7 +178,45 @@ def test_link_matches_the_reference_construction():
         else:
             depth = rng.randint(index, 300)
         off_multiple += depth % index != 0
-        classes, flags = _reference_link(e, f, depth)
+        classes, flags = reference_link(e, f, depth)
         wl = choice_sequence_link(e, f, depth)
         assert (wl.classes, wl.flags) == (classes, flags), (e.classes, f.classes, depth)
     assert off_multiple >= 100
+
+
+@st.composite
+def _constant_index_pairs(draw):
+    """(E, F, N): 1-3 F-classes, each of N E-classes of 1-3 points, N = 1..6,
+    with the labels permuted."""
+    index = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.lists(st.integers(1, 3), min_size=index, max_size=index),
+                          min_size=1, max_size=3))
+    n = sum(map(sum, sizes))
+    labels = draw(st.permutations(range(n)))
+    e_classes, f_classes, at = [], [], 0
+    for block in sizes:
+        f_classes.append(labels[at : at + sum(block)])
+        for m in block:
+            e_classes.append(labels[at : at + m])
+            at += m
+    return build_partition(n, e_classes), build_partition(n, f_classes), index
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_constant_index_pairs(), data=st.data())
+def test_link_matches_the_reference_on_drawn_pairs(pair, data):
+    """Depths below 2N, multiples of N and any depth up to 300 give the
+    reference's classes and flags; a depth below N raises EqrelError."""
+    e, f, index = pair
+    depth = data.draw(st.one_of(
+        st.integers(index, 2 * index - 1),
+        st.integers(1, 300 // index).map(lambda q: q * index),
+        st.integers(index, 300),
+    ))
+    wl = choice_sequence_link(e, f, depth)
+    assert (wl.classes, wl.flags) == reference_link(e, f, depth)
+    low = data.draw(st.integers(0, index - 1))
+    with pytest.raises(EqrelError):
+        choice_sequence_link(e, f, low)
+    with pytest.raises(EqrelError):
+        reference_link(e, f, low)
